@@ -51,7 +51,6 @@ from .solver import (
     solve_collocation_hybrid,
     solve_derivative,
     solve_invertible,
-    solve_polynomial,
     solve_taylor,
 )
 

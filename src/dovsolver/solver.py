@@ -1,15 +1,13 @@
 """Solution pipelines reducing the first-kind integral equation to algebra.
 
-Four routes, chosen by the kind of nonlinearity G:
-
-* invertible G    -> one linear solve for the coefficients of G(u), then a
-                     pointwise inversion;
-* G(u) = u^(n)    -> the same linear solve, with u recovered through the
-                     integration matrix (all initial conditions vanish);
-* polynomial G    -> a small nonlinear system solved by damped Newton with a
-                     degree-continuation ladder;
-* anything else   -> either a Taylor reduction to the polynomial route or a
-                     hybrid of the linear stage and pointwise collocation.
+Every route builds one linear system L Z = F for the coefficients Z of
+G(u), with L the map Z -> hat(K^T W_Z Q) and F the projection of f.  The
+linear routes solve it and recover u from Z: pointwise by Ginv for an
+invertible G, by n integrations for G(u) = u^(n) (zero initial data), by
+bracketed root finding at collocation points and a basis fit for any other
+bracketed G.  The polynomial and Taylor routes solve L P(U) = F, where
+P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra, by damped Newton
+with a degree-continuation ladder.
 """
 
 from __future__ import annotations
@@ -135,7 +133,7 @@ class Problem:
     def __post_init__(self):
         try:
             f0 = float(evaluate(self.f, {"t": self.spec.interval.t0}))
-        except Exception:
+        except EvalError:
             return
         if abs(f0) > CONSISTENCY_TOL:
             warnings.warn(
@@ -294,7 +292,7 @@ def newton_solve(residual, u0, tol: float = 1e-12, max_iter: int = 100) -> Newto
 
 
 # ---------------------------------------------------------------------------
-# the linear stage shared by the invertible/derivative/collocation routes
+# the linear system L Z = F shared by every route
 
 def assemble_linear_map(K: OpMatrix, spec: BasisSpec,
                         Qint: OpMatrix | None = None) -> np.ndarray:
@@ -302,7 +300,7 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec,
 
     W_Z is the product matrix of the series Z and Q the integration matrix;
     the map is assembled column by column from unit coefficient vectors, and
-    the invertible pipeline's equation becomes L Z = F.
+    every route's equation becomes L Z = F.
     """
     qa = (Qint if Qint is not None else integration_matrix(spec)).a
     kt = K.a.T
@@ -313,62 +311,55 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec,
     return L
 
 
-@dataclass(frozen=True)
-class _LinearStage:
-    L: np.ndarray
-    F: np.ndarray
-    Z: np.ndarray
-    condition: float
-    rank: int
-
-
-def _linear_stage(problem: Problem) -> _LinearStage:
-    spec = problem.spec
-    K = kernel_matrix(problem.kernel, spec)
-    L = assemble_linear_map(K, spec)
+def _linear_system(problem: Problem, spec: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """L and F of the equation L Z = F for the coefficients Z of G(u)."""
+    L = assemble_linear_map(kernel_matrix(problem.kernel, spec), spec)
     F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
-    Z, _, rank, sv = np.linalg.lstsq(L, F, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    return L, F
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Minimum-norm least squares with the rank and 2-norm condition of a."""
+    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    return x, int(rank), float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+
+
+def _solve_linear(problem: Problem, opts: SolveOptions, recover) -> Solution:
+    """Solve L Z = F, then recover u from Z.
+
+    recover(Z) returns U and the condition of its own step; the reported
+    condition is the larger of that and the linear solve's.
+    """
+    spec = problem.spec
+    z, rank, cond = _lstsq(*_linear_system(problem, spec))
     if rank < spec.dim:
         warnings.warn(
             f"rank-deficient linear stage: rank {rank} of {spec.dim}, "
             f"condition estimate {cond:.3g}", stacklevel=2)
-    return _LinearStage(L, F, Z, cond, rank)
+    Z = CoeffVector(spec, z)
+    U, step_cond = recover(Z)
+    diag = _diagnostics(problem, U, Z, opts, 0, True, max(cond, step_cond))
+    return Solution(U, Z, diag)
 
 
 def solve_invertible(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Linear solve for the coefficients of G(u), then pointwise inversion.
+    """Linear solve for the coefficients of G(u), then u = Ginv(z) pointwise.
 
-    With Ginv given, u = Ginv(z) is evaluated directly; otherwise each value
-    is recovered by scalar_invert on the configured bracket.
+    Without Ginv, a bracketed G goes to the collocation route, which inverts
+    at the basis dimension's worth of points and fits.
     """
     nl = problem.nonlinearity
     if not isinstance(nl, Invertible):
         raise SolverError(f"invertible pipeline needs an Invertible nonlinearity, got {type(nl).__name__}")
-    stage = _linear_stage(problem)
-    Z = CoeffVector(problem.spec, stage.Z)
-    if nl.Ginv is not None:
-        def u_fn(t):
-            return evaluate(nl.Ginv, {"u": eval_series(Z, t)})
-    else:
+    if nl.Ginv is None:
         if nl.bracket is None:
             raise SolverError("invertible nonlinearity without Ginv needs a bracket")
+        return solve_collocation_hybrid(problem, opts)
 
-        def u_fn(t):
-            ta = np.atleast_1d(np.asarray(t, dtype=float))
-            zv = np.atleast_1d(eval_series(Z, ta))
-            out = np.empty_like(ta)
-            for i, (ti, zi) in enumerate(zip(ta, zv)):
-                try:
-                    out[i] = scalar_invert(nl.G, float(zi), nl.bracket)
-                except SolverError as exc:
-                    raise SolverError(
-                        f"inversion failed at t={ti:g} for value {zi:g}: {exc}") from exc
-            return out if np.ndim(t) else float(out[0])
+    def recover(Z):
+        return project(lambda t: evaluate(nl.Ginv, {"u": eval_series(Z, t)}), Z.spec), 0.0
 
-    U = project(u_fn, problem.spec)
-    diag = _diagnostics(problem, U, Z, opts, 0, True, stage.condition)
-    return Solution(U, Z, diag)
+    return _solve_linear(problem, opts, recover)
 
 
 def solve_derivative(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
@@ -381,41 +372,39 @@ def solve_derivative(problem: Problem, opts: SolveOptions = SolveOptions()) -> S
     nl = problem.nonlinearity
     if not isinstance(nl, Derivative):
         raise SolverError(f"derivative pipeline needs a Derivative nonlinearity, got {type(nl).__name__}")
-    stage = _linear_stage(problem)
-    qt = integration_matrix(problem.spec).a.T
-    u = stage.Z
-    for _ in range(nl.order):
-        u = qt @ u
-    U = CoeffVector(problem.spec, u)
-    Z = CoeffVector(problem.spec, stage.Z)
-    diag = _diagnostics(problem, U, Z, opts, 0, True, stage.condition)
-    return Solution(U, Z, diag)
+
+    def recover(Z):
+        qt = integration_matrix(Z.spec).a.T
+        u = Z.c
+        for _ in range(nl.order):
+            u = qt @ u
+        return CoeffVector(Z.spec, u), 0.0
+
+    return _solve_linear(problem, opts, recover)
 
 
 # ---------------------------------------------------------------------------
-# polynomial route
+# polynomial route: L P(U) = F
 
-def _polynomial_residual(alpha: tuple[float, ...], kt: np.ndarray, qa: np.ndarray,
-                         spec: BasisSpec, F: np.ndarray):
-    """R(U) = sum_r alpha_r hat(K^T W_{U^r} Q) - F as a callable."""
-    n_blocks, m = spec.N, spec.M
-    const_term = alpha[0] * _hat_core(kt @ qa, n_blocks, m) if alpha[0] else None
+def _polynomial_residual(problem: Problem, spec: BasisSpec, alpha: tuple[float, ...]):
+    """R(U) = L P(U) - F as a callable, P(U) = alpha_0 + sum_r alpha_r U^r.
+
+    hat(K^T W_Z Q) is linear in Z and the product matrix of the constant 1
+    is the identity, so sum_r alpha_r hat(K^T W_{U^r} Q) collapses to L
+    applied to the truncated-algebra polynomial P(U).
+    """
+    L, F = _linear_system(problem, spec)
+    constant = alpha[0] * constant_coeffs(spec, 1.0).c
 
     def residual(u: np.ndarray) -> np.ndarray:
-        out = -F.copy()
-        if const_term is not None:
-            out += const_term
-        w_t = None
-        uhat = u
-        for r in range(1, len(alpha)):
-            if r > 1:
-                if w_t is None:
-                    w_t = product_matrix(CoeffVector(spec, u)).a.T
-                uhat = w_t @ uhat
-            if alpha[r]:
-                wr = product_matrix(CoeffVector(spec, uhat)).a
-                out += alpha[r] * _hat_core(kt @ wr @ qa, n_blocks, m)
-        return out
+        p = constant + alpha[1] * u
+        if len(alpha) > 2:
+            w_t = product_matrix(CoeffVector(spec, u)).a.T
+            power = u
+            for a in alpha[2:]:
+                power = w_t @ power
+                p += a * power
+        return L @ p - F
 
     return residual
 
@@ -453,13 +442,6 @@ def _initial_candidates(residual, spec: BasisSpec,
     return candidates
 
 
-def _polynomial_setup(problem: Problem, spec: BasisSpec, alpha: tuple[float, ...]):
-    kt = kernel_matrix(problem.kernel, spec).a.T
-    qa = integration_matrix(spec).a
-    F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
-    return _polynomial_residual(alpha, kt, qa, spec, F)
-
-
 def _effective_alpha(problem: Problem) -> tuple[float, ...]:
     nl = problem.nonlinearity
     if isinstance(nl, Polynomial):
@@ -469,49 +451,25 @@ def _effective_alpha(problem: Problem) -> tuple[float, ...]:
     raise SolverError(f"no polynomial reduction for {type(nl).__name__}")
 
 
-def solve_polynomial(problem: Problem, opts: SolveOptions = SolveOptions(),
-                     u0: np.ndarray | None = None) -> Solution:
-    """Newton solve of the algebraic system for a polynomial nonlinearity.
-
-    Starts from a constant scan over opts.scan_range unless u0 is given; for
-    hard problems prefer continuation_solve, which ladders the degree.
-    """
-    alpha = _effective_alpha(problem)
-    residual = _polynomial_setup(problem, problem.spec, alpha)
-    if u0 is None:
-        u0 = _scan_constant(residual, problem.spec, opts.scan_range)
-    result = newton_solve(residual, u0, opts.newton_tol, opts.newton_max_iter)
-    U = CoeffVector(problem.spec, result.x)
-    diag = _diagnostics(problem, U, None, opts, result.iterations,
-                        result.converged, result.condition_estimate)
-    return Solution(U, None, diag)
-
-
 def _run_ladder(problem: Problem, alpha, u_start: np.ndarray,
                 opts: SolveOptions, setups: dict) -> tuple[NewtonResult, int]:
-    """One continuation path: per-block degrees 2, 3, ..., M with the start
-    zero-padded rung to rung; intermediate failures fall back to the scan."""
+    """One continuation path: per-block degrees 2, 3, ..., M, each rung
+    started from the previous one (the first from the truncated start),
+    zero-padded per block; intermediate failures fall back to the scan."""
     spec = problem.spec
     ladder = list(range(2, spec.M + 1)) if spec.M >= 2 else [spec.M]
-    u_prev: np.ndarray | None = None
-    m_prev = 0
+    u_prev, m_prev = u_start, spec.M
     total_iters = 0
     result = None
     for m_rung in ladder:
         rung_spec = BasisSpec(spec.interval, spec.N, m_rung)
         if m_rung not in setups:
-            setups[m_rung] = _polynomial_setup(problem, rung_spec, alpha)
+            setups[m_rung] = _polynomial_residual(problem, rung_spec, alpha)
         residual = setups[m_rung]
-        if u_prev is None:
-            u0 = np.zeros(rung_spec.dim)
-            for n0 in range(spec.N):
-                take = min(m_rung, spec.M)
-                u0[n0 * m_rung:n0 * m_rung + take] = \
-                    u_start[n0 * spec.M:n0 * spec.M + take]
-        else:
-            u0 = np.zeros(rung_spec.dim)
-            for n0 in range(spec.N):
-                u0[n0 * m_rung:n0 * m_rung + m_prev] = u_prev[n0 * m_prev:(n0 + 1) * m_prev]
+        take = min(m_rung, m_prev)
+        u0 = np.zeros(rung_spec.dim)
+        for n0 in range(spec.N):
+            u0[n0 * m_rung:n0 * m_rung + take] = u_prev[n0 * m_prev:n0 * m_prev + take]
         result = newton_solve(residual, u0, opts.newton_tol, opts.newton_max_iter)
         total_iters += result.iterations
         if not result.converged and m_rung < spec.M:
@@ -537,7 +495,7 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
     """
     alpha = _effective_alpha(problem)
     spec = problem.spec
-    final_residual = _polynomial_setup(problem, spec, alpha)
+    final_residual = _polynomial_residual(problem, spec, alpha)
     setups = {spec.M: final_residual}
     candidates = _initial_candidates(final_residual, spec, opts.scan_range)
 
@@ -563,7 +521,7 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
         U = CoeffVector(spec, result.x)
         try:
             res = oracle.equation_residual(problem, U, None, grid, 1e-9)
-        except Exception:
+        except (EvalError, oracle.QuadratureError):
             res = math.inf
         mean_val = float(np.mean(eval_series(U, grid.points)))
         scored.append((not result.converged, res, abs(mean_val - mid), result, iters))
@@ -595,7 +553,7 @@ def _fd_derivative(g, x0: float, d: int) -> float:
         try:
             g(x0 + offsets[0] * h0), g(x0 + offsets[-1] * h0)
             break
-        except Exception:
+        except EvalError:
             h0 *= 0.5
     table = []
     best, best_gap = math.nan, math.inf
@@ -660,7 +618,7 @@ def solve_taylor(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solut
 # hybrid collocation route
 
 def solve_collocation_hybrid(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Linear stage for the coefficients of G(u), then decoupled scalar
+    """Linear solve for the coefficients of G(u), then decoupled scalar
     inversions at per-block Chebyshev-Gauss points and a basis fit.
 
     The point count equals the basis dimension, so the least-squares fit is
@@ -676,25 +634,23 @@ def solve_collocation_hybrid(problem: Problem, opts: SolveOptions = SolveOptions
     else:
         raise SolverError("collocation pipeline needs a bracketed nonlinearity")
     spec = problem.spec
-    stage = _linear_stage(problem)
-    Z = CoeffVector(spec, stage.Z)
     x = gauss_chebyshev_nodes(spec.M)
     points = np.concatenate([spec.block_nodes(n0, x) for n0 in range(spec.N)])
-    targets = np.atleast_1d(eval_series(Z, points))
-    w = np.empty(spec.dim)
-    for i, (ti, zi) in enumerate(zip(points, targets)):
-        try:
-            w[i] = scalar_invert(G, float(zi), bracket)
-        except SolverError as exc:
-            raise SolverError(
-                f"no root of G(w) = {zi:g} in bracket {bracket} at collocation "
-                f"point t = {ti:g}: {exc}") from exc
-    H = basis_matrix(spec, points)
-    u, _, _, sv = np.linalg.lstsq(H, w, rcond=None)
-    fit_cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    U = CoeffVector(spec, u)
-    diag = _diagnostics(problem, U, Z, opts, 0, True, max(stage.condition, fit_cond))
-    return Solution(U, Z, diag)
+
+    def recover(Z):
+        targets = np.atleast_1d(eval_series(Z, points))
+        w = np.empty(spec.dim)
+        for i, (ti, zi) in enumerate(zip(points, targets)):
+            try:
+                w[i] = scalar_invert(G, float(zi), bracket)
+            except SolverError as exc:
+                raise SolverError(
+                    f"no root of G(w) = {zi:g} in bracket {bracket} at collocation "
+                    f"point t = {ti:g}: {exc}") from exc
+        u, _, fit_cond = _lstsq(basis_matrix(spec, points), w)
+        return CoeffVector(spec, u), fit_cond
+
+    return _solve_linear(problem, opts, recover)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +660,6 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     """Route the problem to its pipeline by nonlinearity kind."""
     nl = problem.nonlinearity
     if isinstance(nl, Invertible):
-        if nl.Ginv is None and nl.bracket is not None:
-            return solve_collocation_hybrid(problem, opts)
         return solve_invertible(problem, opts)
     if isinstance(nl, Derivative):
         return solve_derivative(problem, opts)

@@ -3,10 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dovsolver.basis import BasisSpec, Interval, eval_series, project
+from dovsolver.basis import BasisSpec, CoeffVector, Interval, constant_coeffs, eval_series, project
 from dovsolver.expr import evaluate, parse
-from dovsolver.opalg import kernel_matrix
+from dovsolver.opalg import (
+    OpMatrix,
+    hat_vector,
+    integration_matrix,
+    kernel_matrix,
+    power_vector,
+    product_matrix,
+)
 from dovsolver.oracle import Grid, max_error_fn, residual_linf, uniform_grid
 from dovsolver.registry import EXAMPLES
 from dovsolver.solver import (
@@ -27,10 +36,10 @@ from dovsolver.solver import (
     solve_collocation_hybrid,
     solve_derivative,
     solve_invertible,
-    solve_polynomial,
     solve_taylor,
     taylor_power_coefficients,
 )
+from dovsolver.solver import _polynomial_residual, _scan_constant
 
 FAST = SolveOptions(compute_residual=False)
 
@@ -177,11 +186,11 @@ def test_polynomial_linear_reduction_single_newton_iteration():
     rng = np.random.default_rng(9)
     p = Problem(parse("1"), parse("t^2/2"), Polynomial(alpha=(0.0, 1.0)),
                 BasisSpec(Interval(0, 1), 1, 4))
-    opts = SolveOptions(compute_residual=False, newton_tol=1e-8)
+    residual = _polynomial_residual(p, p.spec, p.nonlinearity.alpha)
     for _ in range(3):
-        sol = solve_polynomial(p, opts, u0=rng.normal(size=4))
-        assert sol.diagnostics.converged
-        assert sol.diagnostics.newton_iters == 1
+        res = newton_solve(residual, rng.normal(size=4), tol=1e-8)
+        assert res.converged
+        assert res.iterations == 1
 
 
 def test_continuation_exact_cubic_case():
@@ -199,10 +208,34 @@ def test_continuation_rejects_spurious_algebraic_roots():
     # selection must discard it
     e7 = EXAMPLES["ex7"]
     p = e7.problem(1, 3)
-    spurious = solve_polynomial(p, SolveOptions(scan_range=(0.5, 2.0)))
-    assert spurious.diagnostics.converged
+    residual = _polynomial_residual(p, p.spec, p.nonlinearity.alpha)
+    spurious = newton_solve(residual, _scan_constant(residual, p.spec, (0.5, 2.0)))
+    assert spurious.converged
     picked = continuation_solve(p, SolveOptions(scan_range=(0.5, 2.0)))
     assert picked.diagnostics.residual_linf < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(2, 8),
+       alpha=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_polynomial_residual_is_linear_map_of_powers(n, m, alpha, seed):
+    # L P(U) - F against the direct form sum_r alpha_r hat(K^T W_{U^r} Q) - F;
+    # the residual reads only the kernel and f of the problem
+    spec = BasisSpec(Interval(0, 1.5), n, m)
+    p = Problem(parse("exp(x-t)+x*t"), parse("sin(t)"), Derivative(order=1), spec)
+    U = CoeffVector(spec, np.random.default_rng(seed).uniform(-1.5, 1.5, spec.dim))
+    kt, qa = kernel_matrix(p.kernel, spec).a.T, integration_matrix(spec).a
+    F = project(lambda t: np.sin(t), spec).c
+    terms = []
+    for r, a in enumerate(alpha):
+        power = constant_coeffs(spec, 1.0) if r == 0 else power_vector(U, r)
+        hat = hat_vector(OpMatrix(spec, kt @ product_matrix(power).a @ qa)).b
+        terms.append(a * hat)
+    expected = sum(terms) - F
+    scale = sum(np.max(np.abs(t)) for t in terms) + np.max(np.abs(F))
+    got = _polynomial_residual(p, spec, tuple(alpha))(U.c)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 def test_taylor_power_coefficients_exp():
@@ -261,6 +294,15 @@ def test_collocation_unbracketed_root_reports_point():
 def test_inconsistent_data_warns():
     with pytest.warns(UserWarning, match="inconsistent first-kind data"):
         Problem(parse("1"), parse("t+1"), Derivative(order=1),
+                BasisSpec(Interval(0, 1), 1, 3))
+
+
+def test_unbound_variable_in_f_skips_consistency_check():
+    # f naming the integration variable cannot be evaluated at t0 alone; the
+    # check is skipped instead of failing construction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Problem(parse("1"), parse("x+t"), Derivative(order=1),
                 BasisSpec(Interval(0, 1), 1, 3))
 
 
