@@ -21,7 +21,7 @@ import numpy as np
 from .basis import BasisSpec, Interval
 from .expr import Expr, ParseError, parse
 from .oracle import uniform_grid
-from .registry import EXAMPLES, ExampleEntry
+from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
     CollocationStrategy,
     Derivative,
@@ -364,10 +364,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "run-example":
             try:
-                entry = EXAMPLES[args.key]
-            except KeyError:
-                known = ", ".join(sorted(EXAMPLES))
-                raise ConfigError(f"unknown example {args.key!r}; known: {known}")
+                entry = get_example(args.key)
+            except KeyError as exc:
+                raise ConfigError(exc.args[0]) from None
             config = config_from_example(entry, args.N, args.M, check=args.check)
         else:
             config = load_config(args.config)

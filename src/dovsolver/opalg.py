@@ -3,11 +3,15 @@
 These are the algebraic core of the direct method: integration and
 multiplication become matrix actions on coefficient vectors, and the hat
 transform turns the quadratic form H(t)^T B H(t) into a plain series, which
-is what removes collocation from the first-kind equation.
+is what removes collocation from the first-kind equation.  The product
+matrix, the hat transform, its truncation bound and the solver's linear map
+L are all contractions of one cached tensor, the truncated Chebyshev
+product of product_tensor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,103 +108,75 @@ def integration_matrix(spec: BasisSpec) -> OpMatrix:
     return OpMatrix(spec, a)
 
 
-def integrate_coeffs(Q: OpMatrix, cv: CoeffVector) -> CoeffVector:
-    """Coefficients of the running integral of the represented function."""
-    return CoeffVector(cv.spec, Q.a.T @ cv.c)
+@functools.cache
+def product_tensor(M: int) -> np.ndarray:
+    """Truncated-product tensor C[p, q, d]: the coefficient of T_d in T_p T_q.
 
-
-def _product_block(c: np.ndarray, M: int) -> np.ndarray:
-    # w[i, k] = coefficient of T_k in T_i * (series c), products of degree
-    # >= M silently dropped: w[i, k] = (c_{k-i} [k>=i] + c_{i+k} [i+k<M]
-    #                                   + c_{i-k} [i>=k>=1]) / 2
-    i = np.arange(M)[:, None]
-    k = np.arange(M)[None, :]
-    cpad = np.concatenate([np.asarray(c, dtype=float), np.zeros(M)])
-    w = np.where(k >= i, cpad[np.abs(k - i)], 0.0)
-    w = w + np.where(i + k < M, cpad[i + k], 0.0)
-    w = w + np.where((i >= k) & (k >= 1), cpad[np.abs(i - k)], 0.0)
-    return 0.5 * w
+    From the linearization T_p T_q = (T_{p+q} + T_|p-q|)/2 with degrees >= M
+    dropped.  Every product and hat operation below is a contraction of C;
+    the array is shared between callers and therefore read-only.
+    """
+    p, q = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+    keep = p + q < M
+    c = np.zeros((M, M, M))
+    c[p[keep], q[keep], (p + q)[keep]] = 0.5
+    c[p, q, np.abs(p - q)] += 0.5
+    c.setflags(write=False)
+    return c
 
 
 def product_matrix(cv: CoeffVector) -> OpMatrix:
     """Product operational matrix W of the function represented by cv.
 
-    W[i, k] is the coefficient of H_k in H_i * f, built per block from the
-    linearization T_i T_j = (T_{i+j} + T_|i-j|)/2; cross-block entries vanish
+    W[i, k] is the coefficient of H_k in H_i * f: per block, the series of f
+    contracted with the truncated-product tensor; cross-block entries vanish
     because supports are disjoint.  For a second function with coefficients
     V, the product has coefficients W^T V.
     """
     spec = cv.spec
+    C = product_tensor(spec.M)
     a = np.zeros((spec.dim, spec.dim))
     for n0 in range(spec.N):
         sl = slice(n0 * spec.M, (n0 + 1) * spec.M)
-        a[sl, sl] = _product_block(cv.block(n0), spec.M)
+        a[sl, sl] = np.tensordot(cv.block(n0), C, (0, 1))
     return OpMatrix(spec, a)
 
 
 def unit_product_matrix(spec: BasisSpec, r: int) -> np.ndarray:
     """Product matrix of the r-th basis function (1-based), as a raw array."""
     n0, m = spec.split(r)
-    c = np.zeros(spec.M)
-    c[m] = 1.0
     a = np.zeros((spec.dim, spec.dim))
     sl = slice(n0 * spec.M, (n0 + 1) * spec.M)
-    a[sl, sl] = _product_block(c, spec.M)
+    a[sl, sl] = product_tensor(spec.M)[:, m, :]
     return a
 
 
-_HAT_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _hat_indices(M: int):
-    try:
-        return _HAT_INDEX_CACHE[M]
-    except KeyError:
-        p = np.arange(M)[:, None]
-        q = np.arange(M)[None, :]
-        plus = (p + q).ravel()
-        minus = np.abs(p - q).ravel()
-        keep = plus < M
-        _HAT_INDEX_CACHE[M] = (plus[keep], keep, minus)
-        return _HAT_INDEX_CACHE[M]
-
-
-def _hat_core(a: np.ndarray, N: int, M: int) -> np.ndarray:
-    # per block: b[d] = (sum of entries with p+q = d, for d < M)/2
-    #                 + (sum of entries with |p-q| = d)/2
-    plus, keep, minus = _hat_indices(M)
-    out = np.empty(N * M)
-    for n0 in range(N):
-        blk = a[n0 * M:(n0 + 1) * M, n0 * M:(n0 + 1) * M].ravel()
-        out[n0 * M:(n0 + 1) * M] = 0.5 * (
-            np.bincount(plus, weights=blk[keep], minlength=M)
-            + np.bincount(minus, weights=blk, minlength=M))
-    return out
+def _diagonal_blocks(B: OpMatrix) -> np.ndarray:
+    """The N diagonal M x M blocks of B as an (N, M, M) view."""
+    N, M = B.spec.N, B.spec.M
+    return np.einsum("npnq->npq", B.a.reshape(N, M, N, M))
 
 
 def hat_vector(B: OpMatrix) -> HatVector:
     """Hat transform: vector b with H(t)^T B H(t) ~= b . H(t).
 
     Only the diagonal blocks of B contribute (off-block products of basis
-    functions are identically zero); within a block the same Chebyshev
-    linearization as the product matrix applies, with degrees >= M dropped.
-    The transform is exactly linear in B.
+    functions are identically zero); within a block b_d = sum_pq B_pq C_pqd,
+    the same truncated product as the product matrix.  The transform is
+    exactly linear in B.
     """
-    return HatVector(B.spec, _hat_core(B.a, B.spec.N, B.spec.M))
+    C = product_tensor(B.spec.M)
+    # plain einsum: a BLAS contraction reorders the sums and loses exact
+    # linearity at the 1e-15 level
+    return HatVector(B.spec, np.einsum("npq,pqd->nd", _diagonal_blocks(B), C).ravel())
 
 
 def hat_truncation_bound(B: OpMatrix) -> float:
-    """Mass of the linearization terms the hat transform drops: half the sum
-    of |B_pq| over diagonal-block entries with p + q >= M."""
-    N, M = B.spec.N, B.spec.M
-    total = 0.0
-    for n0 in range(N):
-        blk = B.a[n0 * M:(n0 + 1) * M, n0 * M:(n0 + 1) * M]
-        for p in range(M):
-            for q in range(M):
-                if p + q >= M:
-                    total += 0.5 * abs(blk[p, q])
-    return total
+    """Mass of the linearization terms the hat transform drops:
+    sum over diagonal blocks of |B_pq| (1 - sum_d C_pqd), i.e. half of |B_pq|
+    wherever p + q >= M."""
+    dropped = 1.0 - product_tensor(B.spec.M).sum(axis=2)
+    return float(np.einsum("npq,pq->", np.abs(_diagonal_blocks(B)), dropped))
 
 
 def power_vector(U: CoeffVector, r: int) -> CoeffVector:

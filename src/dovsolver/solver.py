@@ -33,11 +33,10 @@ from .basis import (
 from .expr import EvalError, Expr, evaluate
 from .opalg import (
     OpMatrix,
-    _hat_core,
     integration_matrix,
     kernel_matrix,
     product_matrix,
-    unit_product_matrix,
+    product_tensor,
 )
 from . import oracle
 
@@ -294,21 +293,25 @@ def newton_solve(residual, u0, tol: float = 1e-12, max_iter: int = 100) -> Newto
 # ---------------------------------------------------------------------------
 # the linear system L Z = F shared by every route
 
-def assemble_linear_map(K: OpMatrix, spec: BasisSpec,
-                        Qint: OpMatrix | None = None) -> np.ndarray:
+def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
     """Matrix of the linear map Z -> hat(K^T W_Z Q) in coefficient space.
 
-    W_Z is the product matrix of the series Z and Q the integration matrix;
-    the map is assembled column by column from unit coefficient vectors, and
-    every route's equation becomes L Z = F.
+    W_Z is the product matrix of the series Z and Q the integration matrix.
+    With C the truncated-product tensor, block (n, j) of L is
+    L[n d, j q] = sum K[j i, n p] C[i q k] Q[j k, n s] C[p s d], which
+    vanishes for j > n because Q is block upper triangular.  Every route's
+    equation becomes L Z = F.
     """
-    qa = (Qint if Qint is not None else integration_matrix(spec)).a
-    kt = K.a.T
-    L = np.empty((spec.dim, spec.dim))
-    for r in range(1, spec.dim + 1):
-        L[:, r - 1] = _hat_core(kt @ unit_product_matrix(spec, r) @ qa,
-                                spec.N, spec.M)
-    return L
+    N, M = spec.N, spec.M
+    C = product_tensor(M)
+    k4 = K.a.reshape(N, M, N, M)
+    q4 = integration_matrix(spec).a.reshape(N, M, N, M)
+    L = np.zeros((N, M, N, M))
+    for n in range(N):
+        for j in range(n + 1):
+            kcq = np.tensordot(k4[j, :, n, :], C, (0, 0)) @ q4[j, :, n, :]  # [p, q, s]
+            L[n, :, j, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
+    return L.reshape(spec.dim, spec.dim)
 
 
 def _linear_system(problem: Problem, spec: BasisSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from dovsolver.basis import (
@@ -16,11 +18,11 @@ from dovsolver.opalg import (
     OpMatrix,
     hat_truncation_bound,
     hat_vector,
-    integrate_coeffs,
     integration_matrix,
     kernel_matrix,
     power_vector,
     product_matrix,
+    product_tensor,
     unit_product_matrix,
 )
 
@@ -84,9 +86,43 @@ def test_integration_contract_random_polynomials(N, M):
         for n0 in range(N):
             c[n0 * M:n0 * M + M - 1] = rng.normal(size=M - 1)  # degree <= M-2
         cv = CoeffVector(spec, c)
-        through_matrix = integrate_coeffs(Q, cv)
+        through_matrix = Q.a.T @ cv.c
         reference = project(_analytic_running_integral(cv), spec)
-        assert np.max(np.abs(through_matrix.c - reference.c)) < 1e-10
+        assert np.max(np.abs(through_matrix - reference.c)) < 1e-10
+
+
+@pytest.mark.parametrize("M", range(1, 25))
+def test_product_tensor_matches_chebmul(M):
+    C = product_tensor(M)
+    eye = np.eye(M)
+    for p in range(M):
+        for q in range(M):
+            full = cheb.chebmul(eye[p], eye[q])
+            expected = np.zeros(M)
+            expected[:min(M, full.size)] = full[:M]
+            assert np.array_equal(C[p, q], expected)
+    assert not C.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_product_and_hat_algebra(n, m, seed, a, b):
+    # W is bilinear and commutative (W(x)^T y = W(y)^T x); hat is linear
+    rng = np.random.default_rng(seed)
+    spec = BasisSpec(Interval(0, 1), n, m)
+    x, y, z = (rng.normal(size=spec.dim) for _ in range(3))
+
+    def W(c):
+        return product_matrix(CoeffVector(spec, c)).a
+
+    tol = 1e-13 * (1.0 + abs(a) + abs(b))
+    assert np.max(np.abs(W(a * x + b * y) - (a * W(x) + b * W(y)))) <= tol
+    assert np.max(np.abs(W(x).T @ y - W(y).T @ x)) <= 1e-13
+    B1, B2 = rng.normal(size=(2, spec.dim, spec.dim))
+    combined = hat_vector(OpMatrix(spec, a * B1 + b * B2)).b
+    split = a * hat_vector(OpMatrix(spec, B1)).b + b * hat_vector(OpMatrix(spec, B2)).b
+    assert np.max(np.abs(combined - split)) <= tol * m
 
 
 def test_product_matrix_of_one_is_identity():

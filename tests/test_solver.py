@@ -15,6 +15,7 @@ from dovsolver.opalg import (
     kernel_matrix,
     power_vector,
     product_matrix,
+    unit_product_matrix,
 )
 from dovsolver.oracle import Grid, max_error_fn, residual_linf, uniform_grid
 from dovsolver.registry import EXAMPLES
@@ -139,6 +140,19 @@ def test_assemble_linear_map_is_linear():
     z1, z2 = rng.normal(size=6), rng.normal(size=6)
     assert np.allclose(L @ (2.0 * z1 - 0.5 * z2), 2.0 * (L @ z1) - 0.5 * (L @ z2),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("N, M", [(1, 10), (2, 16), (4, 16)])
+def test_assemble_linear_map_matches_columnwise_reference(N, M):
+    # column r of L is hat(K^T W_r Q) for the r-th unit coefficient vector
+    spec = BasisSpec(Interval(0, 1.5), N, M)
+    K = kernel_matrix(parse("exp(x-t)+x*t"), spec)
+    kt, qa = K.a.T, integration_matrix(spec).a
+    reference = np.column_stack([
+        hat_vector(OpMatrix(spec, kt @ unit_product_matrix(spec, r) @ qa)).b
+        for r in range(1, spec.dim + 1)])
+    L = assemble_linear_map(K, spec)
+    assert np.max(np.abs(L - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 # ---------------------------------------------------------------------------
