@@ -14,7 +14,6 @@ from .basis import (
 )
 from .expr import EvalError, ParseError, evaluate, parse, unparse
 from .opalg import (
-    HatVector,
     OpMatrix,
     hat_vector,
     integration_matrix,
@@ -24,7 +23,6 @@ from .opalg import (
 )
 from .oracle import (
     Grid,
-    max_error,
     quad_adaptive,
     residual_linf,
     uniform_grid,

@@ -394,3 +394,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:  # pragma: no cover
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

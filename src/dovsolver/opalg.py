@@ -41,19 +41,6 @@ class OpMatrix:
         object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class HatVector:
-    spec: BasisSpec
-    b: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        b = np.array(self.b, dtype=float)
-        if b.shape != (self.spec.dim,):
-            raise ValueError(f"expected {self.spec.dim} entries, got {b.shape}")
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
-
-
 def _integration_rows(M: int) -> np.ndarray:
     """Rows of antiderivative coefficients on the reference interval.
 
@@ -157,8 +144,8 @@ def _diagonal_blocks(B: OpMatrix) -> np.ndarray:
     return np.einsum("npnq->npq", B.a.reshape(N, M, N, M))
 
 
-def hat_vector(B: OpMatrix) -> HatVector:
-    """Hat transform: vector b with H(t)^T B H(t) ~= b . H(t).
+def hat_vector(B: OpMatrix) -> np.ndarray:
+    """Hat transform: read-only vector b with H(t)^T B H(t) ~= b . H(t).
 
     Only the diagonal blocks of B contribute (off-block products of basis
     functions are identically zero); within a block b_d = sum_pq B_pq C_pqd,
@@ -168,7 +155,9 @@ def hat_vector(B: OpMatrix) -> HatVector:
     C = product_tensor(B.spec.M)
     # plain einsum: a BLAS contraction reorders the sums and loses exact
     # linearity at the 1e-15 level
-    return HatVector(B.spec, np.einsum("npq,pqd->nd", _diagonal_blocks(B), C).ravel())
+    b = np.einsum("npq,pqd->nd", _diagonal_blocks(B), C).ravel()
+    b.setflags(write=False)
+    return b
 
 
 def hat_truncation_bound(B: OpMatrix) -> float:

@@ -23,7 +23,7 @@ from .basis import (
     hcp_eval,
     project,
 )
-from .expr import Expr, evaluate
+from .expr import evaluate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Problem, Solution
@@ -149,13 +149,11 @@ def _quad_blockwise(g, spec: BasisSpec, lo: float, hi: float, tol: float) -> flo
     return sum(quad_adaptive(g, a, b, tol) for a, b in zip(pts[:-1], pts[1:]))
 
 
-def equation_residual(problem, U: CoeffVector, Z=None, grid: Grid | None = None,
-                      quad_tol: float = 1e-12) -> float:
-    """Max over the grid of |f(t) - int_{t0}^t K(x,t) G(u(x)) dx| with the
+def _residual(problem, g, grid: Grid | None, quad_tol: float) -> float:
+    """Max over the grid of |f(t) - int_{t0}^t K(x,t) g(x) dx| with the
     inner integral computed by quad_adaptive, split at block boundaries."""
     if grid is None:
         grid = uniform_grid(problem.spec.interval, 200)
-    g = problem.nonlinearity.g_from_coeffs(U)
     kern = problem.kernel
     spec = problem.spec
     t0 = spec.interval.t0
@@ -173,34 +171,24 @@ def equation_residual(problem, U: CoeffVector, Z=None, grid: Grid | None = None,
     return worst
 
 
+def equation_residual(problem, U: CoeffVector, grid: Grid | None = None,
+                      quad_tol: float = 1e-12) -> float:
+    """Residual of the integral equation with G(u(x)) composed pointwise
+    from the series U."""
+    return _residual(problem, problem.nonlinearity.g_from_coeffs(U), grid, quad_tol)
+
+
 def residual_linf(problem: "Problem", solution: "Solution",
                   grid: Grid | None = None, quad_tol: float = 1e-12) -> float:
     """Oracle residual of the integral equation for a computed solution."""
-    return equation_residual(problem, solution.U, solution.Z, grid, quad_tol)
+    return equation_residual(problem, solution.U, grid, quad_tol)
 
 
 def composite_residual(problem, Z: CoeffVector, grid: Grid | None = None,
                        quad_tol: float = 1e-12) -> float:
     """Residual with G(u(x)) taken as the series Z produced by a linear
     stage, bypassing the pointwise composition through U."""
-    if grid is None:
-        grid = uniform_grid(problem.spec.interval, 200)
-    kern = problem.kernel
-    spec = problem.spec
-    t0 = spec.interval.t0
-    worst = 0.0
-    for t in grid.points:
-        ft = float(evaluate(problem.f, {"t": float(t)}))
-        if t == t0:
-            worst = max(worst, abs(ft))
-            continue
-
-        def integrand(x, _t=float(t)):
-            return (np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float)
-                    * eval_series(Z, x))
-
-        worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, float(t), quad_tol)))
-    return worst
+    return _residual(problem, lambda x: eval_series(Z, x), grid, quad_tol)
 
 
 def max_error_fn(solution_or_cv, exact: Callable, grid: Grid) -> float:
@@ -209,12 +197,6 @@ def max_error_fn(solution_or_cv, exact: Callable, grid: Grid) -> float:
     approx = eval_series(cv, grid.points)
     target = np.asarray(exact(grid.points), dtype=float)
     return float(np.max(np.abs(target - approx)))
-
-
-def max_error(solution_or_cv, exact: Expr, grid: Grid) -> float:
-    """Max absolute pointwise error against an exact-solution expression."""
-    return max_error_fn(solution_or_cv,
-                        lambda t: evaluate(exact, {"t": t}), grid)
 
 
 def weighted_l2_error(f: Callable, cv: CoeffVector) -> float:

@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .basis import (
     BasisSpec,
@@ -58,7 +56,7 @@ class Invertible:
     Ginv: Expr | None = None
     bracket: tuple[float, float] | None = None
 
-    def g_from_coeffs(self, U: CoeffVector, Z=None):
+    def g_from_coeffs(self, U: CoeffVector):
         return lambda x: evaluate(self.G, {"u": eval_series(U, x)})
 
 
@@ -72,7 +70,7 @@ class Derivative:
         if self.order < 1:
             raise ValueError(f"derivative order must be >= 1: {self.order}")
 
-    def g_from_coeffs(self, U: CoeffVector, Z=None):
+    def g_from_coeffs(self, U: CoeffVector):
         dz = series_derivative(U, self.order)
         return lambda x: eval_series(dz, x)
 
@@ -89,7 +87,7 @@ class Polynomial:
             raise ValueError("polynomial nonlinearity needs a nonzero coefficient of u^r, r >= 1")
         object.__setattr__(self, "alpha", a)
 
-    def g_from_coeffs(self, U: CoeffVector, Z=None):
+    def g_from_coeffs(self, U: CoeffVector):
         return lambda x: np.polynomial.polynomial.polyval(
             eval_series(U, x), np.asarray(self.alpha))
 
@@ -112,7 +110,7 @@ class General:
     G: Expr
     strategy: TaylorStrategy | CollocationStrategy
 
-    def g_from_coeffs(self, U: CoeffVector, Z=None):
+    def g_from_coeffs(self, U: CoeffVector):
         return lambda x: evaluate(self.G, {"u": eval_series(U, x)})
 
 
@@ -179,7 +177,7 @@ def _diagnostics(problem: Problem, U: CoeffVector, Z, opts: SolveOptions,
     if opts.compute_residual:
         grid = oracle.uniform_grid(problem.spec.interval, opts.residual_grid)
         try:
-            res = oracle.equation_residual(problem, U, Z, grid, opts.quad_tol)
+            res = oracle.equation_residual(problem, U, grid, opts.quad_tol)
         except (EvalError, oracle.QuadratureError) as exc:
             if Z is not None:
                 try:
@@ -196,39 +194,74 @@ def _diagnostics(problem: Problem, U: CoeffVector, Z, opts: SolveOptions,
 # ---------------------------------------------------------------------------
 # scalar root finding and the vector Newton engine
 
-def scalar_invert(G: Expr, target: float, bracket: tuple[float, float]) -> float:
-    """Solve G(w) = target for w inside the bracket.
+def scalar_invert(G: Expr, target, bracket: tuple[float, float]):
+    """Solve G(w) = target for w inside the bracket, for one target or an
+    array of them.
 
-    If the endpoints do not straddle the target, a 64-piece scan looks for a
-    sign change first; the bracketed root is then polished by Brent's method.
+    One scan of G at 65 points across the bracket, shared by every target,
+    finds each target's leftmost sign change of G - target; a zero at a scan
+    point is the root.  Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    1971) then narrows all the pieces at once, with a bisection step
+    wherever a piece has not halved over the last three steps, until each
+    is within 1e-15 + 8.9e-16 |w|.  A target without a sign change raises
+    SolverError; its ``index`` attribute is the target's position in the
+    flattened array.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    t = np.asarray(target, dtype=float)
+    flat = t.ravel()
 
-    def g(w):
-        return float(evaluate(G, {"u": w})) - target
+    def g(w, tt):
+        return np.broadcast_to(evaluate(G, {"u": w}), np.shape(w)) - tt
 
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        pts = np.linspace(lo, hi, 65)
-        vals = [g(p) for p in pts]
-        for a, b, ga, gb in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
-            if ga == 0.0:
-                return float(a)
-            if ga * gb < 0:
-                lo, hi = float(a), float(b)
-                break
-        else:
-            if vals[-1] == 0.0:
-                return float(pts[-1])
-            raise SolverError(
-                f"no sign change of G - target in bracket ({bracket[0]}, {bracket[1]}) "
-                f"for target {target:g}")
-    root = scipy.optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    pts = np.linspace(float(bracket[0]), float(bracket[1]), 65)
+    scan = g(pts, flat[:, None])
+    sign = np.sign(scan)
+    hit = sign == 0
+    hit[:, :-1] |= sign[:, :-1] * sign[:, 1:] < 0
+    found = hit.any(axis=1)
+    if not found.all():
+        i = int(np.argmin(found))
+        err = SolverError(
+            f"no sign change of G - target in bracket ({bracket[0]}, {bracket[1]}) "
+            f"for target {flat[i]:g}")
+        err.index = i
+        raise err
+    k = np.argmax(hit, axis=1)
+    w = pts[k]
+    active = np.flatnonzero(sign[np.arange(flat.size), k] != 0)
+    ka = k[active]
+    lo, hi, glo, ghi = pts[ka], pts[ka + 1], scan[active, ka], scan[active, ka + 1]
+    tt = flat[active]
+    moved = np.zeros(active.size)           # +1: last step moved lo, -1: hi
+    width1 = width2 = width3 = np.full(active.size, np.inf)
+    while active.size:
+        width = hi - lo
+        tol = 1e-15 + 8.9e-16 * np.maximum(np.abs(lo), np.abs(hi))
+        x = hi - ghi * width / (ghi - glo)
+        x = np.where(~np.isfinite(x) | (width > 0.5 * width3), 0.5 * (lo + hi), x)
+        # a step of at least tol/2 off each end lets the far end close in
+        # once the near one sits on the root
+        x = np.clip(x, lo + 0.5 * tol, hi - 0.5 * tol)
+        gx = g(x, tt)
+        move_lo = np.sign(gx) == np.sign(glo)
+        # Illinois: an endpoint kept twice running has its value halved
+        glo = np.where(move_lo, gx, np.where(moved < 0, 0.5 * glo, glo))
+        ghi = np.where(move_lo, np.where(moved > 0, 0.5 * ghi, ghi), gx)
+        lo, hi = np.where(move_lo, x, lo), np.where(move_lo, hi, x)
+        moved = np.where(move_lo, 1.0, -1.0)
+        width1, width2, width3 = width, width1, width2
+        done = (gx == 0) | (hi - lo <= tol)
+        w[active[done]] = x[done]
+        keep = ~done
+        active, lo, hi, tt, glo, ghi, moved, width1, width2, width3 = (
+            a[keep] for a in (active, lo, hi, tt, glo, ghi, moved, width1, width2, width3))
+    return float(w[0]) if t.ndim == 0 else w.reshape(t.shape)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Minimum-norm least squares with the rank and 2-norm condition of a."""
+    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    return x, int(rank), float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -244,7 +277,8 @@ def newton_solve(residual, u0, tol: float = 1e-12, max_iter: int = 100) -> Newto
     """Damped Newton iteration on a square nonlinear system.
 
     The Jacobian comes from central differences (step 1e-6*(1+|u_j|) per
-    component), steps are solved by column-pivoted least squares, and an
+    component), steps are solved by minimum-norm SVD least squares, whose
+    singular values give the reported 2-norm condition, and an
     Armijo backtracking line search (factor 1/2, at most 30 halvings) guards
     each update.  Convergence: ||R||_inf <= tol or step norm <= 1e-14; on
     failure the best iterate seen is returned with converged=False.
@@ -257,7 +291,6 @@ def newton_solve(residual, u0, tol: float = 1e-12, max_iter: int = 100) -> Newto
     cond = math.nan
     if rnorm <= tol:
         return NewtonResult(u, 0, True, rnorm, cond)
-    jac = None
     for it in range(1, max_iter + 1):
         jac = np.empty((n, n))
         for j in range(n):
@@ -267,7 +300,7 @@ def newton_solve(residual, u0, tol: float = 1e-12, max_iter: int = 100) -> Newto
             um[j] -= h
             jac[:, j] = (np.asarray(residual(up), dtype=float)
                          - np.asarray(residual(um), dtype=float)) / (2.0 * h)
-        step = scipy.linalg.lstsq(jac, -r, lapack_driver="gelsy")[0]
+        step, _, cond = _lstsq(jac, -r)
         lam = 1.0
         accepted = False
         for _ in range(31):
@@ -279,14 +312,13 @@ def newton_solve(residual, u0, tol: float = 1e-12, max_iter: int = 100) -> Newto
                 break
             lam *= 0.5
         if not accepted:
-            return NewtonResult(best_u, it, False, best_norm, float(np.linalg.cond(jac)))
+            return NewtonResult(best_u, it, False, best_norm, cond)
         step_norm = float(np.max(np.abs(lam * step)))
         u, r, rnorm = u_new, r_new, rn_new
         if rnorm < best_norm:
             best_u, best_norm = u.copy(), rnorm
         if rnorm <= tol or step_norm <= 1e-14:
-            return NewtonResult(u, it, True, rnorm, float(np.linalg.cond(jac)))
-    cond = float(np.linalg.cond(jac)) if jac is not None else math.nan
+            return NewtonResult(u, it, True, rnorm, cond)
     return NewtonResult(best_u, max_iter, False, best_norm, cond)
 
 
@@ -319,12 +351,6 @@ def _linear_system(problem: Problem, spec: BasisSpec) -> tuple[np.ndarray, np.nd
     L = assemble_linear_map(kernel_matrix(problem.kernel, spec), spec)
     F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
     return L, F
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Minimum-norm least squares with the rank and 2-norm condition of a."""
-    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    return x, int(rank), float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
 
 def _solve_linear(problem: Problem, opts: SolveOptions, recover) -> Solution:
@@ -523,7 +549,7 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
     for result, iters in distinct:
         U = CoeffVector(spec, result.x)
         try:
-            res = oracle.equation_residual(problem, U, None, grid, 1e-9)
+            res = oracle.equation_residual(problem, U, grid, 1e-9)
         except (EvalError, oracle.QuadratureError):
             res = math.inf
         mean_val = float(np.mean(eval_series(U, grid.points)))
@@ -621,8 +647,9 @@ def solve_taylor(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solut
 # hybrid collocation route
 
 def solve_collocation_hybrid(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Linear solve for the coefficients of G(u), then decoupled scalar
-    inversions at per-block Chebyshev-Gauss points and a basis fit.
+    """Linear solve for the coefficients of G(u), then one bracketed
+    inversion of all per-block Chebyshev-Gauss points at once and a basis
+    fit.
 
     The point count equals the basis dimension, so the least-squares fit is
     an interpolation; Gauss nodes avoid block endpoints.
@@ -641,15 +668,13 @@ def solve_collocation_hybrid(problem: Problem, opts: SolveOptions = SolveOptions
     points = np.concatenate([spec.block_nodes(n0, x) for n0 in range(spec.N)])
 
     def recover(Z):
-        targets = np.atleast_1d(eval_series(Z, points))
-        w = np.empty(spec.dim)
-        for i, (ti, zi) in enumerate(zip(points, targets)):
-            try:
-                w[i] = scalar_invert(G, float(zi), bracket)
-            except SolverError as exc:
-                raise SolverError(
-                    f"no root of G(w) = {zi:g} in bracket {bracket} at collocation "
-                    f"point t = {ti:g}: {exc}") from exc
+        targets = eval_series(Z, points)
+        try:
+            w = scalar_invert(G, targets, bracket)
+        except SolverError as exc:
+            raise SolverError(
+                f"no root of G(w) = {targets[exc.index]:g} in bracket {bracket} at "
+                f"collocation point t = {points[exc.index]:g}: {exc}") from exc
         u, _, fit_cond = _lstsq(basis_matrix(spec, points), w)
         return CoeffVector(spec, u), fit_cond
 

@@ -219,7 +219,7 @@ def test_criterion_11_operational_algebra_suite():
                         B[n0 * M + p, n0 * M + q] = rng.normal()
             Bm = OpMatrix(spec, B)
             lhs = np.einsum("ij,jk,ik->i", H, B, H)
-            rhs = H @ hat_vector(Bm).b
+            rhs = H @ hat_vector(Bm)
             hat_worst = max(hat_worst, float(np.max(np.abs(lhs - rhs))))
     hat_ok = hat_worst <= 1e-12
 

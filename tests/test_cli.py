@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import dovsolver
 from dovsolver.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -225,3 +230,25 @@ def test_registry_requires_known_key():
     from dovsolver.registry import get
     with pytest.raises(KeyError, match="unknown example"):
         get("ex99")
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout of dovsolver."""
+    src = str(Path(dovsolver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_python_m_cli_lists_examples():
+    done = _python("-m", "dovsolver.cli", "examples", "list")
+    assert done.returncode == 0, done.stderr
+    listed = [line.split()[0] for line in done.stdout.splitlines()]
+    assert sorted(listed) == sorted(EXAMPLES)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    done = _python("-c", "import sys, dovsolver.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -120,8 +120,8 @@ def test_product_and_hat_algebra(n, m, seed, a, b):
     assert np.max(np.abs(W(a * x + b * y) - (a * W(x) + b * W(y)))) <= tol
     assert np.max(np.abs(W(x).T @ y - W(y).T @ x)) <= 1e-13
     B1, B2 = rng.normal(size=(2, spec.dim, spec.dim))
-    combined = hat_vector(OpMatrix(spec, a * B1 + b * B2)).b
-    split = a * hat_vector(OpMatrix(spec, B1)).b + b * hat_vector(OpMatrix(spec, B2)).b
+    combined = hat_vector(OpMatrix(spec, a * B1 + b * B2))
+    split = a * hat_vector(OpMatrix(spec, B1)) + b * hat_vector(OpMatrix(spec, B2))
     assert np.max(np.abs(combined - split)) <= tol * m
 
 
@@ -155,17 +155,17 @@ def test_product_matrix_pointwise_property():
 
 def test_hat_vector_identity():
     spec = BasisSpec(Interval(-1, 1), 1, 4)
-    assert np.allclose(hat_vector(OpMatrix(spec, np.eye(4))).b, [2.5, 0, 0.5, 0])
+    assert np.allclose(hat_vector(OpMatrix(spec, np.eye(4))), [2.5, 0, 0.5, 0])
 
 
 def test_hat_vector_single_entries():
     spec = BasisSpec(Interval(-1, 1), 1, 5)
     b = np.zeros((5, 5))
     b[0, 0] = 1.0
-    assert np.allclose(hat_vector(OpMatrix(spec, b)).b, [1, 0, 0, 0, 0])
+    assert np.allclose(hat_vector(OpMatrix(spec, b)), [1, 0, 0, 0, 0])
     b = np.zeros((5, 5))
     b[0, 1] = 1.0
-    assert np.allclose(hat_vector(OpMatrix(spec, b)).b, [0, 1, 0, 0, 0])
+    assert np.allclose(hat_vector(OpMatrix(spec, b)), [0, 1, 0, 0, 0])
 
 
 def test_hat_contract_with_truncation_bound():
@@ -177,7 +177,7 @@ def test_hat_contract_with_truncation_bound():
         for _ in range(10):
             B = OpMatrix(spec, rng.normal(size=(spec.dim, spec.dim)))
             lhs = np.einsum("ij,jk,ik->i", H, B.a, H)
-            rhs = H @ hat_vector(B).b
+            rhs = H @ hat_vector(B)
             assert np.max(np.abs(lhs - rhs)) <= hat_truncation_bound(B) + 1e-12
 
 
@@ -194,7 +194,7 @@ def test_hat_contract_exact_on_low_degree_support():
                 B[n0 * 6 + p, n0 * 6 + q] = rng.normal()
     Bm = OpMatrix(spec, B)
     lhs = np.einsum("ij,jk,ik->i", H, B, H)
-    rhs = H @ hat_vector(Bm).b
+    rhs = H @ hat_vector(Bm)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -204,8 +204,8 @@ def test_hat_vector_linearity():
     B1 = rng.normal(size=(8, 8))
     B2 = rng.normal(size=(8, 8))
     a, b = 1.7, -0.3
-    combined = hat_vector(OpMatrix(spec, a * B1 + b * B2)).b
-    split = a * hat_vector(OpMatrix(spec, B1)).b + b * hat_vector(OpMatrix(spec, B2)).b
+    combined = hat_vector(OpMatrix(spec, a * B1 + b * B2))
+    split = a * hat_vector(OpMatrix(spec, B1)) + b * hat_vector(OpMatrix(spec, B2))
     assert np.array_equal(combined, split) or np.max(np.abs(combined - split)) < 1e-15
 
 
