@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BasisSpec, Interval
 from .expr import Expr, ParseError, parse
-from .oracle import uniform_grid
+from .oracle import QuadratureError, uniform_grid
 from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
     CollocationStrategy,
@@ -31,6 +31,7 @@ from .solver import (
     Polynomial,
     Problem,
     SolveOptions,
+    SolverError,
     TaylorStrategy,
     solve,
 )
@@ -211,6 +212,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
         out_path = out.get("path", fallback=None)
         grid_size = out.getint("grid", fallback=1000)
+        if grid_size < 1:
+            raise ConfigError("output.grid: must be positive")
 
     return RunConfig(kernel=kernel, f=f_expr, nonlinearity=nonlinearity,
                      interval=interval, bases=bases, exact=exact,
@@ -260,7 +263,7 @@ def _run_single(config: RunConfig, n: int, m: int) -> dict:
         d = solution.diagnostics
         row.update(residual_linf=d.residual_linf, newton_iters=d.newton_iters,
                    condition_estimate=d.condition_estimate, converged=d.converged)
-    except Exception as exc:  # a failed row must not kill the sweep
+    except (ValueError, SolverError, QuadratureError) as exc:  # keep the sweep going
         row["error"] = f"{type(exc).__name__}: {exc}"
     if config.timing:
         row["wall_ms"] = (time.perf_counter() - start) * 1e3
@@ -362,6 +365,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        for flag in ("N", "M", "grid"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag}: must be positive, got {value}")
         if args.command == "run-example":
             try:
                 entry = get_example(args.key)
@@ -380,7 +387,7 @@ def main(argv=None) -> int:
             overrides["out_format"] = args.format
         if args.out:
             overrides["out_path"] = args.out
-        if args.grid:
+        if args.grid is not None:
             overrides["grid_size"] = args.grid
         if args.no_timing:
             overrides["timing"] = False

@@ -4,9 +4,9 @@ These are the algebraic core of the direct method: integration and
 multiplication become matrix actions on coefficient vectors, and the hat
 transform turns the quadratic form H(t)^T B H(t) into a plain series, which
 is what removes collocation from the first-kind equation.  The product
-matrix, the hat transform, its truncation bound and the solver's linear map
-L are all contractions of one cached tensor, the truncated Chebyshev
-product of product_tensor.
+matrix, the hat transform, its truncation bound, the polynomial P(U) with its
+Jacobian, and the solver's linear map L are all contractions of one cached
+tensor, the truncated Chebyshev product of product_tensor.
 """
 
 from __future__ import annotations
@@ -168,19 +168,36 @@ def hat_truncation_bound(B: OpMatrix) -> float:
     return float(np.einsum("npq,pq->", np.abs(_diagonal_blocks(B)), dropped))
 
 
-def power_vector(U: CoeffVector, r: int) -> CoeffVector:
-    """Coefficients approximating the r-th pointwise power of the function.
+def polynomial(U: CoeffVector, alpha) -> tuple[CoeffVector, np.ndarray]:
+    """P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra and its dense
+    Jacobian dP/dU: U^r = W_U^T U^(r-1) and d(U^r)/dU = D_r with D_1 = I,
+    D_r = W_{U^(r-1)}^T + W_U^T D_(r-1), contracted block by block from the
+    product tensor, so each block of P reads only its own block of U."""
+    N, M = U.spec.N, U.spec.M
+    C = product_tensor(M)
+    u = U.c.reshape(N, M)
+    w_t = np.einsum("nq,pqd->ndp", u, C)
+    power, d_power = u, np.broadcast_to(np.eye(M), (N, M, M))
+    p, jac = np.zeros((N, M)), np.zeros((N, M, M))
+    for r, a in enumerate(alpha[1:], start=1):
+        if r > 1:
+            d_power = np.einsum("nq,sqd->nds", power, C) + w_t @ d_power
+            power = np.einsum("ndp,np->nd", w_t, power)
+        p += a * power
+        jac += a * d_power
+    p[:, 0] += alpha[0]
+    J = np.zeros((N, M, N, M))
+    J[np.arange(N), :, np.arange(N), :] = jac
+    return CoeffVector(U.spec, p.ravel()), J.reshape(N * M, N * M)
 
-    Built by repeated application of the product matrix; exact up to roundoff
-    while r times the per-block degree stays below M.
-    """
+
+def power_vector(U: CoeffVector, r: int) -> CoeffVector:
+    """Coefficients approximating the r-th pointwise power of the function:
+    the polynomial u^r in truncated algebra, exact up to roundoff while r
+    times the per-block degree stays below M."""
     if r < 1:
         raise ValueError(f"power must be >= 1: {r}")
-    w_t = product_matrix(U).a.T
-    out = U.c
-    for _ in range(r - 1):
-        out = w_t @ out
-    return CoeffVector(U.spec, out)
+    return polynomial(U, (0.0,) * r + (1.0,))[0]
 
 
 def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:

@@ -7,7 +7,7 @@ invertible G, by n integrations for G(u) = u^(n) (zero initial data), by
 bracketed root finding at collocation points and a basis fit for any other
 bracketed G.  The polynomial and Taylor routes solve L P(U) = F, where
 P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra, by damped Newton
-with a degree-continuation ladder.
+with the exact Jacobian L dP/dU and a degree-continuation ladder.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .opalg import (
     OpMatrix,
     integration_matrix,
     kernel_matrix,
-    product_matrix,
+    polynomial,
     product_tensor,
 )
 from . import oracle
@@ -270,56 +270,43 @@ class NewtonResult:
     iterations: int
     converged: bool
     residual_norm: float
-    condition_estimate: float
 
 
-def newton_solve(residual, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonResult:
+def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonResult:
     """Damped Newton iteration on a square nonlinear system.
 
-    The Jacobian comes from central differences (step 1e-6*(1+|u_j|) per
-    component), steps are solved by minimum-norm SVD least squares, whose
-    singular values give the reported 2-norm condition, and an
-    Armijo backtracking line search (factor 1/2, at most 30 halvings) guards
-    each update.  Convergence: ||R||_inf <= tol or step norm <= 1e-14; on
-    failure the best iterate seen is returned with converged=False.
+    system(u) returns the residual R and its Jacobian J at u.  Steps are
+    solved by minimum-norm SVD least squares, and an Armijo backtracking
+    line search (factor 1/2, at most 30 halvings) guards each update; the
+    Jacobian of an accepted trial point serves the next step.
+    Convergence: ||R||_inf <= tol or step norm <= 1e-14; on failure the
+    best iterate seen is returned with converged=False.
     """
     u = np.array(u0, dtype=float)
-    n = u.size
-    r = np.asarray(residual(u), dtype=float)
+    r, jac = system(u)
     rnorm = float(np.max(np.abs(r)))
     best_u, best_norm = u.copy(), rnorm
-    cond = math.nan
     if rnorm <= tol:
-        return NewtonResult(u, 0, True, rnorm, cond)
+        return NewtonResult(u, 0, True, rnorm)
     for it in range(1, max_iter + 1):
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = 1e-6 * (1.0 + abs(u[j]))
-            up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
-            jac[:, j] = (np.asarray(residual(up), dtype=float)
-                         - np.asarray(residual(um), dtype=float)) / (2.0 * h)
-        step, _, cond = _lstsq(jac, -r)
+        step = _lstsq(jac, -r)[0]
         lam = 1.0
-        accepted = False
         for _ in range(31):
             u_new = u + lam * step
-            r_new = np.asarray(residual(u_new), dtype=float)
+            r_new, jac_new = system(u_new)
             rn_new = float(np.max(np.abs(r_new)))
             if rn_new <= (1.0 - 1e-4 * lam) * rnorm:
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
-            return NewtonResult(best_u, it, False, best_norm, cond)
+        else:
+            return NewtonResult(best_u, it, False, best_norm)
         step_norm = float(np.max(np.abs(lam * step)))
-        u, r, rnorm = u_new, r_new, rn_new
+        u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
         if rnorm < best_norm:
             best_u, best_norm = u.copy(), rnorm
         if rnorm <= tol or step_norm <= 1e-14:
-            return NewtonResult(u, it, True, rnorm, cond)
-    return NewtonResult(best_u, max_iter, False, best_norm, cond)
+            return NewtonResult(u, it, True, rnorm)
+    return NewtonResult(best_u, max_iter, False, best_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -415,41 +402,34 @@ def solve_derivative(problem: Problem, opts: SolveOptions = SolveOptions()) -> S
 # ---------------------------------------------------------------------------
 # polynomial route: L P(U) = F
 
-def _polynomial_residual(problem: Problem, spec: BasisSpec, alpha: tuple[float, ...]):
-    """R(U) = L P(U) - F as a callable, P(U) = alpha_0 + sum_r alpha_r U^r.
+def _polynomial_system(problem: Problem, spec: BasisSpec, alpha: tuple[float, ...]):
+    """u -> (L P(U) - F, L dP/dU) as a callable, P(U) = sum_r alpha_r U^r.
 
     hat(K^T W_Z Q) is linear in Z and the product matrix of the constant 1
     is the identity, so sum_r alpha_r hat(K^T W_{U^r} Q) collapses to L
     applied to the truncated-algebra polynomial P(U).
     """
     L, F = _linear_system(problem, spec)
-    constant = alpha[0] * constant_coeffs(spec, 1.0).c
 
-    def residual(u: np.ndarray) -> np.ndarray:
-        p = constant + alpha[1] * u
-        if len(alpha) > 2:
-            w_t = product_matrix(CoeffVector(spec, u)).a.T
-            power = u
-            for a in alpha[2:]:
-                power = w_t @ power
-                p += a * power
-        return L @ p - F
+    def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        P, J = polynomial(CoeffVector(spec, u), alpha)
+        return L @ P.c - F, L @ J
 
-    return residual
+    return system
 
 
-def _scan_constant(residual, spec: BasisSpec, scan_range: tuple[float, float],
+def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
                    count: int = 32) -> np.ndarray:
     best_u, best_norm = None, math.inf
     for c in np.linspace(scan_range[0], scan_range[1], count):
         u = constant_coeffs(spec, float(c)).c.copy()
-        norm = float(np.max(np.abs(residual(u))))
+        norm = float(np.max(np.abs(system(u)[0])))
         if norm < best_norm:
             best_u, best_norm = u, norm
     return best_u
 
 
-def _initial_candidates(residual, spec: BasisSpec,
+def _initial_candidates(system, spec: BasisSpec,
                         scan_range: tuple[float, float]) -> list[np.ndarray]:
     """Starting guesses for the nonlinear route: the best constant from the
     scan plus gentle linear trends around it.
@@ -459,7 +439,7 @@ def _initial_candidates(residual, spec: BasisSpec,
     degeneracy and the oracle-residual selection afterwards keeps only the
     root that actually satisfies the integral equation.
     """
-    best = _scan_constant(residual, spec, scan_range)
+    best = _scan_constant(system, spec, scan_range)
     c_star = float(best[0])
     iv = spec.interval
     mid, halfw = 0.5 * (iv.t0 + iv.tf), 0.5 * iv.width
@@ -480,29 +460,23 @@ def _effective_alpha(problem: Problem) -> tuple[float, ...]:
     raise SolverError(f"no polynomial reduction for {type(nl).__name__}")
 
 
-def _run_ladder(problem: Problem, alpha, u_start: np.ndarray,
-                opts: SolveOptions, setups: dict) -> tuple[NewtonResult, int]:
-    """One continuation path: per-block degrees 2, 3, ..., M, each rung
-    started from the previous one (the first from the truncated start),
-    zero-padded per block; intermediate failures fall back to the scan."""
-    spec = problem.spec
-    ladder = list(range(2, spec.M + 1)) if spec.M >= 2 else [spec.M]
+def _run_ladder(systems: dict, spec: BasisSpec, u_start: np.ndarray,
+                opts: SolveOptions) -> tuple[NewtonResult, int]:
+    """One continuation path over the rungs of systems (per-block degrees in
+    order), each started from the previous one zero-padded per block, the
+    first from the truncated start; failures below M fall back to the scan."""
     u_prev, m_prev = u_start, spec.M
     total_iters = 0
     result = None
-    for m_rung in ladder:
-        rung_spec = BasisSpec(spec.interval, spec.N, m_rung)
-        if m_rung not in setups:
-            setups[m_rung] = _polynomial_residual(problem, rung_spec, alpha)
-        residual = setups[m_rung]
+    for m_rung, system in systems.items():
         take = min(m_rung, m_prev)
-        u0 = np.zeros(rung_spec.dim)
-        for n0 in range(spec.N):
-            u0[n0 * m_rung:n0 * m_rung + take] = u_prev[n0 * m_prev:n0 * m_prev + take]
-        result = newton_solve(residual, u0, opts.newton_tol, opts.newton_max_iter)
+        u0 = np.zeros((spec.N, m_rung))
+        u0[:, :take] = u_prev.reshape(spec.N, m_prev)[:, :take]
+        result = newton_solve(system, u0.ravel(), opts.newton_tol, opts.newton_max_iter)
         total_iters += result.iterations
         if not result.converged and m_rung < spec.M:
-            retry = newton_solve(residual, _scan_constant(residual, rung_spec, opts.scan_range),
+            rung_spec = BasisSpec(spec.interval, spec.N, m_rung)
+            retry = newton_solve(system, _scan_constant(system, rung_spec, opts.scan_range),
                                  opts.newton_tol, opts.newton_max_iter)
             total_iters += retry.iterations
             if retry.residual_norm < result.residual_norm:
@@ -524,15 +498,16 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
     """
     alpha = _effective_alpha(problem)
     spec = problem.spec
-    final_residual = _polynomial_residual(problem, spec, alpha)
-    setups = {spec.M: final_residual}
-    candidates = _initial_candidates(final_residual, spec, opts.scan_range)
+    systems = {m: _polynomial_system(problem, BasisSpec(spec.interval, spec.N, m), alpha)
+               for m in range(min(2, spec.M), spec.M + 1)}
+    final_system = systems[spec.M]
+    candidates = _initial_candidates(final_system, spec, opts.scan_range)
 
     finals: list[tuple[NewtonResult, int]] = []
     for cand in candidates:
-        finals.append(_run_ladder(problem, alpha, cand, opts, setups))
+        finals.append(_run_ladder(systems, spec, cand, opts))
     for cand in candidates:
-        direct = newton_solve(final_residual, cand, opts.newton_tol, opts.newton_max_iter)
+        direct = newton_solve(final_system, cand, opts.newton_tol, opts.newton_max_iter)
         finals.append((direct, direct.iterations))
 
     # dedupe identical roots before paying for oracle residuals
@@ -563,8 +538,8 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
     total_iters = sum(iters for _, iters in finals)
 
     U = CoeffVector(spec, result.x)
-    diag = _diagnostics(problem, U, None, opts, total_iters,
-                        result.converged, result.condition_estimate)
+    cond = float(np.linalg.cond(final_system(result.x)[1]))
+    diag = _diagnostics(problem, U, None, opts, total_iters, result.converged, cond)
     return Solution(U, None, diag)
 
 

@@ -154,6 +154,16 @@ sweep = (1,3), (1,4)
     lines = out.getvalue().strip().splitlines()
     assert len(lines) == 3  # header + both rows, despite both failing
     assert code == 2
+    # f that cannot be evaluated on the interval: an EvalError per row
+    text = MINIMAL.replace('f = "t^2/2"', 'f = "sqrt(t-0.5)"').replace(
+        "M = 4", "sweep = (1,3), (1,4)\n\n[output]\nformat = json")
+    cfg = load_config(_write(tmp_path, text, "bad_f.ini"))
+    out = io.StringIO()
+    code = run(cfg, out)
+    rows = json.loads(out.getvalue())
+    assert [(r["N"], r["M"]) for r in rows] == [(1, 3), (1, 4)]
+    assert all(r["error"].startswith("EvalError") for r in rows)
+    assert code == 2
 
 
 def test_sweep_rows_in_config_order(tmp_path):
@@ -207,6 +217,27 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     assert main(["sweep", path]) == 1  # single-basis config refused for sweep
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("flags", [["--N", "0"], ["--M", "-2"], ["--grid", "0"]])
+def test_main_rejects_nonpositive_size_flags(flags, capsys):
+    assert main(["run-example", "ex1", *flags, "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and flags[0] in captured.err
+    assert captured.out == ""
+
+
+def test_main_grid_flag_is_applied(capsys):
+    # a coarse error grid changes E_inf, so the flag reached the run
+    assert main(["run-example", "ex1", "--grid", "3", "--no-timing"]) == 0
+    coarse = capsys.readouterr().out
+    assert main(["run-example", "ex1", "--no-timing"]) == 0
+    assert coarse != capsys.readouterr().out
+
+
+def test_output_grid_must_be_positive(tmp_path):
+    with pytest.raises(ConfigError, match="output.grid"):
+        load_config(_write(tmp_path, MINIMAL + "\n[output]\ngrid = 0\n"))
 
 
 def test_main_unknown_example(capsys):

@@ -20,6 +20,7 @@ from dovsolver.opalg import (
     hat_vector,
     integration_matrix,
     kernel_matrix,
+    polynomial,
     power_vector,
     product_matrix,
     product_tensor,
@@ -239,6 +240,46 @@ def test_power_vector_consistency_under_degree_condition():
         t = rng.uniform(0, 1, 60)
         assert np.max(np.abs(eval_series(power_vector(U, r), t)
                              - eval_series(U, t) ** r)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 8),
+       alpha=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_polynomial_jacobian_matches_central_differences(n, m, alpha, seed):
+    spec = BasisSpec(Interval(0, 1.5), n, m)
+    u = np.random.default_rng(seed).uniform(-1.5, 1.5, spec.dim)
+    P, J = polynomial(CoeffVector(spec, u), alpha)
+    h = 1e-6
+    fd = np.empty_like(J)
+    for j in range(spec.dim):
+        e = np.zeros(spec.dim)
+        e[j] = h
+        fd[:, j] = (polynomial(CoeffVector(spec, u + e), alpha)[0].c
+                    - polynomial(CoeffVector(spec, u - e), alpha)[0].c) / (2.0 * h)
+    scale = 1.0 + np.max(np.abs(P.c)) + np.max(np.abs(J))
+    assert np.max(np.abs(J - fd)) <= 1e-7 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 3), m=st.integers(1, 8),
+       alpha=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+       block=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_polynomial_blocks_are_independent(n, m, alpha, block, seed):
+    # changing block k of U leaves every other block of P unchanged, and
+    # dP/dU has exactly zero off-diagonal blocks
+    rng = np.random.default_rng(seed)
+    spec = BasisSpec(Interval(0, 1), n, m)
+    u = rng.uniform(-1.5, 1.5, spec.dim)
+    k = block % n
+    v = u.copy()
+    v[k * m:(k + 1) * m] = rng.uniform(-1.5, 1.5, m)
+    P, J = polynomial(CoeffVector(spec, u), alpha)
+    P_changed = polynomial(CoeffVector(spec, v), alpha)[0]
+    others = np.arange(n) != k
+    assert np.array_equal(P.c.reshape(n, m)[others], P_changed.c.reshape(n, m)[others])
+    off_diagonal = J.reshape(n, m, n, m).transpose(0, 2, 1, 3)[~np.eye(n, dtype=bool)]
+    assert np.all(off_diagonal == 0.0)
 
 
 def test_unit_product_matrix_matches_generic():

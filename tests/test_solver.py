@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from dovsolver.solver import (
     solve_taylor,
     taylor_power_coefficients,
 )
-from dovsolver.solver import _polynomial_residual, _scan_constant
+from dovsolver.solver import _polynomial_system, _scan_constant
 
 FAST = SolveOptions(compute_residual=False)
 
@@ -50,35 +51,34 @@ FAST = SolveOptions(compute_residual=False)
 # newton_solve
 
 def test_newton_linear_single_iteration():
-    # the finite-difference Jacobian carries ~1e-10 relative noise, so the
-    # one-step property is exhibited at a tolerance above that noise
     c = np.array([3.0, -1.0, 0.5])
-    res = newton_solve(lambda u: u - c, np.zeros(3), tol=1e-8)
+    res = newton_solve(lambda u: (u - c, np.eye(3)), np.zeros(3), tol=1e-8)
     assert res.converged and res.iterations == 1
     assert np.allclose(res.x, c, atol=1e-8)
-    res = newton_solve(lambda u: u - c, np.zeros(3))
+    res = newton_solve(lambda u: (u - c, np.eye(3)), np.zeros(3))
     assert res.converged and res.iterations <= 2
     assert np.allclose(res.x, c, atol=1e-12)
 
 
 def test_newton_scalar_quadratic():
-    res = newton_solve(lambda u: u * u - 4.0, np.array([3.0]))
+    res = newton_solve(lambda u: (u * u - 4.0, np.diag(2.0 * u)), np.array([3.0]))
     assert res.converged
     assert res.x[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_newton_circle_line_system():
-    def residual(u):
-        return np.array([u[0] ** 2 + u[1] ** 2 - 1.0, u[0] - u[1]])
+    def system(u):
+        return (np.array([u[0] ** 2 + u[1] ** 2 - 1.0, u[0] - u[1]]),
+                np.array([[2.0 * u[0], 2.0 * u[1]], [1.0, -1.0]]))
 
-    res = newton_solve(residual, np.array([1.0, 0.0]))
+    res = newton_solve(system, np.array([1.0, 0.0]))
     assert res.converged
     assert np.allclose(res.x, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-10)
 
 
 def test_newton_returns_best_iterate_on_failure():
-    res = newton_solve(lambda u: np.array([u[0] ** 2 + 1.0]), np.array([0.5]),
-                       max_iter=20)
+    res = newton_solve(lambda u: (np.array([u[0] ** 2 + 1.0]), np.diag(2.0 * u)),
+                       np.array([0.5]), max_iter=20)
     assert not res.converged
     assert np.isfinite(res.residual_norm)
 
@@ -214,13 +214,13 @@ def test_solve_invertible_requires_inverse_or_bracket():
 
 def test_polynomial_linear_reduction_single_newton_iteration():
     # G(u) = u makes the residual affine; Newton lands in one step from any
-    # start once the tolerance sits above the FD-Jacobian noise floor
+    # start
     rng = np.random.default_rng(9)
     p = Problem(parse("1"), parse("t^2/2"), Polynomial(alpha=(0.0, 1.0)),
                 BasisSpec(Interval(0, 1), 1, 4))
-    residual = _polynomial_residual(p, p.spec, p.nonlinearity.alpha)
+    system = _polynomial_system(p, p.spec, p.nonlinearity.alpha)
     for _ in range(3):
-        res = newton_solve(residual, rng.normal(size=4), tol=1e-8)
+        res = newton_solve(system, rng.normal(size=4), tol=1e-8)
         assert res.converged
         assert res.iterations == 1
 
@@ -240,8 +240,8 @@ def test_continuation_rejects_spurious_algebraic_roots():
     # selection must discard it
     e7 = EXAMPLES["ex7"]
     p = e7.problem(1, 3)
-    residual = _polynomial_residual(p, p.spec, p.nonlinearity.alpha)
-    spurious = newton_solve(residual, _scan_constant(residual, p.spec, (0.5, 2.0)))
+    system = _polynomial_system(p, p.spec, p.nonlinearity.alpha)
+    spurious = newton_solve(system, _scan_constant(system, p.spec, (0.5, 2.0)))
     assert spurious.converged
     picked = continuation_solve(p, SolveOptions(scan_range=(0.5, 2.0)))
     assert picked.diagnostics.residual_linf < 1e-10
@@ -266,7 +266,7 @@ def test_polynomial_residual_is_linear_map_of_powers(n, m, alpha, seed):
         terms.append(a * hat)
     expected = sum(terms) - F
     scale = sum(np.max(np.abs(t)) for t in terms) + np.max(np.abs(F))
-    got = _polynomial_residual(p, spec, tuple(alpha))(U.c)
+    got = _polynomial_system(p, spec, tuple(alpha))(U.c)[0]
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
@@ -368,6 +368,15 @@ def test_solution_carries_z_for_linear_stages():
 
 def test_condition_estimate_reported():
     sol = solve_invertible(EXAMPLES["ex2"].problem(1, 6), FAST)
+    assert np.isfinite(sol.diagnostics.condition_estimate)
+    assert sol.diagnostics.condition_estimate >= 1.0
+
+
+def test_polynomial_condition_estimate_at_the_root():
+    # the winning path starts on a root and takes no Newton step; the
+    # condition is that of L dP/dU at the returned root all the same
+    e7 = EXAMPLES["ex7"]
+    sol = solve(e7.problem(1, 10), replace(e7.options, compute_residual=False))
     assert np.isfinite(sol.diagnostics.condition_estimate)
     assert sol.diagnostics.condition_estimate >= 1.0
 
