@@ -30,26 +30,21 @@ from .oracle import (
     weighted_l2_error,
 )
 from .solver import (
-    CollocationStrategy,
+    Collocation,
     Derivative,
     Diagnostics,
-    General,
     Invertible,
     Polynomial,
     Problem,
     Solution,
     SolveOptions,
     SolverError,
-    TaylorStrategy,
+    Taylor,
     assemble_linear_map,
     continuation_solve,
     newton_solve,
     scalar_invert,
     solve,
-    solve_collocation_hybrid,
-    solve_derivative,
-    solve_invertible,
-    solve_taylor,
 )
 
 __version__ = "0.1.0"

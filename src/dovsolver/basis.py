@@ -159,16 +159,19 @@ def hcp_eval(spec: BasisSpec, r: int, t):
     return float(val) if np.ndim(t) == 0 else val
 
 
+def _locate(spec: BasisSpec, t) -> tuple[np.ndarray, np.ndarray]:
+    """Owning block and clamped reference coordinate of each point of t."""
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = spec.block_index(ta)
+    return idx, np.clip(spec.local_coord(idx, ta), -1.0, 1.0)
+
+
 def basis_matrix(spec: BasisSpec, t: np.ndarray) -> np.ndarray:
     """Matrix H[i, r] = (basis function r+1)(t_i)."""
-    ta = np.asarray(t, dtype=float)
-    out = np.zeros((ta.size, spec.dim))
-    idx = spec.block_index(ta)
-    for n0 in np.unique(np.atleast_1d(idx)):
-        mask = np.atleast_1d(idx) == n0
-        xi = np.clip(spec.local_coord(n0, ta[mask]), -1.0, 1.0)
-        out[mask, n0 * spec.M:(n0 + 1) * spec.M] = chebyshev_vandermonde(spec.M, xi).T
-    return out
+    idx, xi = _locate(spec, t)
+    out = np.zeros((idx.size, spec.N, spec.M))
+    out[np.arange(idx.size), idx] = chebyshev_vandermonde(spec.M, xi).T
+    return out.reshape(idx.size, spec.dim)
 
 
 def weight(spec: BasisSpec, t: float) -> float:
@@ -226,16 +229,12 @@ def constant_coeffs(spec: BasisSpec, value: float) -> CoeffVector:
 
 
 def eval_series(cv: CoeffVector, t):
-    """Evaluate the represented function at t (scalar or array), per block
-    by the Clenshaw recurrence."""
+    """Evaluate the represented function at t (scalar or array), each point
+    by the Clenshaw recurrence on its own block's coefficients."""
     spec = cv.spec
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ta)
-    idx = np.atleast_1d(spec.block_index(ta))
-    for n0 in np.unique(idx):
-        mask = idx == n0
-        xi = np.clip(spec.local_coord(n0, ta[mask]), -1.0, 1.0)
-        out[mask] = _cheb.chebval(xi, cv.block(n0))
+    idx, xi = _locate(spec, t)
+    coeffs = np.moveaxis(cv.c.reshape(spec.N, spec.M)[idx], -1, 0)
+    out = _cheb.chebval(xi, coeffs, tensor=False)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

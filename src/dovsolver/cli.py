@@ -23,16 +23,15 @@ from .expr import Expr, ParseError, parse
 from .oracle import QuadratureError, uniform_grid
 from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
-    CollocationStrategy,
+    Collocation,
     Derivative,
-    General,
     Invertible,
     Nonlinearity,
     Polynomial,
     Problem,
     SolveOptions,
     SolverError,
-    TaylorStrategy,
+    Taylor,
     solve,
 )
 
@@ -82,6 +81,28 @@ def _parse_expr(raw: str, where: str) -> Expr:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _value(sec, key: str, convert, where: str, fallback=None):
+    """sec[key] read by convert.  A missing key gives the fallback; without
+    one it is a ConfigError, as is a value convert rejects."""
+    if key not in sec:
+        if fallback is None:
+            raise ConfigError(f"{where}: required")
+        return fallback
+    try:
+        return convert(sec[key])
+    except (TypeError, ValueError, SyntaxError):
+        raise ConfigError(f"{where}: malformed value {sec[key]!r}") from None
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    lo, hi = ast.literal_eval(raw)
+    return float(lo), float(hi)
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in ast.literal_eval(f"[{raw}]"))
+
+
 def _pair_list(raw: str, where: str) -> tuple[tuple[int, int], ...]:
     value = _literal(f"[{raw}]", where)
     pairs = []
@@ -100,47 +121,32 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
         raise ConfigError("missing [nonlinearity] section")
     sec = cfg["nonlinearity"]
     kind = sec.get("kind", "").strip().lower()
-    where = "nonlinearity.kind"
 
-    def expr_of(key: str, required: bool = True) -> Expr | None:
+    def expr_of(key: str) -> Expr:
         if key not in sec:
-            if required:
-                raise ConfigError(f"nonlinearity.{key}: required for kind {kind!r}")
-            return None
+            raise ConfigError(f"nonlinearity.{key}: required for kind {kind!r}")
         return _parse_expr(sec[key], f"nonlinearity.{key}")
 
-    def bracket_of(required: bool) -> tuple[float, float] | None:
-        if "bracket" not in sec:
-            if required:
-                raise ConfigError(f"nonlinearity.bracket: required for kind {kind!r}")
-            return None
-        val = _literal(sec["bracket"], "nonlinearity.bracket")
-        if not isinstance(val, tuple) or len(val) != 2:
-            raise ConfigError("nonlinearity.bracket: expected 'lo, hi'")
-        return (float(val[0]), float(val[1]))
-
-    if kind == "invertible":
-        return Invertible(G=expr_of("g"), Ginv=expr_of("ginv", required=False),
-                          bracket=bracket_of(required=False))
-    if kind == "derivative":
-        try:
-            return Derivative(order=sec.getint("order"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"nonlinearity.order: {exc}") from None
-    if kind == "polynomial":
-        val = _literal(f"[{sec.get('alpha', '')}]", "nonlinearity.alpha")
-        try:
-            return Polynomial(alpha=tuple(float(v) for v in val))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"nonlinearity.alpha: {exc}") from None
-    if kind == "taylor":
-        return General(G=expr_of("g"), strategy=TaylorStrategy(
-            degree=sec.getint("degree", fallback=8),
-            center=sec.getfloat("center", fallback=0.0)))
-    if kind == "collocation":
-        return General(G=expr_of("g"), strategy=CollocationStrategy(
-            bracket=bracket_of(required=True)))
-    raise ConfigError(f"{where}: unknown nonlinearity kind {kind!r}")
+    try:
+        if kind == "invertible" and "ginv" in sec:
+            return Invertible(expr_of("g"), expr_of("ginv"))
+        if kind == "invertible" and "bracket" not in sec:
+            raise ConfigError("nonlinearity.ginv: kind 'invertible' needs ginv or a bracket")
+        if kind in ("invertible", "collocation"):
+            # an invertible G given only a bracket is solved by collocation
+            return Collocation(expr_of("g"), _value(sec, "bracket", _pair, "nonlinearity.bracket"))
+        if kind == "derivative":
+            return Derivative(_value(sec, "order", int, "nonlinearity.order"))
+        if kind == "polynomial":
+            return Polynomial(_value(sec, "alpha", _floats, "nonlinearity.alpha"))
+        if kind == "taylor":
+            return Taylor(expr_of("g"), _value(sec, "degree", int, "nonlinearity.degree", 8),
+                          _value(sec, "center", float, "nonlinearity.center", 0.0))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value the kind itself rejects
+        raise ConfigError(f"nonlinearity ({kind}): {exc}") from None
+    raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -163,10 +169,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"problem.{key}: required")
     kernel = _parse_expr(prob["kernel"], "problem.kernel")
     f_expr = _parse_expr(prob["f"], "problem.f")
-    interval = _literal(prob["interval"], "problem.interval")
-    if not isinstance(interval, tuple) or len(interval) != 2:
-        raise ConfigError("problem.interval: expected 't0, tf'")
-    interval = (float(interval[0]), float(interval[1]))
+    interval = _value(prob, "interval", _pair, "problem.interval")
     if not interval[1] > interval[0]:
         raise ConfigError("problem.interval: tf must exceed t0")
     exact = None
@@ -181,39 +184,32 @@ def load_config(path: str) -> RunConfig:
     if has_single == has_sweep:
         raise ConfigError("basis: exactly one of 'M' (single run) or 'sweep' is required")
     if has_single:
-        n = int(basis.get("n", 1))
-        m = int(basis["m"])
+        n = _value(basis, "n", int, "basis.N", 1)
+        m = _value(basis, "m", int, "basis.M")
         if n < 1 or m < 1:
             raise ConfigError("basis.N/basis.M: must be positive")
         bases = ((n, m),)
     else:
         bases = _pair_list(basis["sweep"], "basis.sweep")
 
+    sol = cfg["solver"] if cfg.has_section("solver") else {}
     opts = SolveOptions()
-    if cfg.has_section("solver"):
-        sol = cfg["solver"]
-        kwargs = {}
-        if "newton_tol" in sol:
-            kwargs["newton_tol"] = sol.getfloat("newton_tol")
-        if "max_iter" in sol:
-            kwargs["newton_max_iter"] = sol.getint("max_iter")
-        if "scan_range" in sol:
-            val = _literal(sol["scan_range"], "solver.scan_range")
-            kwargs["scan_range"] = (float(val[0]), float(val[1]))
-        if "residual_grid" in sol:
-            kwargs["residual_grid"] = sol.getint("residual_grid")
-        opts = replace(opts, **kwargs)
+    opts = replace(
+        opts,
+        newton_tol=_value(sol, "newton_tol", float, "solver.newton_tol", opts.newton_tol),
+        newton_max_iter=_value(sol, "max_iter", int, "solver.max_iter", opts.newton_max_iter),
+        scan_range=_value(sol, "scan_range", _pair, "solver.scan_range", opts.scan_range),
+        residual_grid=_value(sol, "residual_grid", int, "solver.residual_grid",
+                              opts.residual_grid))
 
-    out_format, out_path, grid_size = "csv", None, 1000
-    if cfg.has_section("output"):
-        out = cfg["output"]
-        out_format = out.get("format", "csv").strip().lower()
-        if out_format not in ("csv", "json"):
-            raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
-        out_path = out.get("path", fallback=None)
-        grid_size = out.getint("grid", fallback=1000)
-        if grid_size < 1:
-            raise ConfigError("output.grid: must be positive")
+    out = cfg["output"] if cfg.has_section("output") else {}
+    out_format = out.get("format", "csv").strip().lower()
+    if out_format not in ("csv", "json"):
+        raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
+    out_path = out.get("path")
+    grid_size = _value(out, "grid", int, "output.grid", 1000)
+    if grid_size < 1:
+        raise ConfigError("output.grid: must be positive")
 
     return RunConfig(kernel=kernel, f=f_expr, nonlinearity=nonlinearity,
                      interval=interval, bases=bases, exact=exact,

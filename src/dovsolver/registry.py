@@ -18,9 +18,8 @@ import numpy as np
 from .basis import BasisSpec, Interval
 from .expr import evaluate, parse
 from .solver import (
-    CollocationStrategy,
+    Collocation,
     Derivative,
-    General,
     Invertible,
     Nonlinearity,
     Polynomial,
@@ -124,8 +123,7 @@ def _entries() -> dict[str, ExampleEntry]:
             description="G = cos(u) by hybrid collocation, kernel sin(t-x)+1, exact u = t on [0,1]",
             kernel="sin(t-x)+1",
             f="t*sin(t)/2+sin(t)",
-            nonlinearity=General(G=parse("cos(u)"),
-                                 strategy=CollocationStrategy(bracket=(0.0, 3.0))),
+            nonlinearity=Collocation(G=parse("cos(u)"), bracket=(0.0, 3.0)),
             interval=(0.0, 1.0),
             exact="t",
             recommended=(1, 10),
@@ -172,8 +170,7 @@ def _entries() -> dict[str, ExampleEntry]:
             description="G = exp(u) by hybrid collocation, exact u = ln(sin(t)) on [1,2]",
             kernel="1",
             f="cos(1)-cos(t)",
-            nonlinearity=General(G=parse("exp(u)"),
-                                 strategy=CollocationStrategy(bracket=(-4.0, 1.0))),
+            nonlinearity=Collocation(G=parse("exp(u)"), bracket=(-4.0, 1.0)),
             interval=(1.0, 2.0),
             exact="ln(sin(t))",
             recommended=(2, 9),
@@ -189,8 +186,7 @@ def _entries() -> dict[str, ExampleEntry]:
             kernel="t*x",
             f=("t*(-((" + _NEG_PART + ")^3+1)/3"
                f"+{_POS_PART}^4/4-2*{_POS_PART}^5/5+{_POS_PART}^6/6)"),
-            nonlinearity=General(G=parse("u^2"),
-                                 strategy=CollocationStrategy(bracket=(0.0, 2.0))),
+            nonlinearity=Collocation(G=parse("u^2"), bracket=(0.0, 2.0)),
             interval=(-1.0, 1.0),
             exact=f"sqrt((abs(t)-t)/2)+{_POS_PART}*(1-{_POS_PART})",
             recommended=(2, 8),

@@ -2,10 +2,12 @@
 
 Every route builds one linear system L Z = F for the coefficients Z of
 G(u), with L the map Z -> hat(K^T W_Z Q) and F the projection of f.  The
-linear routes solve it and recover u from Z: pointwise by Ginv for an
-invertible G, by n integrations for G(u) = u^(n) (zero initial data), by
-bracketed root finding at collocation points and a basis fit for any other
-bracketed G.  The polynomial and Taylor routes solve L P(U) = F, where
+kind of nonlinearity picks the route, and solve() is the one place that
+dispatches on it.  The linear kinds solve L Z = F, then recover u from Z by
+their own recover step: Invertible pointwise by Ginv, Derivative
+(G(u) = u^(n), zero initial data) by n integrations, and Collocation by
+bracketed root finding at collocation points and a basis fit.  Polynomial
+and Taylor (G replaced by its Taylor polynomial) solve L P(U) = F, where
 P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra, by damped Newton
 with the exact Jacobian L dP/dU and a degree-continuation ladder.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,18 +48,29 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity kinds
+# nonlinearity kinds: each linear kind carries the step that recovers u from
+# the solution Z of L Z = F; Polynomial and Taylor carry the coefficients
+# alpha of the polynomial route
 
 @dataclass(frozen=True)
-class Invertible:
-    """G with a known or bracketable inverse; Ginv is an expression in u."""
+class _ExprKind:
+    """A kind that carries G as an expression in u."""
 
     G: Expr
-    Ginv: Expr | None = None
-    bracket: tuple[float, float] | None = None
 
     def g_from_coeffs(self, U: CoeffVector):
         return lambda x: evaluate(self.G, {"u": eval_series(U, x)})
+
+
+@dataclass(frozen=True)
+class Invertible(_ExprKind):
+    """G with a known inverse Ginv, an expression in u."""
+
+    Ginv: Expr
+
+    def recover(self, Z: CoeffVector) -> tuple[CoeffVector, float]:
+        """u = Ginv(z) pointwise, projected onto the basis."""
+        return project(lambda t: evaluate(self.Ginv, {"u": eval_series(Z, t)}), Z.spec), 0.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,19 @@ class Derivative:
     def g_from_coeffs(self, U: CoeffVector):
         dz = series_derivative(U, self.order)
         return lambda x: eval_series(dz, x)
+
+    def recover(self, Z: CoeffVector) -> tuple[CoeffVector, float]:
+        """n integrations of z.
+
+        Valid because the problem class fixes u and its first n-1
+        derivatives to zero at the left endpoint, which is exactly what the
+        integration matrix produces.
+        """
+        qt = integration_matrix(Z.spec).a.T
+        u = Z.c
+        for _ in range(self.order):
+            u = qt @ u
+        return CoeffVector(Z.spec, u), 0.0
 
 
 @dataclass(frozen=True)
@@ -93,28 +119,69 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class TaylorStrategy:
+class Taylor(_ExprKind):
+    """G replaced by its degree-n Taylor polynomial about center.
+
+    The finite-difference Taylor coefficients are computed once, at
+    construction: the powers-of-u coefficients alpha of the polynomial
+    route, and the radius |u - center| within which the first dropped term
+    stays below 1e-8 (inf when that term vanishes).
+    """
+
     degree: int
     center: float = 0.0
+    alpha: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    trust_radius: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError(f"taylor degree must be >= 1: {self.degree}")
+
+        def g(v):
+            return float(evaluate(self.G, {"u": float(v)}))
+
+        # tau_d = G^(d)(center)/d! for d = 0 .. degree + 1
+        tau = [_fd_derivative(g, self.center, d) / math.factorial(d)
+               for d in range(self.degree + 2)]
+        # binomial re-expansion of sum_d tau_d (u - center)^d in powers of u
+        alpha = np.zeros(self.degree + 1)
+        for d in range(self.degree + 1):
+            for r in range(d + 1):
+                alpha[r] += tau[d] * math.comb(d, r) * (-self.center) ** (d - r)
+        radius = ((1e-8 / abs(tau[-1])) ** (1.0 / (self.degree + 1))
+                  if tau[-1] != 0.0 else math.inf)
+        object.__setattr__(self, "alpha", Polynomial(alpha).alpha)
+        object.__setattr__(self, "trust_radius", radius)
 
 
 @dataclass(frozen=True)
-class CollocationStrategy:
+class Collocation(_ExprKind):
+    """G inverted numerically inside a bracket [lo, hi]."""
+
     bracket: tuple[float, float]
 
+    def recover(self, Z: CoeffVector) -> tuple[CoeffVector, float]:
+        """One bracketed inversion of all per-block Chebyshev-Gauss points at
+        once and a basis fit.
 
-@dataclass(frozen=True)
-class General:
-    """Arbitrary G handled by Taylor expansion or pointwise collocation."""
+        The point count equals the basis dimension, so the least-squares fit
+        is an interpolation; Gauss nodes avoid block endpoints.
+        """
+        spec = Z.spec
+        x = gauss_chebyshev_nodes(spec.M)
+        points = np.concatenate([spec.block_nodes(n0, x) for n0 in range(spec.N)])
+        targets = eval_series(Z, points)
+        try:
+            w = scalar_invert(self.G, targets, self.bracket)
+        except SolverError as exc:
+            raise SolverError(
+                f"no root of G(w) = {targets[exc.index]:g} in bracket {self.bracket} at "
+                f"collocation point t = {points[exc.index]:g}: {exc}") from exc
+        u, _, fit_cond = _lstsq(basis_matrix(spec, points), w)
+        return CoeffVector(spec, u), fit_cond
 
-    G: Expr
-    strategy: TaylorStrategy | CollocationStrategy
 
-    def g_from_coeffs(self, U: CoeffVector):
-        return lambda x: evaluate(self.G, {"u": eval_series(U, x)})
-
-
-Nonlinearity = Invertible | Derivative | Polynomial | General
+Nonlinearity = Invertible | Derivative | Polynomial | Taylor | Collocation
 
 
 # ---------------------------------------------------------------------------
@@ -358,47 +425,6 @@ def _solve_linear(problem: Problem, opts: SolveOptions, recover) -> Solution:
     return Solution(U, Z, diag)
 
 
-def solve_invertible(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Linear solve for the coefficients of G(u), then u = Ginv(z) pointwise.
-
-    Without Ginv, a bracketed G goes to the collocation route, which inverts
-    at the basis dimension's worth of points and fits.
-    """
-    nl = problem.nonlinearity
-    if not isinstance(nl, Invertible):
-        raise SolverError(f"invertible pipeline needs an Invertible nonlinearity, got {type(nl).__name__}")
-    if nl.Ginv is None:
-        if nl.bracket is None:
-            raise SolverError("invertible nonlinearity without Ginv needs a bracket")
-        return solve_collocation_hybrid(problem, opts)
-
-    def recover(Z):
-        return project(lambda t: evaluate(nl.Ginv, {"u": eval_series(Z, t)}), Z.spec), 0.0
-
-    return _solve_linear(problem, opts, recover)
-
-
-def solve_derivative(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Linear solve for the coefficients of u^(n), then n integrations.
-
-    Valid because the problem class fixes u and its first n-1 derivatives to
-    zero at the left endpoint, which is exactly what the integration matrix
-    produces.
-    """
-    nl = problem.nonlinearity
-    if not isinstance(nl, Derivative):
-        raise SolverError(f"derivative pipeline needs a Derivative nonlinearity, got {type(nl).__name__}")
-
-    def recover(Z):
-        qt = integration_matrix(Z.spec).a.T
-        u = Z.c
-        for _ in range(nl.order):
-            u = qt @ u
-        return CoeffVector(Z.spec, u), 0.0
-
-    return _solve_linear(problem, opts, recover)
-
-
 # ---------------------------------------------------------------------------
 # polynomial route: L P(U) = F
 
@@ -451,15 +477,6 @@ def _initial_candidates(system, spec: BasisSpec,
     return candidates
 
 
-def _effective_alpha(problem: Problem) -> tuple[float, ...]:
-    nl = problem.nonlinearity
-    if isinstance(nl, Polynomial):
-        return nl.alpha
-    if isinstance(nl, General) and isinstance(nl.strategy, TaylorStrategy):
-        return taylor_power_coefficients(nl.G, nl.strategy.center, nl.strategy.degree)
-    raise SolverError(f"no polynomial reduction for {type(nl).__name__}")
-
-
 def _run_ladder(systems: dict, spec: BasisSpec, u_start: np.ndarray,
                 opts: SolveOptions) -> tuple[NewtonResult, int]:
     """One continuation path over the rungs of systems (per-block degrees in
@@ -486,7 +503,7 @@ def _run_ladder(systems: dict, spec: BasisSpec, u_start: np.ndarray,
 
 
 def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Globalized solve for the polynomial and Taylor routes.
+    """Globalized solve of L P(U) = F for the Polynomial and Taylor kinds.
 
     Runs the degree-continuation ladder from a handful of starting guesses
     (best scanned constant and linear trends around it), plus direct Newton
@@ -496,7 +513,7 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
     solve the equation; ties go to the root whose average value sits nearest
     the middle of the scan range (the caller's branch hint).
     """
-    alpha = _effective_alpha(problem)
+    alpha = problem.nonlinearity.alpha
     spec = problem.spec
     systems = {m: _polynomial_system(problem, BasisSpec(spec.interval, spec.N, m), alpha)
                for m in range(min(2, spec.M), spec.M + 1)}
@@ -577,99 +594,36 @@ def _fd_derivative(g, x0: float, d: int) -> float:
     return best
 
 
-def taylor_coefficients(G: Expr, center: float, degree: int) -> np.ndarray:
-    """Coefficients tau_d = G^(d)(center)/d! for d = 0 .. degree."""
-    def g(v):
-        return float(evaluate(G, {"u": float(v)}))
-
-    return np.array([_fd_derivative(g, center, d) / math.factorial(d)
-                     for d in range(degree + 1)])
-
-
 def taylor_power_coefficients(G: Expr, center: float, degree: int) -> tuple[float, ...]:
     """Powers-of-u coefficients of the degree-n Taylor polynomial of G about
-    center (binomially re-expanded so the polynomial is in u)."""
-    tau = taylor_coefficients(G, center, degree)
-    alpha = np.zeros(degree + 1)
-    for d in range(degree + 1):
-        for r in range(d + 1):
-            alpha[r] += tau[d] * math.comb(d, r) * (-center) ** (d - r)
-    return tuple(alpha)
-
-
-def solve_taylor(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Taylor-expand G about the configured center and run the polynomial
-    route; warns when the computed solution leaves the expansion's trust
-    radius."""
-    nl = problem.nonlinearity
-    if not (isinstance(nl, General) and isinstance(nl.strategy, TaylorStrategy)):
-        raise SolverError("taylor pipeline needs a General nonlinearity with a Taylor strategy")
-    solution = continuation_solve(problem, opts)
-    degree, center = nl.strategy.degree, nl.strategy.center
-    tau_next = taylor_coefficients(nl.G, center, degree + 1)[-1]
-    if tau_next != 0.0:
-        radius = (1e-8 / abs(tau_next)) ** (1.0 / (degree + 1))
-        grid = oracle.uniform_grid(problem.spec.interval, 200)
-        reach = float(np.max(np.abs(eval_series(solution.U, grid.points) - center)))
-        if reach > radius:
-            warnings.warn(
-                f"solution range leaves the Taylor trust radius: |u - {center:g}| "
-                f"up to {reach:.3g} vs radius {radius:.3g}", stacklevel=2)
-    return solution
-
-
-# ---------------------------------------------------------------------------
-# hybrid collocation route
-
-def solve_collocation_hybrid(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Linear solve for the coefficients of G(u), then one bracketed
-    inversion of all per-block Chebyshev-Gauss points at once and a basis
-    fit.
-
-    The point count equals the basis dimension, so the least-squares fit is
-    an interpolation; Gauss nodes avoid block endpoints.
-    """
-    nl = problem.nonlinearity
-    if isinstance(nl, General) and isinstance(nl.strategy, CollocationStrategy):
-        G, bracket = nl.G, nl.strategy.bracket
-    elif isinstance(nl, Invertible) and nl.Ginv is None:
-        if nl.bracket is None:
-            raise SolverError("collocation pipeline needs a bracket")
-        G, bracket = nl.G, nl.bracket
-    else:
-        raise SolverError("collocation pipeline needs a bracketed nonlinearity")
-    spec = problem.spec
-    x = gauss_chebyshev_nodes(spec.M)
-    points = np.concatenate([spec.block_nodes(n0, x) for n0 in range(spec.N)])
-
-    def recover(Z):
-        targets = eval_series(Z, points)
-        try:
-            w = scalar_invert(G, targets, bracket)
-        except SolverError as exc:
-            raise SolverError(
-                f"no root of G(w) = {targets[exc.index]:g} in bracket {bracket} at "
-                f"collocation point t = {points[exc.index]:g}: {exc}") from exc
-        u, _, fit_cond = _lstsq(basis_matrix(spec, points), w)
-        return CoeffVector(spec, u), fit_cond
-
-    return _solve_linear(problem, opts, recover)
+    center (binomially re-expanded so the polynomial is in u): the alpha of
+    the Taylor kind, with its checks."""
+    return Taylor(G, degree, center).alpha
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Route the problem to its pipeline by nonlinearity kind."""
+    """Route the problem by its nonlinearity kind.
+
+    Polynomial and Taylor kinds go to the continuation solve of
+    L P(U) = F; a Taylor solve warns when the solution leaves the
+    expansion's trust radius.  Every other kind solves L Z = F and recovers
+    u from Z by its own recover step.
+    """
     nl = problem.nonlinearity
-    if isinstance(nl, Invertible):
-        return solve_invertible(problem, opts)
-    if isinstance(nl, Derivative):
-        return solve_derivative(problem, opts)
+    if isinstance(nl, Taylor):
+        solution = continuation_solve(problem, opts)
+        grid = oracle.uniform_grid(problem.spec.interval, 200)
+        reach = float(np.max(np.abs(eval_series(solution.U, grid.points) - nl.center)))
+        if reach > nl.trust_radius:
+            warnings.warn(
+                f"solution range leaves the Taylor trust radius: |u - {nl.center:g}| "
+                f"up to {reach:.3g} vs radius {nl.trust_radius:.3g}", stacklevel=2)
+        return solution
     if isinstance(nl, Polynomial):
         return continuation_solve(problem, opts)
-    if isinstance(nl, General):
-        if isinstance(nl.strategy, TaylorStrategy):
-            return solve_taylor(problem, opts)
-        return solve_collocation_hybrid(problem, opts)
+    if isinstance(nl, (Invertible, Derivative, Collocation)):
+        return _solve_linear(problem, opts, nl.recover)
     raise SolverError(f"unknown nonlinearity: {type(nl).__name__}")

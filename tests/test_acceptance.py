@@ -30,12 +30,10 @@ from dovsolver.oracle import (
 )
 from dovsolver.registry import EXAMPLES
 from dovsolver.solver import (
-    CollocationStrategy,
-    General,
+    Collocation,
     Problem,
     SolveOptions,
     solve,
-    solve_collocation_hybrid,
 )
 
 _CACHE: dict = {}
@@ -265,12 +263,11 @@ def test_criterion_12_pipeline_cross_agreement():
     entry = EXAMPLES["ex3"]
     sol_poly = _solution("ex3", 1, 10)
     problem = Problem(parse(entry.kernel), parse(entry.f),
-                      General(G=parse("u^2"),
-                              strategy=CollocationStrategy(bracket=(0.5, 4.0))),
+                      Collocation(G=parse("u^2"), bracket=(0.5, 4.0)),
                       BasisSpec(Interval(0, 1), 1, 10))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol_col = solve_collocation_hybrid(problem, SolveOptions())
+        sol_col = solve(problem, SolveOptions())
     grid = uniform_grid(Interval(0, 1), 1000)
     diff = float(np.max(np.abs(eval_series(sol_poly.U, grid.points)
                                - eval_series(sol_col.U, grid.points))))

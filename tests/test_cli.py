@@ -37,6 +37,9 @@ M = 4
 """
 
 
+_INVERTIBLE = 'kind = invertible\nG = "u"\nGinv = "u"'
+
+
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -50,6 +53,50 @@ def test_load_minimal_config_with_defaults(tmp_path):
     assert cfg.out_format == "csv"
     assert cfg.options.newton_tol == 1e-12
     assert cfg.exact is None
+
+
+@pytest.mark.parametrize("text, kind", [
+    (_INVERTIBLE, "Invertible"),
+    # README documents an invertible G given only a bracket
+    ('kind = invertible\nG = "u"\nbracket = -1, 2', "Collocation"),
+    ('kind = collocation\nG = "u"\nbracket = -1, 2', "Collocation"),
+    ("kind = derivative\norder = 2", "Derivative"),
+    ("kind = polynomial\nalpha = 0, 1", "Polynomial"),
+    ('kind = taylor\nG = "exp(u)"\ndegree = 3', "Taylor"),
+], ids=["invertible", "invertible-bracket", "collocation", "derivative", "polynomial",
+        "taylor"])
+def test_load_config_maps_each_kind(tmp_path, text, kind):
+    cfg = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text)))
+    assert type(cfg.nonlinearity) is getattr(dovsolver, kind)
+
+
+def test_invertible_config_needs_ginv_or_bracket(tmp_path):
+    text = MINIMAL.replace(_INVERTIBLE, 'kind = invertible\nG = "u^3"')
+    with pytest.raises(ConfigError, match="bracket"):
+        load_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ndegree = abc', "nonlinearity.degree"),
+    (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ncenter = zero', "nonlinearity.center"),
+    # a degree-0 expansion makes L P(U) - F independent of U
+    (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ndegree = 0', "degree"),
+    (_INVERTIBLE, "kind = derivative\norder = two", "nonlinearity.order"),
+    ("M = 4", "N = x\nM = 4", "basis.N"),
+    ("M = 4", "M = 4.5", "basis.M"),
+    ("M = 4", "M = 4\n\n[solver]\nscan_range = 3", "solver.scan_range"),
+    ("M = 4", "M = 4\n\n[solver]\nnewton_tol = tight", "solver.newton_tol"),
+    ("M = 4", "M = 4\n\n[solver]\nmax_iter = 1e2", "solver.max_iter"),
+    ("M = 4", "M = 4\n\n[solver]\nresidual_grid = many", "solver.residual_grid"),
+    ("M = 4", "M = 4\n\n[output]\ngrid = fine", "output.grid"),
+], ids=["degree", "center", "degree-0", "order", "N", "M", "scan_range", "newton_tol",
+        "max_iter", "residual_grid", "grid"])
+def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
+    path = _write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and key in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_nonlinearity_kind(tmp_path):
@@ -283,3 +330,47 @@ def test_cli_import_leaves_scipy_unloaded():
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_run_example_leaves_numpy_ma_unloaded():
+    # basis evaluation locates every point's block without np.unique, which
+    # imports numpy.ma on first use
+    done = _python("-c", "import sys; from dovsolver.cli import main; "
+                         "[main(['run-example', k, '--no-timing']) for k in ('ex2', 'ex3', 'ex8')]; "
+                         "print('numpy.ma' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+# (E_inf, residual_linf, newton_iters, condition_estimate) of every registry
+# example at its recommended basis
+_PINNED_ROWS = {
+    "ex1": (1.1445e-13, 2.3099e-12, 0, 184.69905),
+    "ex2": (2.0703e-09, 5.1796e-12, 0, 690.06308),
+    "ex3": (1.1730e-10, 2.4069e-11, 181, 463.84008),
+    "ex4": (6.0242e-08, 7.5210e-11, 0, 593.10636),
+    "ex5": (7.4288e-13, 8.0144e-16, 210, 9404.1380),
+    "ex6": (1.7552e-08, 1.0234e-09, 0, 325.84027),
+    "ex7": (4.4409e-16, 1.8874e-15, 101, 15.075307),
+    "ex8": (2.8739e-10, 6.8260e-12, 0, 587.70080),
+    "ex9": (3.4980e-02, 4.6033e-05, 0, 787046.93),
+    "ex10": (2.4226e-09, 1.0904e-11, 0, 39810364.),
+}
+
+
+def _within_factor_2(got, want):
+    return max(got, want) < 1e-13 or want / 2 <= got <= 2 * want
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_ROWS))
+def test_registry_rows_are_pinned(key, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run-example", key, "--no-timing"]) == 0
+    header, line = capsys.readouterr().out.strip().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    e_inf, residual, iters, cond = _PINNED_ROWS[key]
+    assert int(row["newton_iters"]) == iters
+    assert _within_factor_2(float(row["E_inf"]), e_inf)
+    assert _within_factor_2(float(row["residual_linf"]), residual)
+    assert float(row["condition_estimate"]) == pytest.approx(cond, rel=1e-4)

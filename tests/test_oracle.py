@@ -20,7 +20,7 @@ from dovsolver.oracle import (
     weighted_l2_error,
 )
 from dovsolver.registry import EXAMPLES
-from dovsolver.solver import SolveOptions, solve_derivative
+from dovsolver.solver import SolveOptions, solve
 
 
 def test_quad_constant():
@@ -114,7 +114,7 @@ def test_residual_linf_takes_solution():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve_derivative(EXAMPLES["ex1"].problem(1, 8),
+        sol = solve(EXAMPLES["ex1"].problem(1, 8),
                                SolveOptions(compute_residual=False))
     p = EXAMPLES["ex1"].problem(1, 8)
     assert residual_linf(p, sol, uniform_grid(p.spec.interval, 60)) < 1e-7

@@ -22,24 +22,19 @@ from dovsolver.opalg import (
 from dovsolver.oracle import Grid, max_error_fn, residual_linf, uniform_grid
 from dovsolver.registry import EXAMPLES
 from dovsolver.solver import (
-    CollocationStrategy,
+    Collocation,
     Derivative,
-    General,
     Invertible,
     Polynomial,
     Problem,
     SolveOptions,
     SolverError,
-    TaylorStrategy,
+    Taylor,
     assemble_linear_map,
     continuation_solve,
     newton_solve,
     scalar_invert,
     solve,
-    solve_collocation_hybrid,
-    solve_derivative,
-    solve_invertible,
-    solve_taylor,
     taylor_power_coefficients,
 )
 from dovsolver.solver import _polynomial_system, _scan_constant
@@ -180,7 +175,7 @@ def test_solve_derivative_first_order():
     # int_0^t u'(x) dx = t^2/2 forces u'(x) = x, hence u(t) = t^2/2
     p = Problem(parse("1"), parse("t^2/2"), Derivative(order=1),
                 BasisSpec(Interval(0, 1), 1, 4))
-    sol = solve_derivative(p, FAST)
+    sol = solve(p, FAST)
     g = uniform_grid(p.spec.interval, 200)
     assert max_error_fn(sol, lambda t: t**2 / 2, g) < 1e-12
     assert residual_linf(p, sol, Grid(np.linspace(0, 1, 20))) < 1e-11
@@ -189,27 +184,21 @@ def test_solve_derivative_first_order():
 def test_solve_invertible_identity_nonlinearity():
     p = Problem(parse("1"), parse("t^2/2"), Invertible(G=parse("u"), Ginv=parse("u")),
                 BasisSpec(Interval(0, 1), 1, 4))
-    sol = solve_invertible(p, FAST)
+    sol = solve(p, FAST)
     assert max_error_fn(sol, lambda t: t, uniform_grid(p.spec.interval, 200)) < 1e-12
 
 
 def test_solve_invertible_without_ginv_uses_bracket():
+    # an invertible G given only a bracket is a Collocation kind
     # G(u) = u^3 with u = t integrates to t^4/4; the bracket must extend a
     # little below zero because the solved series for G(u) grazes it
     # the cube root is flat at u = 0, so solve noise in G(u) near t = 0 comes
     # back amplified to its cube root
     p = Problem(parse("1"), parse("t^4/4"),
-                Invertible(G=parse("u^3"), bracket=(-1.0, 2.0)),
+                Collocation(G=parse("u^3"), bracket=(-1.0, 2.0)),
                 BasisSpec(Interval(0, 1), 1, 6))
-    sol = solve_invertible(p, FAST)
+    sol = solve(p, FAST)
     assert max_error_fn(sol, lambda t: t, uniform_grid(p.spec.interval, 200)) < 1e-7
-
-
-def test_solve_invertible_requires_inverse_or_bracket():
-    p = Problem(parse("1"), parse("t^4/4"), Invertible(G=parse("u^3")),
-                BasisSpec(Interval(0, 1), 1, 4))
-    with pytest.raises(SolverError, match="bracket"):
-        solve_invertible(p, FAST)
 
 
 def test_polynomial_linear_reduction_single_newton_iteration():
@@ -290,9 +279,9 @@ def test_taylor_power_coefficients_recentered():
 def test_solve_taylor_cosine_problem():
     e4 = EXAMPLES["ex4"]
     p = Problem(parse(e4.kernel), parse(e4.f),
-                General(G=parse("cos(u)"), strategy=TaylorStrategy(degree=8)),
+                Taylor(G=parse("cos(u)"), degree=8),
                 BasisSpec(Interval(0, 1), 1, 10))
-    sol = solve_taylor(p, SolveOptions(compute_residual=False, scan_range=(0.0, 2.0)))
+    sol = solve(p, SolveOptions(compute_residual=False, scan_range=(0.0, 2.0)))
     g = uniform_grid(p.spec.interval, 1000)
     assert max_error_fn(sol, lambda t: t, g) <= 1e-6
 
@@ -300,27 +289,27 @@ def test_solve_taylor_cosine_problem():
 def test_taylor_trust_radius_warning():
     # solution range [0, 2] far exceeds a degree-2 expansion of exp about 0
     p = Problem(parse("1"), parse("t^2/2"),
-                General(G=parse("exp(u)-1"), strategy=TaylorStrategy(degree=2)),
+                Taylor(G=parse("exp(u)-1"), degree=2),
                 BasisSpec(Interval(0, 2), 1, 3))
     with pytest.warns(UserWarning, match="trust radius"):
-        solve_taylor(p, SolveOptions(compute_residual=False, scan_range=(0.0, 2.0)))
+        solve(p, SolveOptions(compute_residual=False, scan_range=(0.0, 2.0)))
 
 
 def test_collocation_hybrid_linear_plant():
     p = Problem(parse("1"), parse("cos(1)-cos(t)"),
-                General(G=parse("exp(u)"), strategy=CollocationStrategy(bracket=(-4, 1))),
+                Collocation(G=parse("exp(u)"), bracket=(-4, 1)),
                 BasisSpec(Interval(1, 2), 1, 8))
-    sol = solve_collocation_hybrid(p, FAST)
+    sol = solve(p, FAST)
     g = uniform_grid(p.spec.interval, 500)
     assert max_error_fn(sol, lambda t: np.log(np.sin(t)), g) < 1e-5
 
 
 def test_collocation_unbracketed_root_reports_point():
     p = Problem(parse("1"), parse("t^2/2"),
-                General(G=parse("u^2+10"), strategy=CollocationStrategy(bracket=(-1, 1))),
+                Collocation(G=parse("u^2+10"), bracket=(-1, 1)),
                 BasisSpec(Interval(0, 1), 1, 3))
     with pytest.raises(SolverError, match="collocation"):
-        solve_collocation_hybrid(p, FAST)
+        solve(p, FAST)
 
 
 def test_inconsistent_data_warns():
@@ -339,15 +328,21 @@ def test_unbound_variable_in_f_skips_consistency_check():
 
 
 def test_dispatch_by_kind():
+    # the linear kinds carry Z from L Z = F, the polynomial route does not
+    problems = [(EXAMPLES[k].problem(1, 4), EXAMPLES[k].options.scan_range)
+                for k in ("ex1", "ex2", "ex3", "ex4")]
+    problems.append((Problem(parse("1"), parse("1-cos(t)"), Taylor(G=parse("sin(u)"), degree=3),
+                             BasisSpec(Interval(0, 1), 1, 4)), (0.0, 1.0)))
+    kinds = [type(p.nonlinearity) for p, _ in problems]
+    assert kinds == [Derivative, Invertible, Polynomial, Collocation, Taylor]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for key, kind in [("ex1", Derivative), ("ex2", Invertible),
-                          ("ex3", Polynomial), ("ex4", General)]:
-            e = EXAMPLES[key]
-            p = e.problem(1, 4)
-            sol = solve(p, SolveOptions(compute_residual=False,
-                                        scan_range=e.options.scan_range))
+        for p, scan in problems:
+            sol = solve(p, SolveOptions(compute_residual=False, scan_range=scan))
             assert sol.U.spec == p.spec
+            assert (sol.Z is None) == isinstance(p.nonlinearity, (Polynomial, Taylor))
+    with pytest.raises(SolverError, match="unknown nonlinearity"):
+        solve(replace(problems[0][0], nonlinearity=parse("u")), FAST)
 
 
 def test_polynomial_kind_validation():
@@ -355,11 +350,17 @@ def test_polynomial_kind_validation():
         Polynomial(alpha=(1.0,))
     with pytest.raises(ValueError):
         Derivative(order=0)
+    # a degree-0 expansion is the constant G(center): L P(U) - F would not
+    # depend on U
+    with pytest.raises(ValueError, match="degree"):
+        Taylor(G=parse("exp(u)"), degree=0)
+    with pytest.raises(ValueError, match="nonzero coefficient"):
+        Taylor(G=parse("cos(u)"), degree=1)
 
 
 def test_solution_carries_z_for_linear_stages():
     e2 = EXAMPLES["ex2"]
-    sol = solve_invertible(e2.problem(1, 6), FAST)
+    sol = solve(e2.problem(1, 6), FAST)
     assert sol.Z is not None
     # Z approximates G(u) = ln(exp(t)) = t
     g = np.linspace(0, 1, 50)
@@ -367,7 +368,7 @@ def test_solution_carries_z_for_linear_stages():
 
 
 def test_condition_estimate_reported():
-    sol = solve_invertible(EXAMPLES["ex2"].problem(1, 6), FAST)
+    sol = solve(EXAMPLES["ex2"].problem(1, 6), FAST)
     assert np.isfinite(sol.diagnostics.condition_estimate)
     assert sol.diagnostics.condition_estimate >= 1.0
 
