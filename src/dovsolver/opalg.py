@@ -177,7 +177,7 @@ def polynomial(U: CoeffVector, alpha) -> tuple[CoeffVector, np.ndarray]:
     C = product_tensor(M)
     u = U.c.reshape(N, M)
     w_t = np.einsum("nq,pqd->ndp", u, C)
-    power, d_power = u, np.broadcast_to(np.eye(M), (N, M, M))
+    power, d_power = u, np.eye(M)
     p, jac = np.zeros((N, M)), np.zeros((N, M, M))
     for r, a in enumerate(alpha[1:], start=1):
         if r > 1:

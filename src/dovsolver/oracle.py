@@ -35,7 +35,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing evaluation points."""
+    """Strictly increasing, finite evaluation points."""
 
     points: np.ndarray = field(repr=False)
 
@@ -43,6 +43,8 @@ class Grid:
         p = np.array(self.points, dtype=float)
         if p.size == 0:
             raise ValueError("empty grid")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(p) <= 0):
             raise ValueError("grid points must be strictly increasing")
         p.setflags(write=False)
@@ -149,33 +151,50 @@ def _quad_blockwise(g, spec: BasisSpec, lo: float, hi: float, tol: float) -> flo
     return sum(quad_adaptive(g, a, b, tol) for a, b in zip(pts[:-1], pts[1:]))
 
 
-def _residual(problem, g, grid: Grid | None, quad_tol: float) -> float:
+def _residual(problem, g, grid: Grid | None, quad_tol: float,
+              stop_above: float = math.inf) -> float:
     """Max over the grid of |f(t) - int_{t0}^t K(x,t) g(x) dx| with the
-    inner integral computed by quad_adaptive, split at block boundaries."""
+    inner integral computed by quad_adaptive, split at block boundaries.
+
+    Grid points are visited from the right end; once the running maximum
+    exceeds stop_above it is returned without visiting the rest.
+    """
     if grid is None:
         grid = uniform_grid(problem.spec.interval, 200)
     kern = problem.kernel
     spec = problem.spec
-    t0 = spec.interval.t0
+    t0, tf = spec.interval.t0, spec.interval.tf
+    outside = grid.points[(grid.points < t0) | (grid.points > tf)]
+    if outside.size:
+        raise ValueError(
+            f"grid point t = {float(outside[0])} lies outside the problem interval "
+            f"[{t0}, {tf}]")
     worst = 0.0
-    for t in grid.points:
+    for t in grid.points[::-1]:
         ft = float(evaluate(problem.f, {"t": float(t)}))
         if t == t0:
             worst = max(worst, abs(ft))
-            continue
+        else:
+            def integrand(x, _t=float(t)):
+                return np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float) * g(x)
 
-        def integrand(x, _t=float(t)):
-            return np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float) * g(x)
-
-        worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, float(t), quad_tol)))
+            worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, float(t), quad_tol)))
+        if worst > stop_above:
+            break
     return worst
 
 
 def equation_residual(problem, U: CoeffVector, grid: Grid | None = None,
-                      quad_tol: float = 1e-12) -> float:
+                      quad_tol: float = 1e-12, stop_above: float = math.inf) -> float:
     """Residual of the integral equation with G(u(x)) composed pointwise
-    from the series U."""
-    return _residual(problem, problem.nonlinearity.g_from_coeffs(U), grid, quad_tol)
+    from the series U.
+
+    The result is the exact maximum over the grid whenever that maximum is
+    at most stop_above; otherwise it is some grid residual above stop_above,
+    which is enough to tell that the series loses against a cap.
+    """
+    return _residual(problem, problem.nonlinearity.g_from_coeffs(U), grid, quad_tol,
+                     stop_above)
 
 
 def residual_linf(problem: "Problem", solution: "Solution",

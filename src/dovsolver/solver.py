@@ -510,8 +510,14 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
     at the target degree from each, then keeps the converged root with the
     smallest oracle residual of the integral equation itself.  The oracle
     check is what discards exact roots of the truncated algebra that do not
-    solve the equation; ties go to the root whose average value sits nearest
-    the middle of the scan range (the caller's branch hint).
+    solve the equation; among the roots within a factor 10 of the smallest
+    residual, the one whose average value sits nearest the middle of the
+    scan range wins (the caller's branch hint).
+
+    A candidate is scored only as far as it can still win: its residual
+    stops as soon as one grid point exceeds 10 times the best complete
+    residual so far, and an unconverged root is not scored at all when a
+    converged one exists.  The winner is the same as with full scoring.
     """
     alpha = problem.nonlinearity.alpha
     spec = problem.spec
@@ -528,30 +534,32 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
         finals.append((direct, direct.iterations))
 
     # dedupe identical roots before paying for oracle residuals
-    distinct: list[tuple[NewtonResult, int]] = []
-    for result, iters in finals:
-        if any(np.allclose(result.x, other.x, rtol=1e-7, atol=1e-9)
-               for other, _ in distinct):
-            continue
-        distinct.append((result, iters))
+    distinct: list[NewtonResult] = []
+    for result, _ in finals:
+        if not any(np.allclose(result.x, other.x, rtol=1e-7, atol=1e-9)
+                   for other in distinct):
+            distinct.append(result)
 
+    # only the class that can win is scored: converged roots, if any
+    pool = [result for result in distinct if result.converged] or distinct
     grid = oracle.Grid(np.linspace(spec.interval.t0, spec.interval.tf, 33))
-    mid = 0.5 * (opts.scan_range[0] + opts.scan_range[1])
+    best = math.inf
     scored = []
-    for result, iters in distinct:
+    for result in pool:
         U = CoeffVector(spec, result.x)
         try:
-            res = oracle.equation_residual(problem, U, grid, 1e-9)
+            res = oracle.equation_residual(problem, U, grid, 1e-9,
+                                           stop_above=10.0 * best + 1e-300)
         except (EvalError, oracle.QuadratureError):
             res = math.inf
-        mean_val = float(np.mean(eval_series(U, grid.points)))
-        scored.append((not result.converged, res, abs(mean_val - mid), result, iters))
-    scored.sort(key=lambda item: item[:3])
-    # within a factor 10 of the best oracle residual the branch hint decides
-    top = [s for s in scored
-           if s[0] == scored[0][0] and s[1] <= 10.0 * scored[0][1] + 1e-300]
-    top.sort(key=lambda item: item[2])
-    _, _, _, result, _ = top[0]
+        best = min(best, res)
+        scored.append((res, U))
+    # within a factor 10 of the best oracle residual the branch hint decides,
+    # then the residual, then the order of the candidates
+    mid = 0.5 * (opts.scan_range[0] + opts.scan_range[1])
+    top = [(abs(float(np.mean(eval_series(U, grid.points))) - mid), res, i)
+           for i, (res, U) in enumerate(scored) if res <= 10.0 * best + 1e-300]
+    result = pool[min(top)[2]]
     total_iters = sum(iters for _, iters in finals)
 
     U = CoeffVector(spec, result.x)

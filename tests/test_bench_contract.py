@@ -3,17 +3,60 @@ package; a traced run fails if one of them is renamed or deleted."""
 
 import importlib
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
+
+from dovsolver import solver
+from dovsolver.registry import EXAMPLES
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_name_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    tracer = _load_tracer()
     assert tracer.TRACED
     missing = [f"{home}.{attr}" for home, attr in tracer.TRACED
                if not callable(getattr(importlib.import_module(f"dovsolver.{home}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_traced_solve_matches_untraced():
+    # the tracer's wrappers pass every keyword through (the selection calls
+    # equation_residual with stop_above) and uninstall puts back each name
+    tracer_mod = _load_tracer()
+    e3 = EXAMPLES["ex3"]
+    problem = e3.problem(1, 6)
+    opts = replace(e3.options, residual_grid=20)
+    names = {attr for _, attr in tracer_mod.TRACED}
+    modules = [m for n, m in sys.modules.items()
+               if n == "dovsolver" or n.startswith("dovsolver.")]
+    before = {(m.__name__, a): getattr(m, a) for m in modules for a in names
+              if hasattr(m, a)}
+
+    plain = solver.solve(problem, opts)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert solver.oracle.equation_residual is not before[
+            ("dovsolver.oracle", "equation_residual")]
+        with tracer.op():
+            traced = solver.solve(problem, opts)
+    finally:
+        tracer.uninstall()
+
+    assert tracer.totals()["spans"]["oracle.equation_residual"]["calls"] > 0
+    assert traced.U.c.tobytes() == plain.U.c.tobytes()
+    assert traced.diagnostics == plain.diagnostics
+    after = {(m.__name__, a): getattr(m, a) for m in modules for a in names
+             if hasattr(m, a)}
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

@@ -20,7 +20,7 @@ from dovsolver.oracle import (
     weighted_l2_error,
 )
 from dovsolver.registry import EXAMPLES
-from dovsolver.solver import SolveOptions, solve
+from dovsolver.solver import Polynomial, Problem, SolveOptions, solve
 
 
 def test_quad_constant():
@@ -86,6 +86,46 @@ def test_grid_validation():
         Grid(np.array([]))
     g = uniform_grid(Interval(0, 1), 11)
     assert g.points[0] == 0.0 and g.points[-1] == 1.0 and g.points.size == 11
+
+
+def test_grid_rejects_non_finite_points():
+    # np.diff of a NaN compares False against 0, so monotonicity alone
+    # would let these through
+    for bad in ([0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(np.array(bad))
+
+
+def test_residual_rejects_points_outside_the_interval():
+    # beyond tf the series would be clamped to its end value and the
+    # residual would look like a wrong answer instead of a wrong grid
+    e7 = EXAMPLES["ex7"]
+    p = e7.problem(1, 3)
+    U = project(lambda t: t, p.spec)
+    for points, bad in (([1.0, 3.0], "3.0"), ([-0.5, 1.0], "-0.5")):
+        with pytest.raises(ValueError, match=f"t = {bad} lies outside"):
+            equation_residual(p, U, Grid(np.array(points)))
+
+
+def test_residual_cap():
+    # the zero series leaves |sin 3t| as the residual, largest at t = 0.5
+    # and not at the right end, where the scan starts
+    p = Problem(parse("1"), parse("sin(3*t)"), Polynomial(alpha=(0.0, 1.0)),
+                BasisSpec(Interval(0, 2), 1, 3))
+    U = CoeffVector(p.spec, np.zeros(3))
+    grid = uniform_grid(p.spec.interval, 9)
+    per_point = [equation_residual(p, U, Grid(np.array([t]))) for t in grid.points]
+    full = equation_residual(p, U, grid)
+    assert full == max(per_point) == per_point[2]
+    # at or above the maximum the cap changes nothing
+    for cap in (full, 2.0 * full, math.inf):
+        assert equation_residual(p, U, grid, stop_above=cap) == full
+    # below it the result is the first grid residual above the cap, counted
+    # from the right end
+    for cap in (0.0, 0.5, 0.9, 0.999 * full):
+        expected = next(r for r in reversed(per_point) if r > cap)
+        assert equation_residual(p, U, grid, stop_above=cap) == expected
+    assert equation_residual(p, U, grid, stop_above=0.5) < full
 
 
 def test_residual_of_planted_exact_solution():

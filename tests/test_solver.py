@@ -19,6 +19,7 @@ from dovsolver.opalg import (
     product_matrix,
     unit_product_matrix,
 )
+from dovsolver import oracle
 from dovsolver.oracle import Grid, max_error_fn, residual_linf, uniform_grid
 from dovsolver.registry import EXAMPLES
 from dovsolver.solver import (
@@ -234,6 +235,34 @@ def test_continuation_rejects_spurious_algebraic_roots():
     assert spurious.converged
     picked = continuation_solve(p, SolveOptions(scan_range=(0.5, 2.0)))
     assert picked.diagnostics.residual_linf < 1e-10
+
+
+def test_capped_selection_picks_the_fully_scored_root(monkeypatch):
+    # the ex7 cases hold two exact branches within a factor 10 of each other
+    # plus spurious roots; ex3 and ex5 hold spurious roots far off the best
+    cases = [("ex7", 1, 10), ("ex7", 1, 12), ("ex7", 3, 3),
+             ("ex3", 1, 4), ("ex3", 2, 3), ("ex5", 2, 4)]
+    scored = oracle.equation_residual
+    stopped = []
+
+    def recording(*args, stop_above=math.inf, **kwargs):
+        res = scored(*args, stop_above=stop_above, **kwargs)
+        stopped.append(res > stop_above)
+        return res
+
+    def solve_all():
+        return [solve(EXAMPLES[k].problem(n, m),
+                      replace(EXAMPLES[k].options, compute_residual=False))
+                for k, n, m in cases]
+
+    monkeypatch.setattr(oracle, "equation_residual", recording)
+    capped = solve_all()
+    assert any(stopped)
+    monkeypatch.setattr(oracle, "equation_residual",
+                        lambda *args, stop_above=None, **kwargs: scored(*args, **kwargs))
+    for case, a, b in zip(cases, capped, solve_all()):
+        assert a.U.c.tobytes() == b.U.c.tobytes(), case
+        assert a.diagnostics.newton_iters == b.diagnostics.newton_iters, case
 
 
 @settings(max_examples=40, deadline=None)
