@@ -41,7 +41,6 @@ from .solver import (
     SolverError,
     Taylor,
     assemble_linear_map,
-    continuation_solve,
     newton_solve,
     scalar_invert,
     solve,

@@ -194,13 +194,16 @@ def load_config(path: str) -> RunConfig:
 
     sol = cfg["solver"] if cfg.has_section("solver") else {}
     opts = SolveOptions()
-    opts = replace(
-        opts,
-        newton_tol=_value(sol, "newton_tol", float, "solver.newton_tol", opts.newton_tol),
-        newton_max_iter=_value(sol, "max_iter", int, "solver.max_iter", opts.newton_max_iter),
-        scan_range=_value(sol, "scan_range", _pair, "solver.scan_range", opts.scan_range),
-        residual_grid=_value(sol, "residual_grid", int, "solver.residual_grid",
-                              opts.residual_grid))
+    for key, name, convert in (("newton_tol", "newton_tol", float),
+                               ("max_iter", "newton_max_iter", int),
+                               ("scan_range", "scan_range", _pair),
+                               ("residual_grid", "residual_grid", int)):
+        where = f"solver.{key}"
+        value = _value(sol, key, convert, where, getattr(opts, name))
+        try:  # SolveOptions checks each value
+            opts = replace(opts, **{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
     out = cfg["output"] if cfg.has_section("output") else {}
     out_format = out.get("format", "csv").strip().lower()

@@ -1,15 +1,16 @@
-"""Solution pipelines reducing the first-kind integral equation to algebra.
+"""The solution pipeline reducing the first-kind integral equation to algebra.
 
-Every route builds one linear system L Z = F for the coefficients Z of
-G(u), with L the map Z -> hat(K^T W_Z Q) and F the projection of f.  The
-kind of nonlinearity picks the route, and solve() is the one place that
-dispatches on it.  The linear kinds solve L Z = F, then recover u from Z by
-their own recover step: Invertible pointwise by Ginv, Derivative
-(G(u) = u^(n), zero initial data) by n integrations, and Collocation by
-bracketed root finding at collocation points and a basis fit.  Polynomial
-and Taylor (G replaced by its Taylor polynomial) solve L P(U) = F, where
-P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra, by damped Newton
-with the exact Jacobian L dP/dU and a degree-continuation ladder.
+Every kind of nonlinearity takes the same two steps in solve(): solve the
+linear system L Z = F for the coefficients Z of G(u), with L the map
+Z -> hat(K^T W_Z Q) and F the projection of f, then recover u from Z by the
+kind's own recover step.  Invertible recovers pointwise by Ginv, Derivative
+(G(u) = u^(n), zero initial data) by n integrations, Collocation by
+bracketed root finding at collocation points and a basis fit, and
+Polynomial and Taylor (G replaced by its Taylor polynomial) by solving
+P(U) = Z, where P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra,
+with damped Newton on the exact Jacobian dP/dU and a degree-continuation
+ladder.  The reported condition is the larger of cond L and the recover
+step's own, and every Solution carries Z.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity kinds: each linear kind carries the step that recovers u from
-# the solution Z of L Z = F; Polynomial and Taylor carry the coefficients
-# alpha of the polynomial route
+# nonlinearity kinds: each carries recover(Z, problem, opts), the step from
+# the solution Z of L Z = F to u, returning (U, step condition, Newton
+# iterations, converged)
 
 @dataclass(frozen=True)
 class _ExprKind:
@@ -68,9 +69,10 @@ class Invertible(_ExprKind):
 
     Ginv: Expr
 
-    def recover(self, Z: CoeffVector) -> tuple[CoeffVector, float]:
+    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
         """u = Ginv(z) pointwise, projected onto the basis."""
-        return project(lambda t: evaluate(self.Ginv, {"u": eval_series(Z, t)}), Z.spec), 0.0
+        U = project(lambda t: evaluate(self.Ginv, {"u": eval_series(Z, t)}), Z.spec)
+        return U, 0.0, 0, True
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class Derivative:
         dz = series_derivative(U, self.order)
         return lambda x: eval_series(dz, x)
 
-    def recover(self, Z: CoeffVector) -> tuple[CoeffVector, float]:
+    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
         """n integrations of z.
 
         Valid because the problem class fixes u and its first n-1
@@ -98,7 +100,7 @@ class Derivative:
         u = Z.c
         for _ in range(self.order):
             u = qt @ u
-        return CoeffVector(Z.spec, u), 0.0
+        return CoeffVector(Z.spec, u), 0.0, 0, True
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,9 @@ class Polynomial:
         return lambda x: np.polynomial.polynomial.polyval(
             eval_series(U, x), np.asarray(self.alpha))
 
+    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
+        return _recover_powers(self.alpha, Z, problem, opts)
+
 
 @dataclass(frozen=True)
 class Taylor(_ExprKind):
@@ -124,7 +129,7 @@ class Taylor(_ExprKind):
 
     The finite-difference Taylor coefficients are computed once, at
     construction: the powers-of-u coefficients alpha of the polynomial
-    route, and the radius |u - center| within which the first dropped term
+    recover step, and the radius |u - center| within which the first dropped term
     stays below 1e-8 (inf when that term vanishes).
     """
 
@@ -153,6 +158,18 @@ class Taylor(_ExprKind):
         object.__setattr__(self, "alpha", Polynomial(alpha).alpha)
         object.__setattr__(self, "trust_radius", radius)
 
+    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
+        """The polynomial recover step, with a warning when the solution
+        leaves the expansion's trust radius."""
+        U, *rest = _recover_powers(self.alpha, Z, problem, opts)
+        grid = oracle.uniform_grid(problem.spec.interval, 200)
+        reach = float(np.max(np.abs(eval_series(U, grid.points) - self.center)))
+        if reach > self.trust_radius:
+            warnings.warn(
+                f"solution range leaves the Taylor trust radius: |u - {self.center:g}| "
+                f"up to {reach:.3g} vs radius {self.trust_radius:.3g}", stacklevel=3)
+        return U, *rest
+
 
 @dataclass(frozen=True)
 class Collocation(_ExprKind):
@@ -160,7 +177,7 @@ class Collocation(_ExprKind):
 
     bracket: tuple[float, float]
 
-    def recover(self, Z: CoeffVector) -> tuple[CoeffVector, float]:
+    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
         """One bracketed inversion of all per-block Chebyshev-Gauss points at
         once and a basis fit.
 
@@ -178,7 +195,7 @@ class Collocation(_ExprKind):
                 f"no root of G(w) = {targets[exc.index]:g} in bracket {self.bracket} at "
                 f"collocation point t = {points[exc.index]:g}: {exc}") from exc
         u, _, fit_cond = _lstsq(basis_matrix(spec, points), w)
-        return CoeffVector(spec, u), fit_cond
+        return CoeffVector(spec, u), fit_cond, 0, True
 
 
 Nonlinearity = Invertible | Derivative | Polynomial | Taylor | Collocation
@@ -216,7 +233,7 @@ class Diagnostics:
 @dataclass(frozen=True)
 class Solution:
     U: CoeffVector
-    Z: CoeffVector | None
+    Z: CoeffVector
     diagnostics: Diagnostics
 
 
@@ -229,33 +246,16 @@ class SolveOptions:
     compute_residual: bool = True
     quad_tol: float = 1e-12
 
-
-def _diagnostics(problem: Problem, U: CoeffVector, Z, opts: SolveOptions,
-                 iters: int, converged: bool, cond: float) -> Diagnostics:
-    """Attach the oracle residual.
-
-    The residual is evaluated at G(series(U)); when G rejects the re-projected
-    series (e.g. sqrt of a solution that grazes zero), the composite G(u) = z
-    carried by the linear stage is used instead, which is the same function up
-    to the projection error of U.  A solve whose residual cannot be computed
-    at all is reported as not converged.
-    """
-    res = math.nan
-    if opts.compute_residual:
-        grid = oracle.uniform_grid(problem.spec.interval, opts.residual_grid)
-        try:
-            res = oracle.equation_residual(problem, U, grid, opts.quad_tol)
-        except (EvalError, oracle.QuadratureError) as exc:
-            if Z is not None:
-                try:
-                    res = oracle.composite_residual(problem, Z, grid, opts.quad_tol)
-                    warnings.warn(
-                        f"residual evaluated through G(u) = z: {exc}", stacklevel=3)
-                except (EvalError, oracle.QuadratureError):
-                    converged = False
-            else:
-                converged = False
-    return Diagnostics(res, iters, converged, cond)
+    def __post_init__(self):
+        lo, hi = self.scan_range
+        for name, ok, rule in (
+                ("newton_tol", 0 < self.newton_tol < math.inf, "finite and > 0"),
+                ("newton_max_iter", self.newton_max_iter >= 1, ">= 1"),
+                ("scan_range", -math.inf < lo < hi < math.inf, "finite with lo < hi"),
+                ("residual_grid", self.residual_grid >= 2, ">= 2"),
+                ("quad_tol", 0 < self.quad_tol < math.inf, "finite and > 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,56 +400,33 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
     return L.reshape(spec.dim, spec.dim)
 
 
-def _linear_system(problem: Problem, spec: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
-    """L and F of the equation L Z = F for the coefficients Z of G(u)."""
-    L = assemble_linear_map(kernel_matrix(problem.kernel, spec), spec)
-    F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
-    return L, F
-
-
-def _solve_linear(problem: Problem, opts: SolveOptions, recover) -> Solution:
-    """Solve L Z = F, then recover u from Z.
-
-    recover(Z) returns U and the condition of its own step; the reported
-    condition is the larger of that and the linear solve's.
-    """
-    spec = problem.spec
-    z, rank, cond = _lstsq(*_linear_system(problem, spec))
-    if rank < spec.dim:
-        warnings.warn(
-            f"rank-deficient linear stage: rank {rank} of {spec.dim}, "
-            f"condition estimate {cond:.3g}", stacklevel=2)
-    Z = CoeffVector(spec, z)
-    U, step_cond = recover(Z)
-    diag = _diagnostics(problem, U, Z, opts, 0, True, max(cond, step_cond))
-    return Solution(U, Z, diag)
-
-
 # ---------------------------------------------------------------------------
-# polynomial route: L P(U) = F
+# polynomial recover step: P(U) = Z
 
-def _polynomial_system(problem: Problem, spec: BasisSpec, alpha: tuple[float, ...]):
-    """u -> (L P(U) - F, L dP/dU) as a callable, P(U) = sum_r alpha_r U^r.
-
-    hat(K^T W_Z Q) is linear in Z and the product matrix of the constant 1
-    is the identity, so sum_r alpha_r hat(K^T W_{U^r} Q) collapses to L
-    applied to the truncated-algebra polynomial P(U).
-    """
-    L, F = _linear_system(problem, spec)
+def _polynomial_system(Z: CoeffVector, alpha: tuple[float, ...], m: int):
+    """u -> (P(U) - z_m, dP/dU) on the degree-m rung as a callable, with
+    P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra of degree m and
+    z_m each block of Z cut to its first m coefficients."""
+    spec = BasisSpec(Z.spec.interval, Z.spec.N, m)
+    z = Z.c.reshape(spec.N, Z.spec.M)[:, :m].ravel()
 
     def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P, J = polynomial(CoeffVector(spec, u), alpha)
-        return L @ P.c - F, L @ J
+        return P.c - z, J
 
     return system
 
 
 def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
                    count: int = 32) -> np.ndarray:
+    # ranked by the 2-norm of P(c) - Z: a constant moves only the first
+    # coefficient of each block, so the max norm is flat wherever a higher
+    # coefficient of Z dominates and keeps the first scan point, which for
+    # Taylor cos(u) on (0, 2) is c = 0, where dP/dU is singular
     best_u, best_norm = None, math.inf
     for c in np.linspace(scan_range[0], scan_range[1], count):
         u = constant_coeffs(spec, float(c)).c.copy()
-        norm = float(np.max(np.abs(system(u)[0])))
+        norm = float(np.linalg.norm(system(u)[0]))
         if norm < best_norm:
             best_u, best_norm = u, norm
     return best_u
@@ -502,8 +479,10 @@ def _run_ladder(systems: dict, spec: BasisSpec, u_start: np.ndarray,
     return result, total_iters
 
 
-def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Globalized solve of L P(U) = F for the Polynomial and Taylor kinds.
+def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
+                    opts: SolveOptions):
+    """Globalized solve of P(U) = Z, the recover step of the Polynomial and
+    Taylor kinds.
 
     Runs the degree-continuation ladder from a handful of starting guesses
     (best scanned constant and linear trends around it), plus direct Newton
@@ -519,10 +498,8 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
     residual so far, and an unconverged root is not scored at all when a
     converged one exists.  The winner is the same as with full scoring.
     """
-    alpha = problem.nonlinearity.alpha
     spec = problem.spec
-    systems = {m: _polynomial_system(problem, BasisSpec(spec.interval, spec.N, m), alpha)
-               for m in range(min(2, spec.M), spec.M + 1)}
+    systems = {m: _polynomial_system(Z, alpha, m) for m in range(min(2, spec.M), spec.M + 1)}
     final_system = systems[spec.M]
     candidates = _initial_candidates(final_system, spec, opts.scan_range)
 
@@ -561,11 +538,8 @@ def continuation_solve(problem: Problem, opts: SolveOptions = SolveOptions()) ->
            for i, (res, U) in enumerate(scored) if res <= 10.0 * best + 1e-300]
     result = pool[min(top)[2]]
     total_iters = sum(iters for _, iters in finals)
-
-    U = CoeffVector(spec, result.x)
     cond = float(np.linalg.cond(final_system(result.x)[1]))
-    diag = _diagnostics(problem, U, None, opts, total_iters, result.converged, cond)
-    return Solution(U, None, diag)
+    return CoeffVector(spec, result.x), cond, total_iters, result.converged
 
 
 # ---------------------------------------------------------------------------
@@ -610,28 +584,41 @@ def taylor_power_coefficients(G: Expr, center: float, degree: int) -> tuple[floa
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the pipeline
 
 def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
-    """Route the problem by its nonlinearity kind.
+    """Solve L Z = F, then recover u from Z by the nonlinearity kind's own
+    recover step.
 
-    Polynomial and Taylor kinds go to the continuation solve of
-    L P(U) = F; a Taylor solve warns when the solution leaves the
-    expansion's trust radius.  Every other kind solves L Z = F and recovers
-    u from Z by its own recover step.
+    The reported condition is the larger of the linear solve's and the
+    recover step's.  The oracle residual is evaluated at G(series(U)); when
+    G rejects the re-projected series (e.g. sqrt of a solution that grazes
+    zero), the composite G(u) = z is used instead, which is the same
+    function up to the projection error of U.  A solve whose residual
+    cannot be computed at all is reported as not converged.
     """
     nl = problem.nonlinearity
-    if isinstance(nl, Taylor):
-        solution = continuation_solve(problem, opts)
-        grid = oracle.uniform_grid(problem.spec.interval, 200)
-        reach = float(np.max(np.abs(eval_series(solution.U, grid.points) - nl.center)))
-        if reach > nl.trust_radius:
-            warnings.warn(
-                f"solution range leaves the Taylor trust radius: |u - {nl.center:g}| "
-                f"up to {reach:.3g} vs radius {nl.trust_radius:.3g}", stacklevel=2)
-        return solution
-    if isinstance(nl, Polynomial):
-        return continuation_solve(problem, opts)
-    if isinstance(nl, (Invertible, Derivative, Collocation)):
-        return _solve_linear(problem, opts, nl.recover)
-    raise SolverError(f"unknown nonlinearity: {type(nl).__name__}")
+    if not isinstance(nl, Nonlinearity):
+        raise SolverError(f"unknown nonlinearity: {type(nl).__name__}")
+    spec = problem.spec
+    L = assemble_linear_map(kernel_matrix(problem.kernel, spec), spec)
+    F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
+    z, rank, cond = _lstsq(L, F)
+    if rank < spec.dim:
+        warnings.warn(
+            f"rank-deficient linear stage: rank {rank} of {spec.dim}, "
+            f"condition estimate {cond:.3g}", stacklevel=2)
+    Z = CoeffVector(spec, z)
+    U, step_cond, iters, converged = nl.recover(Z, problem, opts)
+    res = math.nan
+    if opts.compute_residual:
+        grid = oracle.uniform_grid(spec.interval, opts.residual_grid)
+        try:
+            res = oracle.equation_residual(problem, U, grid, opts.quad_tol)
+        except (EvalError, oracle.QuadratureError) as exc:
+            try:
+                res = oracle.composite_residual(problem, Z, grid, opts.quad_tol)
+                warnings.warn(f"residual evaluated through G(u) = z: {exc}", stacklevel=2)
+            except (EvalError, oracle.QuadratureError):
+                converged = False
+    return Solution(U, Z, Diagnostics(res, iters, converged, max(cond, step_cond)))

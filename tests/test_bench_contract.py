@@ -53,7 +53,14 @@ def test_traced_solve_matches_untraced():
     finally:
         tracer.uninstall()
 
-    assert tracer.totals()["spans"]["oracle.equation_residual"]["calls"] > 0
+    totals = tracer.totals()
+    assert totals["spans"]["oracle.equation_residual"]["calls"] > 0
+    # the polynomial recover step runs its Newton paths through
+    # solver.newton_solve, and L and F are built once per solve, not once
+    # per ladder rung
+    assert totals["newton_iters"] == traced.diagnostics.newton_iters
+    assert totals["spans"]["solver.assemble_linear_map"]["calls"] == 1
+    assert totals["spans"]["opalg.kernel_matrix"]["calls"] == 1
     assert traced.U.c.tobytes() == plain.U.c.tobytes()
     assert traced.diagnostics == plain.diagnostics
     after = {(m.__name__, a): getattr(m, a) for m in modules for a in names

@@ -79,7 +79,7 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
 @pytest.mark.parametrize("old, new, key", [
     (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ndegree = abc', "nonlinearity.degree"),
     (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ncenter = zero', "nonlinearity.center"),
-    # a degree-0 expansion makes L P(U) - F independent of U
+    # a degree-0 expansion makes P(U) independent of U
     (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ndegree = 0', "degree"),
     (_INVERTIBLE, "kind = derivative\norder = two", "nonlinearity.order"),
     ("M = 4", "N = x\nM = 4", "basis.N"),
@@ -96,6 +96,21 @@ def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     assert main(["solve", path]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and key in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iter", "-5"), ("max_iter", "0"), ("residual_grid", "0"), ("residual_grid", "1"),
+    ("newton_tol", "-1"), ("newton_tol", "nan"), ("newton_tol", "inf"),
+    ("scan_range", "2, 2"), ("scan_range", "1, -1"),
+])
+def test_out_of_range_solver_value_is_config_error(tmp_path, capsys, key, value):
+    # well-formed values SolveOptions rejects: each used to run (a negative
+    # newton_iters, a failed row, or exit 0 on the wrong ex7 branch)
+    path = _write(tmp_path, MINIMAL.replace("M = 4", f"M = 4\n\n[solver]\n{key} = {value}"))
+    assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: solver.{key}: ")
     assert captured.out == ""
 
 
@@ -347,11 +362,11 @@ def test_run_example_leaves_numpy_ma_unloaded():
 _PINNED_ROWS = {
     "ex1": (1.1445e-13, 2.3099e-12, 0, 184.69905),
     "ex2": (2.0703e-09, 5.1796e-12, 0, 690.06308),
-    "ex3": (1.1730e-10, 2.4069e-11, 181, 463.84008),
+    "ex3": (1.1730e-10, 2.4070e-11, 189, 690.06308),
     "ex4": (6.0242e-08, 7.5210e-11, 0, 593.10636),
-    "ex5": (7.4288e-13, 8.0144e-16, 210, 9404.1380),
+    "ex5": (9.7122e-13, 4.1842e-15, 171, 355.92239),
     "ex6": (1.7552e-08, 1.0234e-09, 0, 325.84027),
-    "ex7": (4.4409e-16, 1.8874e-15, 101, 15.075307),
+    "ex7": (1.1970e-15, 2.6645e-15, 94, 17.955027),
     "ex8": (2.8739e-10, 6.8260e-12, 0, 587.70080),
     "ex9": (3.4980e-02, 4.6033e-05, 0, 787046.93),
     "ex10": (2.4226e-09, 1.0904e-11, 0, 39810364.),

@@ -15,6 +15,7 @@ from dovsolver.opalg import (
     hat_vector,
     integration_matrix,
     kernel_matrix,
+    polynomial,
     power_vector,
     product_matrix,
     unit_product_matrix,
@@ -32,7 +33,6 @@ from dovsolver.solver import (
     SolverError,
     Taylor,
     assemble_linear_map,
-    continuation_solve,
     newton_solve,
     scalar_invert,
     solve,
@@ -203,12 +203,11 @@ def test_solve_invertible_without_ginv_uses_bracket():
 
 
 def test_polynomial_linear_reduction_single_newton_iteration():
-    # G(u) = u makes the residual affine; Newton lands in one step from any
-    # start
+    # G(u) = u makes the recover residual P(U) - Z = U - Z affine; Newton
+    # lands in one step from any start
     rng = np.random.default_rng(9)
-    p = Problem(parse("1"), parse("t^2/2"), Polynomial(alpha=(0.0, 1.0)),
-                BasisSpec(Interval(0, 1), 1, 4))
-    system = _polynomial_system(p, p.spec, p.nonlinearity.alpha)
+    Z = CoeffVector(BasisSpec(Interval(0, 1), 1, 4), rng.normal(size=4))
+    system = _polynomial_system(Z, (0.0, 1.0), 4)
     for _ in range(3):
         res = newton_solve(system, rng.normal(size=4), tol=1e-8)
         assert res.converged
@@ -217,23 +216,24 @@ def test_polynomial_linear_reduction_single_newton_iteration():
 
 def test_continuation_exact_cubic_case():
     e7 = EXAMPLES["ex7"]
-    sol = continuation_solve(e7.problem(1, 3),
-                             SolveOptions(compute_residual=False, scan_range=(0.5, 2.0)))
+    sol = solve(e7.problem(1, 3), SolveOptions(compute_residual=False, scan_range=(0.5, 2.0)))
     g = uniform_grid(Interval(0, 2), 500)
     assert max_error_fn(sol, lambda t: t, g) < 1e-10
     assert sol.diagnostics.converged
 
 
 def test_continuation_rejects_spurious_algebraic_roots():
-    # direct Newton from constants converges to an exact root of the
-    # truncated system whose oracle residual is O(1e-2); the multi-start
-    # selection must discard it
+    # direct Newton from the best constant converges to an exact root of
+    # P(U) = Z whose oracle residual is O(1e-2); the multi-start selection
+    # must discard it
     e7 = EXAMPLES["ex7"]
     p = e7.problem(1, 3)
-    system = _polynomial_system(p, p.spec, p.nonlinearity.alpha)
+    picked = solve(p, SolveOptions(scan_range=(0.5, 2.0)))
+    system = _polynomial_system(picked.Z, p.nonlinearity.alpha, p.spec.M)
     spurious = newton_solve(system, _scan_constant(system, p.spec, (0.5, 2.0)))
     assert spurious.converged
-    picked = continuation_solve(p, SolveOptions(scan_range=(0.5, 2.0)))
+    assert oracle.equation_residual(p, CoeffVector(p.spec, spurious.x),
+                                    uniform_grid(p.spec.interval, 33), 1e-9) > 1e-3
     assert picked.diagnostics.residual_linf < 1e-10
 
 
@@ -265,13 +265,24 @@ def test_capped_selection_picks_the_fully_scored_root(monkeypatch):
         assert a.diagnostics.newton_iters == b.diagnostics.newton_iters, case
 
 
+@pytest.mark.parametrize("n, m", [(1, 3), (1, 10), (1, 12), (2, 3), (3, 3), (3, 4), (4, 3)])
+def test_ex7_picks_the_exact_branch(n, m):
+    # G(u) = u^2 - u = G(1 - u): u = 1 - t on some blocks and t on the
+    # others also solves the equation, so the oracle cannot tell them apart;
+    # the recover step has to land on u = t in every block
+    e7 = EXAMPLES["ex7"]
+    p = e7.problem(n, m)
+    sol = solve(p, replace(e7.options, compute_residual=False))
+    assert max_error_fn(sol, lambda t: t, uniform_grid(p.spec.interval, 1000)) <= 1e-10
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(2, 8),
        alpha=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
        seed=st.integers(0, 2**32 - 1))
 def test_polynomial_residual_is_linear_map_of_powers(n, m, alpha, seed):
-    # L P(U) - F against the direct form sum_r alpha_r hat(K^T W_{U^r} Q) - F;
-    # the residual reads only the kernel and f of the problem
+    # L P(U) - F against the direct form sum_r alpha_r hat(K^T W_{U^r} Q) - F:
+    # L Z = F with Z = P(U) is the integral equation, so P(U) = Z recovers u
     spec = BasisSpec(Interval(0, 1.5), n, m)
     p = Problem(parse("exp(x-t)+x*t"), parse("sin(t)"), Derivative(order=1), spec)
     U = CoeffVector(spec, np.random.default_rng(seed).uniform(-1.5, 1.5, spec.dim))
@@ -284,7 +295,7 @@ def test_polynomial_residual_is_linear_map_of_powers(n, m, alpha, seed):
         terms.append(a * hat)
     expected = sum(terms) - F
     scale = sum(np.max(np.abs(t)) for t in terms) + np.max(np.abs(F))
-    got = _polynomial_system(p, spec, tuple(alpha))(U.c)[0]
+    got = assemble_linear_map(kernel_matrix(p.kernel, spec), spec) @ polynomial(U, alpha)[0].c - F
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
@@ -341,6 +352,16 @@ def test_collocation_unbracketed_root_reports_point():
         solve(p, FAST)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("newton_tol", -1.0), ("newton_tol", math.nan), ("quad_tol", 0.0),
+    ("newton_max_iter", 0), ("residual_grid", 1), ("scan_range", (2.0, 2.0)),
+    ("scan_range", (-math.inf, 1.0)),
+])
+def test_solve_options_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveOptions(**{field: value})
+
+
 def test_inconsistent_data_warns():
     with pytest.warns(UserWarning, match="inconsistent first-kind data"):
         Problem(parse("1"), parse("t+1"), Derivative(order=1),
@@ -357,7 +378,7 @@ def test_unbound_variable_in_f_skips_consistency_check():
 
 
 def test_dispatch_by_kind():
-    # the linear kinds carry Z from L Z = F, the polynomial route does not
+    # every kind solves L Z = F and carries Z
     problems = [(EXAMPLES[k].problem(1, 4), EXAMPLES[k].options.scan_range)
                 for k in ("ex1", "ex2", "ex3", "ex4")]
     problems.append((Problem(parse("1"), parse("1-cos(t)"), Taylor(G=parse("sin(u)"), degree=3),
@@ -369,7 +390,7 @@ def test_dispatch_by_kind():
         for p, scan in problems:
             sol = solve(p, SolveOptions(compute_residual=False, scan_range=scan))
             assert sol.U.spec == p.spec
-            assert (sol.Z is None) == isinstance(p.nonlinearity, (Polynomial, Taylor))
+            assert sol.Z.spec == p.spec
     with pytest.raises(SolverError, match="unknown nonlinearity"):
         solve(replace(problems[0][0], nonlinearity=parse("u")), FAST)
 
@@ -379,8 +400,8 @@ def test_polynomial_kind_validation():
         Polynomial(alpha=(1.0,))
     with pytest.raises(ValueError):
         Derivative(order=0)
-    # a degree-0 expansion is the constant G(center): L P(U) - F would not
-    # depend on U
+    # a degree-0 expansion is the constant G(center): P(U) would not depend
+    # on U
     with pytest.raises(ValueError, match="degree"):
         Taylor(G=parse("exp(u)"), degree=0)
     with pytest.raises(ValueError, match="nonzero coefficient"):
@@ -404,7 +425,7 @@ def test_condition_estimate_reported():
 
 def test_polynomial_condition_estimate_at_the_root():
     # the winning path starts on a root and takes no Newton step; the
-    # condition is that of L dP/dU at the returned root all the same
+    # condition is max(cond L, cond dP/dU) at the returned root all the same
     e7 = EXAMPLES["ex7"]
     sol = solve(e7.problem(1, 10), replace(e7.options, compute_residual=False))
     assert np.isfinite(sol.diagnostics.condition_estimate)
@@ -418,7 +439,7 @@ def test_residual_coupled_to_truncation_for_constant_kernels():
     for key, n, m in [("ex7", 1, 3), ("ex5", 2, 4)]:
         e = EXAMPLES[key]
         p = e.problem(n, m)
-        sol = continuation_solve(p, SolveOptions(scan_range=e.options.scan_range))
+        sol = solve(p, SolveOptions(scan_range=e.options.scan_range))
         grid = np.linspace(p.spec.interval.t0, p.spec.interval.tf, 400)
         f_vals = np.asarray(evaluate(p.f, {"t": grid}), dtype=float)
         f_proj = project(lambda t, _f=p.f: evaluate(_f, {"t": t}), p.spec)
