@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BasisSpec, Interval
-from .expr import Expr, ParseError, parse
-from .oracle import QuadratureError, uniform_grid
+from .expr import Expr, ParseError, evaluate, parse
+from .oracle import QuadratureError, max_error_fn, uniform_grid
 from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
     Collocation,
@@ -50,8 +50,7 @@ class RunConfig:
     nonlinearity: Nonlinearity
     interval: tuple[float, float]
     bases: tuple[tuple[int, int], ...]
-    exact: Expr | None = None
-    exact_fn: object = None  # callable override (piecewise registry entries)
+    exact_fn: object = None  # u(t) as an array-capable callable, if known
     options: SolveOptions = SolveOptions()
     out_format: str = "csv"
     out_path: str | None = None
@@ -172,9 +171,10 @@ def load_config(path: str) -> RunConfig:
     interval = _value(prob, "interval", _pair, "problem.interval")
     if not interval[1] > interval[0]:
         raise ConfigError("problem.interval: tf must exceed t0")
-    exact = None
+    exact_fn = None
     if "exact_solution" in prob:
         exact = _parse_expr(prob["exact_solution"], "problem.exact_solution")
+        exact_fn = lambda t: evaluate(exact, {"t": t})
 
     nonlinearity = _nonlinearity(cfg)
 
@@ -215,20 +215,26 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("output.grid: must be positive")
 
     return RunConfig(kernel=kernel, f=f_expr, nonlinearity=nonlinearity,
-                     interval=interval, bases=bases, exact=exact,
+                     interval=interval, bases=bases, exact_fn=exact_fn,
                      options=opts, out_format=out_format, out_path=out_path,
                      grid_size=grid_size)
 
 
 def config_from_example(entry: ExampleEntry, N: int | None = None,
                         M: int | None = None, check: bool = False) -> RunConfig:
-    n, m = entry.recommended
-    exact = parse(entry.exact) if isinstance(entry.exact, str) else None
+    """The run of one registry example at (N, M), the recommended size by
+    default.  With check, the size must have a published reference error."""
+    n = N if N is not None else entry.recommended[0]
+    m = M if M is not None else entry.recommended[1]
+    if check and (n, m) not in entry.reference_errors:
+        sizes = ", ".join(f"N={a} M={b}" for a, b in sorted(entry.reference_errors))
+        raise ConfigError(
+            f"--check: {entry.key} has no reference error at N={n} M={m}; "
+            f"sizes with one: {sizes or 'none'}")
     return RunConfig(
         kernel=parse(entry.kernel), f=parse(entry.f),
-        nonlinearity=entry.nonlinearity, interval=entry.interval,
-        bases=(((N if N is not None else n), (M if M is not None else m)),),
-        exact=exact, exact_fn=entry.exact_fn(), options=entry.options,
+        nonlinearity=entry.nonlinearity, interval=entry.interval, bases=((n, m),),
+        exact_fn=entry.exact_fn(), options=entry.options,
         check=dict(entry.reference_errors) if check else {})
 
 
@@ -252,13 +258,8 @@ def _run_single(config: RunConfig, n: int, m: int) -> dict:
         problem = Problem(config.kernel, config.f, config.nonlinearity, spec)
         solution = solve(problem, config.options)
         grid = uniform_grid(spec.interval, config.grid_size)
-        exact_fn = config.exact_fn
-        if exact_fn is None and config.exact is not None:
-            from .expr import evaluate
-            exact_fn = lambda t, _e=config.exact: evaluate(_e, {"t": t})
-        if exact_fn is not None:
-            from .oracle import max_error_fn
-            row["E_inf"] = max_error_fn(solution, exact_fn, grid)
+        if config.exact_fn is not None:
+            row["E_inf"] = max_error_fn(solution, config.exact_fn, grid)
         d = solution.diagnostics
         row.update(residual_linf=d.residual_linf, newton_iters=d.newton_iters,
                    condition_estimate=d.condition_estimate, converged=d.converged)
@@ -277,8 +278,9 @@ def _emit(rows: list[dict], config: RunConfig, out) -> None:
             item["converged"] = row["converged"]
             if row["error"]:
                 item["error"] = row["error"]
+            # JSON has no NaN or Infinity: a non-finite float is null
             for k, v in item.items():
-                if isinstance(v, float) and math.isnan(v):
+                if isinstance(v, float) and not math.isfinite(v):
                     item[k] = None
             payload.append(item)
         out.write(json.dumps(payload, indent=2) + "\n")

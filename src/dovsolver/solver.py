@@ -434,13 +434,14 @@ def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
 
 def _initial_candidates(system, spec: BasisSpec,
                         scan_range: tuple[float, float]) -> list[np.ndarray]:
-    """Starting guesses for the nonlinear route: the best constant from the
-    scan plus gentle linear trends around it.
+    """The three starts of the ladder: the best constant c* from the scan
+    and c* +- width (t - mid) / halfw, with width that of the scan range.
 
-    Constant starts alone can miss the wanted basin when the truncated
-    algebraic system has spurious roots; the slope variants break that
-    degeneracy and the oracle-residual selection afterwards keeps only the
-    root that actually satisfies the integral equation.
+    Truncated algebra can hold spurious roots next to the wanted one, and a
+    constant alone can sit in the wrong basin; the slopes reach branches a
+    constant cannot (ex7's u = t comes from the rising one), and the
+    oracle-residual selection afterwards keeps only a root that actually
+    satisfies the integral equation.
     """
     best = _scan_constant(system, spec, scan_range)
     c_star = float(best[0])
@@ -448,7 +449,7 @@ def _initial_candidates(system, spec: BasisSpec,
     mid, halfw = 0.5 * (iv.t0 + iv.tf), 0.5 * iv.width
     width = scan_range[1] - scan_range[0]
     candidates = [best]
-    for s in (0.5 * width, -0.5 * width, width, -width):
+    for s in (width, -width):
         candidates.append(
             project(lambda t, _s=s: c_star + _s * (t - mid) / halfw, spec).c.copy())
     return candidates
@@ -456,9 +457,11 @@ def _initial_candidates(system, spec: BasisSpec,
 
 def _run_ladder(systems: dict, spec: BasisSpec, u_start: np.ndarray,
                 opts: SolveOptions) -> tuple[NewtonResult, int]:
-    """One continuation path over the rungs of systems (per-block degrees in
-    order), each started from the previous one zero-padded per block, the
-    first from the truncated start; failures below M fall back to the scan."""
+    """One degree-continuation path over the rungs of systems (per-block
+    degrees in order), each rung started from the previous rung's result
+    zero-padded per block, the first from the truncated start.  A rung that
+    fails hands its best iterate on; the final rung's result is the path's.
+    """
     u_prev, m_prev = u_start, spec.M
     total_iters = 0
     result = None
@@ -468,13 +471,6 @@ def _run_ladder(systems: dict, spec: BasisSpec, u_start: np.ndarray,
         u0[:, :take] = u_prev.reshape(spec.N, m_prev)[:, :take]
         result = newton_solve(system, u0.ravel(), opts.newton_tol, opts.newton_max_iter)
         total_iters += result.iterations
-        if not result.converged and m_rung < spec.M:
-            rung_spec = BasisSpec(spec.interval, spec.N, m_rung)
-            retry = newton_solve(system, _scan_constant(system, rung_spec, opts.scan_range),
-                                 opts.newton_tol, opts.newton_max_iter)
-            total_iters += retry.iterations
-            if retry.residual_norm < result.residual_norm:
-                result = retry
         u_prev, m_prev = result.x, m_rung
     return result, total_iters
 
@@ -484,14 +480,14 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     """Globalized solve of P(U) = Z, the recover step of the Polynomial and
     Taylor kinds.
 
-    Runs the degree-continuation ladder from a handful of starting guesses
-    (best scanned constant and linear trends around it), plus direct Newton
-    at the target degree from each, then keeps the converged root with the
-    smallest oracle residual of the integral equation itself.  The oracle
-    check is what discards exact roots of the truncated algebra that do not
-    solve the equation; among the roots within a factor 10 of the smallest
-    residual, the one whose average value sits nearest the middle of the
-    scan range wins (the caller's branch hint).
+    Runs the degree-continuation ladder (rung m solves P(U) = Z with each
+    block cut to its first m coefficients) from three starts, the best
+    scanned constant and the two slopes around it, then keeps the converged
+    root with the smallest oracle residual of the integral equation
+    itself.  The oracle check is what discards exact roots of the truncated
+    algebra that do not solve the equation; among the roots within a factor
+    10 of the smallest residual, the one whose average value sits nearest
+    the middle of the scan range wins (the caller's branch hint).
 
     A candidate is scored only as far as it can still win: its residual
     stops as soon as one grid point exceeds 10 times the best complete
@@ -503,12 +499,7 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     final_system = systems[spec.M]
     candidates = _initial_candidates(final_system, spec, opts.scan_range)
 
-    finals: list[tuple[NewtonResult, int]] = []
-    for cand in candidates:
-        finals.append(_run_ladder(systems, spec, cand, opts))
-    for cand in candidates:
-        direct = newton_solve(final_system, cand, opts.newton_tol, opts.newton_max_iter)
-        finals.append((direct, direct.iterations))
+    finals = [_run_ladder(systems, spec, cand, opts) for cand in candidates]
 
     # dedupe identical roots before paying for oracle residuals
     distinct: list[NewtonResult] = []
@@ -574,13 +565,6 @@ def _fd_derivative(g, x0: float, d: int) -> float:
         else:
             best = row[-1]
     return best
-
-
-def taylor_power_coefficients(G: Expr, center: float, degree: int) -> tuple[float, ...]:
-    """Powers-of-u coefficients of the degree-n Taylor polynomial of G about
-    center (binomially re-expanded so the polynomial is in u): the alpha of
-    the Taylor kind, with its checks."""
-    return Taylor(G, degree, center).alpha
 
 
 # ---------------------------------------------------------------------------

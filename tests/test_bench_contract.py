@@ -60,6 +60,9 @@ def test_traced_solve_matches_untraced():
     # per ladder rung
     assert totals["newton_iters"] == traced.diagnostics.newton_iters
     assert totals["spans"]["solver.assemble_linear_map"]["calls"] == 1
+    # one ladder per start, three starts, rungs 2 .. M: the newton workload's
+    # solver.newton_solve.calls counts the paths of the recover step
+    assert totals["spans"]["solver.newton_solve"]["calls"] == 3 * (problem.spec.M - 1)
     assert totals["spans"]["opalg.kernel_matrix"]["calls"] == 1
     assert traced.U.c.tobytes() == plain.U.c.tobytes()
     assert traced.diagnostics == plain.diagnostics

@@ -52,7 +52,7 @@ def test_load_minimal_config_with_defaults(tmp_path):
     assert cfg.grid_size == 1000
     assert cfg.out_format == "csv"
     assert cfg.options.newton_tol == 1e-12
-    assert cfg.exact is None
+    assert cfg.exact_fn is None
 
 
 @pytest.mark.parametrize("text, kind", [
@@ -194,6 +194,24 @@ def test_json_output_mirrors_rows(tmp_path):
     assert rows[0]["E_inf"] < 1e-10
 
 
+def test_json_output_is_strict_for_infinite_condition(tmp_path):
+    # a zero kernel makes L zero, so the condition is infinite; JSON has no
+    # Infinity, so a strict parser must read the row with null there
+    text = MINIMAL.replace('kernel = "1"', 'kernel = "0"').replace('f = "t^2/2"', 'f = "0"')
+    cfg = load_config(_write(tmp_path, text))
+    cfg = RunConfig(**{**cfg.__dict__, "out_format": "json", "timing": False})
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(cfg, out) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rows = json.loads(out.getvalue(), parse_constant=reject)
+    assert rows[0]["condition_estimate"] is None
+
+
 def test_failed_row_does_not_suppress_later_rows(tmp_path):
     # collocation root finding fails when the bracket excludes the root
     text = """
@@ -260,6 +278,19 @@ def test_run_example_check_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "check N=1 M=8" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["ex7"], "none"),
+    (["ex2", "--N", "2", "--M", "7"], "N=1 M=2, N=1 M=4"),
+], ids=["no-reference-at-all", "no-reference-at-size"])
+def test_run_example_check_without_reference_is_config_error(argv, sizes, capsys):
+    # --check with nothing to compare must not pass silently
+    assert main(["run-example", *argv, "--check", "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and argv[0] in captured.err
+    assert f"sizes with one: {sizes}" in captured.err
 
 
 def test_run_example_exact_cubic_row(capsys):
@@ -362,11 +393,11 @@ def test_run_example_leaves_numpy_ma_unloaded():
 _PINNED_ROWS = {
     "ex1": (1.1445e-13, 2.3099e-12, 0, 184.69905),
     "ex2": (2.0703e-09, 5.1796e-12, 0, 690.06308),
-    "ex3": (1.1730e-10, 2.4070e-11, 189, 690.06308),
+    "ex3": (1.1730e-10, 2.4070e-11, 107, 690.06308),
     "ex4": (6.0242e-08, 7.5210e-11, 0, 593.10636),
-    "ex5": (9.7122e-13, 4.1842e-15, 171, 355.92239),
+    "ex5": (9.7122e-13, 4.1842e-15, 57, 355.92239),
     "ex6": (1.7552e-08, 1.0234e-09, 0, 325.84027),
-    "ex7": (1.1970e-15, 2.6645e-15, 94, 17.955027),
+    "ex7": (1.1970e-15, 2.6645e-15, 24, 17.955027),
     "ex8": (2.8739e-10, 6.8260e-12, 0, 587.70080),
     "ex9": (3.4980e-02, 4.6033e-05, 0, 787046.93),
     "ex10": (2.4226e-09, 1.0904e-11, 0, 39810364.),

@@ -36,7 +36,6 @@ from dovsolver.solver import (
     newton_solve,
     scalar_invert,
     solve,
-    taylor_power_coefficients,
 )
 from dovsolver.solver import _polynomial_system, _scan_constant
 
@@ -224,8 +223,8 @@ def test_continuation_exact_cubic_case():
 
 def test_continuation_rejects_spurious_algebraic_roots():
     # direct Newton from the best constant converges to an exact root of
-    # P(U) = Z whose oracle residual is O(1e-2); the multi-start selection
-    # must discard it
+    # P(U) = Z whose oracle residual is O(1e-2); the recover step must not
+    # return it
     e7 = EXAMPLES["ex7"]
     p = e7.problem(1, 3)
     picked = solve(p, SolveOptions(scan_range=(0.5, 2.0)))
@@ -276,6 +275,39 @@ def test_ex7_picks_the_exact_branch(n, m):
     assert max_error_fn(sol, lambda t: t, uniform_grid(p.spec.interval, 1000)) <= 1e-10
 
 
+def _taylor_cos(m, degree):
+    e4 = EXAMPLES["ex4"]
+    return Problem(parse(e4.kernel), parse(e4.f), Taylor(G=parse("cos(u)"), degree=degree),
+                   BasisSpec(Interval(0, 1), 1, m))
+
+
+# E_inf of each case when the recover step also ran direct Newton from five
+# starts; the three-start ladder must reach a root as good (within 2x, or
+# below 1e-12 outright).  The ex3 and Taylor winners come from the constant
+# start.
+_LADDER_CASES = {
+    ("ex3", 1, 10): 1.173e-10, ("ex3", 2, 8): 4.691e-10, ("ex3", 4, 12): 1.703e-13,
+    ("ex5", 2, 4): 9.712e-13, ("ex5", 4, 8): 1.458e-12, ("ex5", 2, 12): 9.629e-13,
+    ("cos", 10, 8): 3.419e-7, ("cos", 8, 6): 3.313e-5, ("cos", 12, 4): 1.636e-3,
+}
+
+
+@pytest.mark.parametrize("key, a, b", sorted(_LADDER_CASES))
+def test_ladder_reaches_the_exact_branch(key, a, b):
+    # a, b are (N, M) for the registry examples, (M, degree) for Taylor
+    # cos(u) on ex4's data
+    if key == "cos":
+        p, opts, exact = _taylor_cos(a, b), SolveOptions(scan_range=(0.0, 2.0)), lambda t: t
+    else:
+        e = EXAMPLES[key]
+        p, opts, exact = e.problem(a, b), e.options, e.exact_fn()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve(p, replace(opts, compute_residual=False))
+    err = max_error_fn(sol, exact, uniform_grid(p.spec.interval, 1000))
+    assert err <= 2.0 * _LADDER_CASES[key, a, b] or err < 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(2, 8),
        alpha=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
@@ -300,17 +332,17 @@ def test_polynomial_residual_is_linear_map_of_powers(n, m, alpha, seed):
 
 
 def test_taylor_power_coefficients_exp():
-    alpha = taylor_power_coefficients(parse("exp(u)"), 0.0, 4)
+    alpha = Taylor(parse("exp(u)"), 4, 0.0).alpha
     assert np.max(np.abs(np.array(alpha) - [1, 1, 1 / 2, 1 / 6, 1 / 24])) < 1e-6
 
 
 def test_taylor_power_coefficients_cos():
-    alpha = taylor_power_coefficients(parse("cos(u)"), 0.0, 4)
+    alpha = Taylor(parse("cos(u)"), 4, 0.0).alpha
     assert np.max(np.abs(np.array(alpha) - [1, 0, -1 / 2, 0, 1 / 24])) < 1e-6
 
 
 def test_taylor_power_coefficients_recentered():
-    alpha = np.array(taylor_power_coefficients(parse("exp(u)"), 1.0, 3))
+    alpha = np.array(Taylor(parse("exp(u)"), 3, 1.0).alpha)
     e = math.e
     expected = np.array([e / 3, e / 2, 0.0, e / 6])
     assert np.max(np.abs(alpha - expected)) < 1e-6
