@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 _CLAMP_TOL = 1e-12
 
@@ -105,10 +104,8 @@ class BasisSpec:
 
     def block_index(self, t):
         """0-based index of the block owning t (vectorized)."""
-        ta = np.asarray(t, dtype=float)
-        idx = np.floor((ta - self.interval.t0) / self.block_width).astype(int)
-        idx = np.clip(idx, 0, self.N - 1)
-        return int(idx) if np.ndim(t) == 0 else idx
+        idx = _locate(self, t)[0]
+        return int(idx[0]) if np.ndim(t) == 0 else idx
 
     def local_coord(self, n0, t):
         """Map t inside block n0 to the reference coordinate in [-1, 1]."""
@@ -152,18 +149,19 @@ def hcp_eval(spec: BasisSpec, r: int, t):
     the point, the last block is closed.
     """
     n0, m = spec.split(r)
-    ta = np.asarray(t, dtype=float)
-    inside = spec.block_index(ta) == n0
-    xi = np.clip(spec.local_coord(n0, ta), -1.0, 1.0)
-    val = np.where(inside, chebyshev_eval(m, xi), 0.0)
-    return float(val) if np.ndim(t) == 0 else val
+    idx, xi = _locate(spec, t)
+    val = np.where(idx == n0, chebyshev_eval(m, xi), 0.0)
+    return float(val[0]) if np.ndim(t) == 0 else val
 
 
 def _locate(spec: BasisSpec, t) -> tuple[np.ndarray, np.ndarray]:
-    """Owning block and clamped reference coordinate of each point of t."""
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
-    idx = spec.block_index(ta)
-    return idx, np.clip(spec.local_coord(idx, ta), -1.0, 1.0)
+    """Owning block and clamped reference coordinate (local_coord's
+    arithmetic) of each point of t, in one pass; points off the domain go to
+    the nearest block."""
+    s = np.array(t, dtype=float, ndmin=1) - spec.interval.t0
+    block = np.minimum(np.maximum(np.floor(s / spec.block_width), 0.0), spec.N - 1.0)
+    xi = spec.interval.A * spec.N * s - 2.0 * (block + 1.0) + 1.0
+    return block.astype(int), np.minimum(np.maximum(xi, -1.0, out=xi), 1.0, out=xi)
 
 
 def basis_matrix(spec: BasisSpec, t: np.ndarray) -> np.ndarray:
@@ -229,12 +227,14 @@ def constant_coeffs(spec: BasisSpec, value: float) -> CoeffVector:
 
 
 def eval_series(cv: CoeffVector, t):
-    """Evaluate the represented function at t (scalar or array), each point
-    by the Clenshaw recurrence on its own block's coefficients."""
+    """Evaluate the represented function at t (scalar or array): each point's
+    block row of coefficients against T_m(xi) = cos(m arccos xi), so the
+    number of numpy calls does not grow with M."""
     spec = cv.spec
     idx, xi = _locate(spec, t)
-    coeffs = np.moveaxis(cv.c.reshape(spec.N, spec.M)[idx], -1, 0)
-    out = _cheb.chebval(xi, coeffs, tensor=False)
+    rows = cv.c.reshape(spec.N, spec.M)[idx]
+    cheb = np.cos(np.multiply.outer(np.arccos(xi), np.arange(spec.M)))
+    out = np.einsum("...m,...m->...", rows, cheb)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -248,10 +248,13 @@ def series_derivative(cv: CoeffVector, order: int = 1) -> CoeffVector:
         raise ValueError("order must be nonnegative")
     spec = cv.spec
     scale = spec.interval.A * spec.N
-    out = np.zeros(spec.dim)
-    for n0 in range(spec.N):
-        d = cv.block(n0)
-        if order < spec.M:
-            d = _cheb.chebder(d, m=order, scl=scale)
-            out[n0 * spec.M:n0 * spec.M + d.size] = d
-    return CoeffVector(spec, out)
+    c = cv.c.reshape(spec.N, spec.M)
+    for _ in range(min(order, spec.M)):
+        # p = sum_k c_k T_k has p' = sum_k d_k T_k with d_{k-1} = d_{k+1} +
+        # 2k c_k, d_k = 0 for k >= M - 1, and d_0 halved; all blocks at once
+        d = np.zeros((spec.N, spec.M + 1))
+        for k in range(spec.M - 1, 0, -1):
+            d[:, k - 1] = d[:, k + 1] + (2.0 * k * scale) * c[:, k]
+        d[:, 0] *= 0.5
+        c = d[:, :spec.M]
+    return CoeffVector(spec, c.ravel())

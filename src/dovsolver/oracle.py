@@ -169,16 +169,18 @@ def _residual(problem, g, grid: Grid | None, quad_tol: float,
         raise ValueError(
             f"grid point t = {float(outside[0])} lies outside the problem interval "
             f"[{t0}, {tf}]")
+    # f once on the whole grid (a constant f evaluates to one number)
+    f_values = np.broadcast_to(np.asarray(evaluate(problem.f, {"t": grid.points}),
+                                          dtype=float), grid.points.shape)
     worst = 0.0
-    for t in grid.points[::-1]:
-        ft = float(evaluate(problem.f, {"t": float(t)}))
+    for t, ft in zip(grid.points[::-1].tolist(), f_values[::-1].tolist()):
         if t == t0:
             worst = max(worst, abs(ft))
         else:
-            def integrand(x, _t=float(t)):
+            def integrand(x, _t=t):
                 return np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float) * g(x)
 
-            worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, float(t), quad_tol)))
+            worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, t, quad_tol)))
         if worst > stop_above:
             break
     return worst

@@ -116,8 +116,14 @@ class Polynomial:
         object.__setattr__(self, "alpha", a)
 
     def g_from_coeffs(self, U: CoeffVector):
-        return lambda x: np.polynomial.polynomial.polyval(
-            eval_series(U, x), np.asarray(self.alpha))
+        def g(x):
+            u = eval_series(U, x)
+            p = self.alpha[-1]
+            for a in self.alpha[-2::-1]:  # Horner
+                p = p * u + a
+            return p
+
+        return g
 
     def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
         return _recover_powers(self.alpha, Z, problem, opts)
@@ -491,8 +497,9 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
 
     A candidate is scored only as far as it can still win: its residual
     stops as soon as one grid point exceeds 10 times the best complete
-    residual so far, and an unconverged root is not scored at all when a
-    converged one exists.  The winner is the same as with full scoring.
+    residual so far, an unconverged root is not scored at all when a
+    converged one exists, and a single remaining root is not scored.  The
+    winner is the same as with full scoring.
     """
     spec = problem.spec
     systems = {m: _polynomial_system(Z, alpha, m) for m in range(min(2, spec.M), spec.M + 1)}
@@ -510,6 +517,17 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
 
     # only the class that can win is scored: converged roots, if any
     pool = [result for result in distinct if result.converged] or distinct
+    result = pool[0] if len(pool) == 1 else _select_root(pool, problem, opts)
+    total_iters = sum(iters for _, iters in finals)
+    cond = float(np.linalg.cond(final_system(result.x)[1]))
+    return CoeffVector(spec, result.x), cond, total_iters, result.converged
+
+
+def _select_root(pool: list[NewtonResult], problem: Problem,
+                 opts: SolveOptions) -> NewtonResult:
+    """The root of the pool that wins on the oracle residual and the branch
+    hint, each scored only as far as it can still win."""
+    spec = problem.spec
     grid = oracle.Grid(np.linspace(spec.interval.t0, spec.interval.tf, 33))
     best = math.inf
     scored = []
@@ -527,10 +545,7 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     mid = 0.5 * (opts.scan_range[0] + opts.scan_range[1])
     top = [(abs(float(np.mean(eval_series(U, grid.points))) - mid), res, i)
            for i, (res, U) in enumerate(scored) if res <= 10.0 * best + 1e-300]
-    result = pool[min(top)[2]]
-    total_iters = sum(iters for _, iters in finals)
-    cond = float(np.linalg.cond(final_system(result.x)[1]))
-    return CoeffVector(spec, result.x), cond, total_iters, result.converged
+    return pool[min(top)[2]]
 
 
 # ---------------------------------------------------------------------------

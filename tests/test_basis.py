@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from dovsolver.basis import (
     BasisSpec,
@@ -183,6 +186,51 @@ def test_series_derivative_matches_analytic():
     d2 = series_derivative(cv, 2)
     t = np.linspace(0.05, 1.95, 50)
     assert np.max(np.abs(eval_series(d2, t) - 6 * t)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 32), order=st.integers(0, 33),
+       t0=st.floats(-2.0, 2.0), width=st.floats(0.25, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_series_derivative_matches_chebder(n, m, order, t0, width, seed):
+    order = min(order, m + 1)
+    spec = BasisSpec(Interval(t0, t0 + width), n, m)
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, m))
+    got = series_derivative(CoeffVector(spec, c.ravel()), order).c.reshape(n, m)
+    scale = spec.interval.A * n
+    for n0 in range(n):
+        ref = np.zeros(m)
+        d = cheb.chebder(c[n0], m=order, scl=scale) if order < m else []
+        ref[:len(d)] = d
+        tol = 1e-13 * (1.0 + np.max(np.abs(ref)))
+        assert np.max(np.abs(got[n0] - ref)) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 32), t0=st.floats(-2.0, 2.0),
+       width=st.floats(0.25, 4.0),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6 * 32, max_size=6 * 32),
+       inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_eval_series_matches_blockwise_chebval(n, m, t0, width, coeffs, inner):
+    spec = BasisSpec(Interval(t0, t0 + width), n, m)
+    c = np.array(coeffs[:n * m]).reshape(n, m)
+    cv = CoeffVector(spec, c.ravel())
+    w = spec.block_width
+    t = np.array([t0 - 1e-3, t0, *(t0 + k * w for k in range(1, n)), t0 + width,
+                  t0 + width + 1e-3, *(t0 + x * width for x in inner)])
+    got = eval_series(cv, t)
+    for ti, value in zip(t, got):
+        # the owner block (an interior edge belongs to the right block, the
+        # last block is closed, points off the interval go to the nearest
+        # block) and its clamped reference coordinate; the reference runs in
+        # extended precision so that its own roundoff does not count
+        n0 = min(max(math.floor((ti - t0) / w), 0), n - 1)
+        xi = np.clip(spec.local_coord(n0, ti), -1.0, 1.0)
+        ref = float(cheb.chebval(np.longdouble(xi), c[n0].astype(np.longdouble)))
+        assert abs(value - ref) <= 1e-14 * (1.0 + np.sum(np.abs(c[n0])))
+        scalar = eval_series(cv, float(ti))
+        assert type(scalar) is float
+        assert abs(scalar - ref) <= 1e-14 * (1.0 + np.sum(np.abs(c[n0])))
 
 
 def test_gauss_chebyshev_rule_is_interior():

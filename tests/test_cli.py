@@ -388,6 +388,17 @@ def test_run_example_leaves_numpy_ma_unloaded():
     assert done.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_run_example_leaves_numpy_polynomial_unloaded():
+    # series evaluation, differentiation and P(u) use no numpy.polynomial
+    # routine, so a run never pays for importing that package
+    done = _python("-c", "import sys; from dovsolver.cli import main; "
+                         "[main(['run-example', k, '--no-timing']) "
+                         "for k in ('ex1', 'ex2', 'ex3', 'ex8')]; "
+                         "print('numpy.polynomial' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
+
+
 # (E_inf, residual_linf, newton_iters, condition_estimate) of every registry
 # example at its recommended basis
 _PINNED_ROWS = {

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, proje
 from dovsolver.expr import evaluate, parse
 from dovsolver.oracle import (
     Grid,
+    _quad_blockwise,
     IntegrationMatrixReport,
     QuadratureError,
     composite_residual,
@@ -126,6 +128,40 @@ def test_residual_cap():
         expected = next(r for r in reversed(per_point) if r > cap)
         assert equation_residual(p, U, grid, stop_above=cap) == expected
     assert equation_residual(p, U, grid, stop_above=0.5) < full
+
+
+def _per_point_residual(problem, U, grid, quad_tol=1e-12):
+    # the oracle's residual as a plain loop: f evaluated at each grid point
+    # on its own, no cap
+    g = problem.nonlinearity.g_from_coeffs(U)
+    t0 = problem.spec.interval.t0
+    worst = 0.0
+    for t in grid.points:
+        t = float(t)
+        ft = float(evaluate(problem.f, {"t": t}))
+        if t == t0:
+            worst = max(worst, abs(ft))
+            continue
+
+        def integrand(x, _t=t):
+            return np.asarray(evaluate(problem.kernel, {"x": x, "t": _t}), dtype=float) * g(x)
+
+        worst = max(worst, abs(ft - _quad_blockwise(integrand, problem.spec, t0, t, quad_tol)))
+    return worst
+
+
+@pytest.mark.parametrize("key", sorted(EXAMPLES))
+def test_residual_matches_per_point_reference(key):
+    # f evaluated once on the whole grid gives the per-point loop's residual,
+    # and a cap below it still returns a value above the cap
+    e = EXAMPLES[key]
+    p = e.problem()
+    U = solve(p, replace(e.options, compute_residual=False)).U
+    grid = uniform_grid(p.spec.interval, 200)
+    want = _per_point_residual(p, U, grid)
+    assert abs(equation_residual(p, U, grid) - want) <= 1e-13
+    assert want > 0.0
+    assert equation_residual(p, U, grid, stop_above=0.5 * want) > 0.5 * want
 
 
 def test_residual_of_planted_exact_solution():

@@ -264,6 +264,26 @@ def test_capped_selection_picks_the_fully_scored_root(monkeypatch):
         assert a.diagnostics.newton_iters == b.diagnostics.newton_iters, case
 
 
+def test_single_root_is_not_scored(monkeypatch):
+    # ex5 at its recommended size keeps one distinct converged root; the
+    # only oracle residual left is the solve's final one, on the full grid
+    e5 = EXAMPLES["ex5"]
+    p = e5.problem(2, 4)
+    plain = solve(p, e5.options)
+    scored = oracle.equation_residual
+    grids = []
+
+    def counting(problem, U, grid=None, *args, **kwargs):
+        grids.append(grid.points.size)
+        return scored(problem, U, grid, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "equation_residual", counting)
+    counted = solve(p, e5.options)
+    assert grids == [e5.options.residual_grid]
+    assert counted.U.c.tobytes() == plain.U.c.tobytes()
+    assert counted.diagnostics == plain.diagnostics
+
+
 @pytest.mark.parametrize("n, m", [(1, 3), (1, 10), (1, 12), (2, 3), (3, 3), (3, 4), (4, 3)])
 def test_ex7_picks_the_exact_branch(n, m):
     # G(u) = u^2 - u = G(1 - u): u = 1 - t on some blocks and t on the
