@@ -16,23 +16,15 @@ _CLAMP_TOL = 1e-12
 
 
 def chebyshev_eval(m: int, x):
-    """First-kind Chebyshev polynomial of degree m via the three-term
-    recurrence; x may be a scalar or array in [-1, 1] (roundoff clamped)."""
+    """First-kind Chebyshev polynomial T_m(x), row m of chebyshev_vandermonde;
+    x may be a scalar or array in [-1, 1] (roundoff clamped)."""
     if m < 0:
         raise ValueError(f"degree must be nonnegative: {m}")
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 1.0 + _CLAMP_TOL):
         raise ValueError("argument outside [-1, 1] beyond roundoff tolerance")
-    xa = np.clip(xa, -1.0, 1.0)
-    prev = np.ones_like(xa)
-    if m == 0:
-        out = prev
-    else:
-        cur = xa.copy()
-        for _ in range(m - 1):
-            prev, cur = cur, 2.0 * xa * cur - prev
-        out = cur
-    return float(out) if np.ndim(x) == 0 else out
+    out = chebyshev_vandermonde(m + 1, np.clip(xa, -1.0, 1.0).ravel())[m]
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
 
 
 def chebyshev_vandermonde(m_count: int, x: np.ndarray) -> np.ndarray:

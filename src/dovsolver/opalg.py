@@ -168,27 +168,26 @@ def hat_truncation_bound(B: OpMatrix) -> float:
     return float(np.einsum("npq,pq->", np.abs(_diagonal_blocks(B)), dropped))
 
 
-def polynomial(U: CoeffVector, alpha) -> tuple[CoeffVector, np.ndarray]:
-    """P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra and its dense
-    Jacobian dP/dU: U^r = W_U^T U^(r-1) and d(U^r)/dU = D_r with D_1 = I,
-    D_r = W_{U^(r-1)}^T + W_U^T D_(r-1), contracted block by block from the
-    product tensor, so each block of P reads only its own block of U."""
-    N, M = U.spec.N, U.spec.M
+def polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """P(u) = sum_r alpha_r u^r in truncated Chebyshev algebra for an (..., M)
+    stack of coefficient blocks, and dP/du as the (..., M, M) stack of its
+    diagonal blocks: disjoint supports make each block of P read only its own
+    block of u.  u^r = W_u^T u^(r-1) and d(u^r)/du = D_r with D_1 = I,
+    D_r = W_{u^(r-1)}^T + W_u^T D_(r-1), contracted from the product tensor."""
+    u = np.asarray(u, dtype=float)
+    M = u.shape[-1]
     C = product_tensor(M)
-    u = U.c.reshape(N, M)
-    w_t = np.einsum("nq,pqd->ndp", u, C)
+    w_t = np.einsum("...q,pqd->...dp", u, C)
     power, d_power = u, np.eye(M)
-    p, jac = np.zeros((N, M)), np.zeros((N, M, M))
+    p, jac = np.zeros(u.shape), np.zeros(u.shape + (M,))
     for r, a in enumerate(alpha[1:], start=1):
         if r > 1:
-            d_power = np.einsum("nq,sqd->nds", power, C) + w_t @ d_power
-            power = np.einsum("ndp,np->nd", w_t, power)
+            d_power = np.einsum("...q,sqd->...ds", power, C) + w_t @ d_power
+            power = np.einsum("...dp,...p->...d", w_t, power)
         p += a * power
         jac += a * d_power
-    p[:, 0] += alpha[0]
-    J = np.zeros((N, M, N, M))
-    J[np.arange(N), :, np.arange(N), :] = jac
-    return CoeffVector(U.spec, p.ravel()), J.reshape(N * M, N * M)
+    p[..., 0] += alpha[0]
+    return p, jac
 
 
 def power_vector(U: CoeffVector, r: int) -> CoeffVector:
@@ -197,7 +196,8 @@ def power_vector(U: CoeffVector, r: int) -> CoeffVector:
     times the per-block degree stays below M."""
     if r < 1:
         raise ValueError(f"power must be >= 1: {r}")
-    return polynomial(U, (0.0,) * r + (1.0,))[0]
+    u = U.c.reshape(U.spec.N, U.spec.M)
+    return CoeffVector(U.spec, polynomial(u, (0.0,) * r + (1.0,))[0].ravel())
 
 
 def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:

@@ -25,7 +25,6 @@ from .basis import (
     BasisSpec,
     CoeffVector,
     basis_matrix,
-    constant_coeffs,
     eval_series,
     gauss_chebyshev_nodes,
     project,
@@ -250,7 +249,6 @@ class SolveOptions:
     scan_range: tuple[float, float] = (-2.0, 2.0)
     residual_grid: int = 200
     compute_residual: bool = True
-    quad_tol: float = 1e-12
 
     def __post_init__(self):
         lo, hi = self.scan_range
@@ -258,8 +256,7 @@ class SolveOptions:
                 ("newton_tol", 0 < self.newton_tol < math.inf, "finite and > 0"),
                 ("newton_max_iter", self.newton_max_iter >= 1, ">= 1"),
                 ("scan_range", -math.inf < lo < hi < math.inf, "finite with lo < hi"),
-                ("residual_grid", self.residual_grid >= 2, ">= 2"),
-                ("quad_tol", 0 < self.quad_tol < math.inf, "finite and > 0")):
+                ("residual_grid", self.residual_grid >= 2, ">= 2")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -337,6 +334,14 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
     return x, int(rank), float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
 
+def _block_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares a x = b for each block of an (..., m, m)
+    stack, with lstsq's cut: singular values up to eps m times the block's
+    largest count as zero."""
+    pinv = np.linalg.pinv(a, rcond=np.finfo(float).eps * a.shape[-1])
+    return (pinv @ b[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class NewtonResult:
     x: np.ndarray
@@ -346,23 +351,25 @@ class NewtonResult:
 
 
 def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonResult:
-    """Damped Newton iteration on a square nonlinear system.
+    """Damped Newton iteration on an (..., m) stack of uncoupled square
+    systems; a plain vector is one block.
 
-    system(u) returns the residual R and its Jacobian J at u.  Steps are
-    solved by minimum-norm SVD least squares, and an Armijo backtracking
-    line search (factor 1/2, at most 30 halvings) guards each update; the
-    Jacobian of an accepted trial point serves the next step.
-    Convergence: ||R||_inf <= tol or step norm <= 1e-14; on failure the
-    best iterate seen is returned with converged=False.
+    system(u) returns the residual R, shaped like u, and the (..., m, m)
+    stack of its Jacobian blocks.  Each block steps by its minimum-norm
+    least-squares solution, and one Armijo backtracking line search on
+    ||R||_inf of the whole stack (factor 1/2, at most 30 halvings) guards
+    each update; the Jacobian of an accepted trial point serves the next
+    step.  Convergence: ||R||_inf <= tol or step norm <= 1e-14; on failure
+    the last iterate, which every accepted step makes the best, is returned
+    with converged=False.
     """
     u = np.array(u0, dtype=float)
     r, jac = system(u)
     rnorm = float(np.max(np.abs(r)))
-    best_u, best_norm = u.copy(), rnorm
     if rnorm <= tol:
         return NewtonResult(u, 0, True, rnorm)
     for it in range(1, max_iter + 1):
-        step = _lstsq(jac, -r)[0]
+        step = _block_lstsq(jac, -r)
         lam = 1.0
         for _ in range(31):
             u_new = u + lam * step
@@ -372,14 +379,12 @@ def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonR
                 break
             lam *= 0.5
         else:
-            return NewtonResult(best_u, it, False, best_norm)
+            return NewtonResult(u, it, False, rnorm)
         step_norm = float(np.max(np.abs(lam * step)))
         u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
-        if rnorm < best_norm:
-            best_u, best_norm = u.copy(), rnorm
         if rnorm <= tol or step_norm <= 1e-14:
             return NewtonResult(u, it, True, rnorm)
-    return NewtonResult(best_u, max_iter, False, best_norm)
+    return NewtonResult(u, max_iter, False, rnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +415,14 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
 # polynomial recover step: P(U) = Z
 
 def _polynomial_system(Z: CoeffVector, alpha: tuple[float, ...], m: int):
-    """u -> (P(U) - z_m, dP/dU) on the degree-m rung as a callable, with
-    P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra of degree m and
-    z_m each block of Z cut to its first m coefficients."""
-    spec = BasisSpec(Z.spec.interval, Z.spec.N, m)
-    z = Z.c.reshape(spec.N, Z.spec.M)[:, :m].ravel()
+    """u -> (P(u) - z_m, dP/du) on the degree-m rung of (..., N, m) stacks u
+    as a callable, with P as in opalg.polynomial and z_m each block of Z cut
+    to its first m coefficients."""
+    z = Z.c.reshape(Z.spec.N, Z.spec.M)[:, :m]
 
     def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        P, J = polynomial(CoeffVector(spec, u), alpha)
-        return P.c - z, J
+        p, jac = polynomial(u, alpha)
+        return p - z, jac
 
     return system
 
@@ -429,19 +433,16 @@ def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
     # coefficient of each block, so the max norm is flat wherever a higher
     # coefficient of Z dominates and keeps the first scan point, which for
     # Taylor cos(u) on (0, 2) is c = 0, where dP/dU is singular
-    best_u, best_norm = None, math.inf
-    for c in np.linspace(scan_range[0], scan_range[1], count):
-        u = constant_coeffs(spec, float(c)).c.copy()
-        norm = float(np.linalg.norm(system(u)[0]))
-        if norm < best_norm:
-            best_u, best_norm = u, norm
-    return best_u
+    consts = np.zeros((count, spec.N, spec.M))
+    consts[:, :, 0] = np.linspace(scan_range[0], scan_range[1], count)[:, None]
+    r = system(consts)[0]
+    return consts[np.argmin(np.linalg.norm(r.reshape(count, -1), axis=1))]
 
 
 def _initial_candidates(system, spec: BasisSpec,
                         scan_range: tuple[float, float]) -> list[np.ndarray]:
-    """The three starts of the ladder: the best constant c* from the scan
-    and c* +- width (t - mid) / halfw, with width that of the scan range.
+    """The three (N, M) starts of the ladder: the best constant c* from the
+    scan and c* +- width (t - mid) / halfw, with width that of the scan range.
 
     Truncated algebra can hold spurious roots next to the wanted one, and a
     constant alone can sit in the wrong basin; the slopes reach branches a
@@ -450,34 +451,34 @@ def _initial_candidates(system, spec: BasisSpec,
     satisfies the integral equation.
     """
     best = _scan_constant(system, spec, scan_range)
-    c_star = float(best[0])
+    c_star = float(best[0, 0])
     iv = spec.interval
     mid, halfw = 0.5 * (iv.t0 + iv.tf), 0.5 * iv.width
     width = scan_range[1] - scan_range[0]
     candidates = [best]
     for s in (width, -width):
-        candidates.append(
-            project(lambda t, _s=s: c_star + _s * (t - mid) / halfw, spec).c.copy())
+        slope = project(lambda t, _s=s: c_star + _s * (t - mid) / halfw, spec)
+        candidates.append(slope.c.reshape(spec.N, spec.M))
     return candidates
 
 
-def _run_ladder(systems: dict, spec: BasisSpec, u_start: np.ndarray,
+def _run_ladder(systems: dict, u_start: np.ndarray,
                 opts: SolveOptions) -> tuple[NewtonResult, int]:
     """One degree-continuation path over the rungs of systems (per-block
     degrees in order), each rung started from the previous rung's result
     zero-padded per block, the first from the truncated start.  A rung that
     fails hands its best iterate on; the final rung's result is the path's.
     """
-    u_prev, m_prev = u_start, spec.M
+    u_prev = u_start
     total_iters = 0
     result = None
     for m_rung, system in systems.items():
-        take = min(m_rung, m_prev)
-        u0 = np.zeros((spec.N, m_rung))
-        u0[:, :take] = u_prev.reshape(spec.N, m_prev)[:, :take]
-        result = newton_solve(system, u0.ravel(), opts.newton_tol, opts.newton_max_iter)
+        take = min(m_rung, u_prev.shape[-1])
+        u0 = np.zeros((u_prev.shape[0], m_rung))
+        u0[:, :take] = u_prev[:, :take]
+        result = newton_solve(system, u0, opts.newton_tol, opts.newton_max_iter)
         total_iters += result.iterations
-        u_prev, m_prev = result.x, m_rung
+        u_prev = result.x
     return result, total_iters
 
 
@@ -506,7 +507,7 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     final_system = systems[spec.M]
     candidates = _initial_candidates(final_system, spec, opts.scan_range)
 
-    finals = [_run_ladder(systems, spec, cand, opts) for cand in candidates]
+    finals = [_run_ladder(systems, cand, opts) for cand in candidates]
 
     # dedupe identical roots before paying for oracle residuals
     distinct: list[NewtonResult] = []
@@ -519,8 +520,10 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     pool = [result for result in distinct if result.converged] or distinct
     result = pool[0] if len(pool) == 1 else _select_root(pool, problem, opts)
     total_iters = sum(iters for _, iters in finals)
-    cond = float(np.linalg.cond(final_system(result.x)[1]))
-    return CoeffVector(spec, result.x), cond, total_iters, result.converged
+    # the 2-norm condition of the block-diagonal dP/dU
+    sv = np.linalg.svd(final_system(result.x)[1], compute_uv=False)
+    cond = float(sv.max() / sv.min()) if sv.min() > 0 else math.inf
+    return CoeffVector(spec, result.x.ravel()), cond, total_iters, result.converged
 
 
 def _select_root(pool: list[NewtonResult], problem: Problem,
@@ -532,7 +535,7 @@ def _select_root(pool: list[NewtonResult], problem: Problem,
     best = math.inf
     scored = []
     for result in pool:
-        U = CoeffVector(spec, result.x)
+        U = CoeffVector(spec, result.x.ravel())
         try:
             res = oracle.equation_residual(problem, U, grid, 1e-9,
                                            stop_above=10.0 * best + 1e-300)
@@ -613,10 +616,10 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     if opts.compute_residual:
         grid = oracle.uniform_grid(spec.interval, opts.residual_grid)
         try:
-            res = oracle.equation_residual(problem, U, grid, opts.quad_tol)
+            res = oracle.equation_residual(problem, U, grid)
         except (EvalError, oracle.QuadratureError) as exc:
             try:
-                res = oracle.composite_residual(problem, Z, grid, opts.quad_tol)
+                res = oracle.composite_residual(problem, Z, grid)
                 warnings.warn(f"residual evaluated through G(u) = z: {exc}", stacklevel=2)
             except (EvalError, oracle.QuadratureError):
                 converged = False

@@ -31,42 +31,49 @@ def test_every_traced_name_resolves():
 
 def test_traced_solve_matches_untraced():
     # the tracer's wrappers pass every keyword through (the selection calls
-    # equation_residual with stop_above) and uninstall puts back each name
+    # equation_residual with stop_above) and uninstall puts back each name;
+    # ex5 at (2, 4) runs Newton on a two-block stack, whose iteration count
+    # and convergence flag the tracer sums as scalars
     tracer_mod = _load_tracer()
-    e3 = EXAMPLES["ex3"]
-    problem = e3.problem(1, 6)
-    opts = replace(e3.options, residual_grid=20)
     names = {attr for _, attr in tracer_mod.TRACED}
     modules = [m for n, m in sys.modules.items()
                if n == "dovsolver" or n.startswith("dovsolver.")]
     before = {(m.__name__, a): getattr(m, a) for m in modules for a in names
               if hasattr(m, a)}
 
-    plain = solver.solve(problem, opts)
-    tracer = tracer_mod.Tracer()
-    tracer.install()
-    try:
-        assert solver.oracle.equation_residual is not before[
-            ("dovsolver.oracle", "equation_residual")]
-        with tracer.op():
-            traced = solver.solve(problem, opts)
-    finally:
-        tracer.uninstall()
+    for key, size in [("ex3", (1, 6)), ("ex5", (2, 4))]:
+        example = EXAMPLES[key]
+        problem = example.problem(*size)
+        opts = replace(example.options, residual_grid=20)
+        plain = solver.solve(problem, opts)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            assert solver.oracle.equation_residual is not before[
+                ("dovsolver.oracle", "equation_residual")]
+            with tracer.op():
+                traced = solver.solve(problem, opts)
+        finally:
+            tracer.uninstall()
 
-    totals = tracer.totals()
-    assert totals["spans"]["oracle.equation_residual"]["calls"] > 0
-    # the polynomial recover step runs its Newton paths through
-    # solver.newton_solve, and L and F are built once per solve, not once
-    # per ladder rung
-    assert totals["newton_iters"] == traced.diagnostics.newton_iters
-    assert totals["spans"]["solver.assemble_linear_map"]["calls"] == 1
-    # one ladder per start, three starts, rungs 2 .. M: the newton workload's
-    # solver.newton_solve.calls counts the paths of the recover step
-    assert totals["spans"]["solver.newton_solve"]["calls"] == 3 * (problem.spec.M - 1)
-    assert totals["spans"]["opalg.kernel_matrix"]["calls"] == 1
-    assert traced.U.c.tobytes() == plain.U.c.tobytes()
-    assert traced.diagnostics == plain.diagnostics
-    after = {(m.__name__, a): getattr(m, a) for m in modules for a in names
-             if hasattr(m, a)}
-    assert after.keys() == before.keys()
-    assert all(after[k] is before[k] for k in before)
+        totals = tracer.totals()
+        assert totals["spans"]["oracle.equation_residual"]["calls"] > 0
+        # the polynomial recover step runs its Newton paths through
+        # solver.newton_solve, and L and F are built once per solve, not once
+        # per ladder rung
+        assert type(totals["newton_iters"]) is int
+        assert type(totals["newton_converged"]) is int
+        assert totals["newton_iters"] == traced.diagnostics.newton_iters
+        assert 0 < totals["newton_converged"] <= totals["spans"]["solver.newton_solve"]["calls"]
+        assert totals["spans"]["solver.assemble_linear_map"]["calls"] == 1
+        # one ladder per start, three starts, rungs 2 .. M: the newton
+        # workload's solver.newton_solve.calls counts the paths of the
+        # recover step
+        assert totals["spans"]["solver.newton_solve"]["calls"] == 3 * (problem.spec.M - 1)
+        assert totals["spans"]["opalg.kernel_matrix"]["calls"] == 1
+        assert traced.U.c.tobytes() == plain.U.c.tobytes()
+        assert traced.diagnostics == plain.diagnostics
+        after = {(m.__name__, a): getattr(m, a) for m in modules for a in names
+                 if hasattr(m, a)}
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)

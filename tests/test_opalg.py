@@ -247,18 +247,23 @@ def test_power_vector_consistency_under_degree_condition():
        alpha=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
 def test_polynomial_jacobian_matches_central_differences(n, m, alpha, seed):
-    spec = BasisSpec(Interval(0, 1.5), n, m)
-    u = np.random.default_rng(seed).uniform(-1.5, 1.5, spec.dim)
-    P, J = polynomial(CoeffVector(spec, u), alpha)
+    # the (n, m, m) diagonal blocks, placed on the diagonal of the full
+    # Jacobian, against central differences in every coefficient of u
+    u = np.random.default_rng(seed).uniform(-1.5, 1.5, (n, m))
+    P, J = polynomial(u, alpha)
+    assert P.shape == (n, m) and J.shape == (n, m, m)
+    full = np.zeros((n, m, n, m))
+    full[np.arange(n), :, np.arange(n), :] = J
     h = 1e-6
-    fd = np.empty_like(J)
-    for j in range(spec.dim):
-        e = np.zeros(spec.dim)
-        e[j] = h
-        fd[:, j] = (polynomial(CoeffVector(spec, u + e), alpha)[0].c
-                    - polynomial(CoeffVector(spec, u - e), alpha)[0].c) / (2.0 * h)
-    scale = 1.0 + np.max(np.abs(P.c)) + np.max(np.abs(J))
-    assert np.max(np.abs(J - fd)) <= 1e-7 * scale
+    fd = np.empty_like(full)
+    for k in range(n):
+        for j in range(m):
+            e = np.zeros((n, m))
+            e[k, j] = h
+            fd[:, :, k, j] = (polynomial(u + e, alpha)[0]
+                              - polynomial(u - e, alpha)[0]) / (2.0 * h)
+    scale = 1.0 + np.max(np.abs(P)) + np.max(np.abs(J))
+    assert np.max(np.abs(full - fd)) <= 1e-7 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,20 +271,36 @@ def test_polynomial_jacobian_matches_central_differences(n, m, alpha, seed):
        alpha=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
        block=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
 def test_polynomial_blocks_are_independent(n, m, alpha, block, seed):
-    # changing block k of U leaves every other block of P unchanged, and
-    # dP/dU has exactly zero off-diagonal blocks
+    # changing block k of u leaves every other block of P and of dP/du
+    # unchanged
     rng = np.random.default_rng(seed)
-    spec = BasisSpec(Interval(0, 1), n, m)
-    u = rng.uniform(-1.5, 1.5, spec.dim)
+    u = rng.uniform(-1.5, 1.5, (n, m))
     k = block % n
     v = u.copy()
-    v[k * m:(k + 1) * m] = rng.uniform(-1.5, 1.5, m)
-    P, J = polynomial(CoeffVector(spec, u), alpha)
-    P_changed = polynomial(CoeffVector(spec, v), alpha)[0]
+    v[k] = rng.uniform(-1.5, 1.5, m)
+    P, J = polynomial(u, alpha)
+    P_changed, J_changed = polynomial(v, alpha)
     others = np.arange(n) != k
-    assert np.array_equal(P.c.reshape(n, m)[others], P_changed.c.reshape(n, m)[others])
-    off_diagonal = J.reshape(n, m, n, m).transpose(0, 2, 1, 3)[~np.eye(n, dtype=bool)]
-    assert np.all(off_diagonal == 0.0)
+    assert np.array_equal(P[others], P_changed[others])
+    assert np.array_equal(J[others], J_changed[others])
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(1, 4), n=st.integers(1, 3), m=st.integers(1, 12),
+       alpha=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_polynomial_on_a_stack_equals_separate_calls(s, n, m, alpha, seed):
+    # an (s, n, m) stack gives, slice by slice, what s separate (n, m) calls
+    # give, and power_vector is the same contraction on a CoeffVector
+    u = np.random.default_rng(seed).uniform(-1.5, 1.5, (s, n, m))
+    P, J = polynomial(u, alpha)
+    assert P.shape == (s, n, m) and J.shape == (s, n, m, m)
+    for i in range(s):
+        p, j = polynomial(u[i], alpha)
+        assert np.array_equal(P[i], p) and np.array_equal(J[i], j)
+    U = CoeffVector(BasisSpec(Interval(0, 1), n, m), u[0].ravel())
+    assert np.array_equal(power_vector(U, 2).c,
+                          polynomial(u[0], (0.0, 0.0, 1.0))[0].ravel())
 
 
 def test_unit_product_matrix_matches_generic():
