@@ -472,7 +472,7 @@ def test_collocation_unbracketed_root_reports_point():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("newton_tol", -1.0), ("newton_tol", math.nan),
+    ("newton_tol", -1.0), ("newton_tol", math.nan), ("newton_tol", math.inf),
     ("newton_max_iter", 0), ("residual_grid", 1), ("scan_range", (2.0, 2.0)),
     ("scan_range", (-math.inf, 1.0)),
 ])
