@@ -49,6 +49,18 @@ def gauss_chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos((2 * q - 1) * np.pi / (2 * n))
 
 
+def gauss_chebyshev_transform(M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x of the Q-point Gauss-Chebyshev rule and the M x Q analysis
+    matrix A = (2/Q) T_m(x_q), row 0 halved: A f(x) are the coefficients on
+    T_0 .. T_{M-1} of f on [-1, 1], the weighted L2 projection for Q > M and,
+    by discrete orthogonality, interpolation at the nodes for Q = M (Mason &
+    Handscomb, Chebyshev Polynomials, 2003, ch. 4)."""
+    x = gauss_chebyshev_nodes(Q)
+    a = chebyshev_vandermonde(M, x) * (2.0 / Q)
+    a[0] *= 0.5
+    return x, a
+
+
 @dataclass(frozen=True)
 class Interval:
     """Domain [t0, tf] with its affine scaling factor A = 2/(tf - t0)."""
@@ -57,8 +69,8 @@ class Interval:
     tf: float
 
     def __post_init__(self):
-        if not self.tf > self.t0:
-            raise ValueError(f"empty interval: [{self.t0}, {self.tf}]")
+        if not -np.inf < self.t0 < self.tf < np.inf:
+            raise ValueError(f"interval must be finite with t0 < tf: [{self.t0}, {self.tf}]")
 
     @property
     def A(self) -> float:
@@ -104,8 +116,9 @@ class BasisSpec:
         a = self.interval.A
         return a * self.N * (np.asarray(t, dtype=float) - self.interval.t0) - 2.0 * (n0 + 1) + 1.0
 
-    def block_nodes(self, n0: int, x: np.ndarray) -> np.ndarray:
-        """Map reference points x in [-1, 1] into block n0."""
+    def block_nodes(self, n0, x: np.ndarray) -> np.ndarray:
+        """Map reference points x in [-1, 1] into block n0 (an index, or an
+        array of them broadcast against x)."""
         w = self.block_width
         return self.interval.t0 + n0 * w + (np.asarray(x, dtype=float) + 1.0) * (w / 2.0)
 
@@ -189,26 +202,19 @@ def _sample(f, t: np.ndarray) -> np.ndarray:
     return np.array([float(f(ti)) for ti in t])
 
 
-def project(f, spec: BasisSpec) -> CoeffVector:
-    """Weighted L2 projection of a callable onto the basis.
+def project(f, spec: BasisSpec, rule: int | None = None) -> CoeffVector:
+    """Coefficients of a callable by the Gauss-Chebyshev transform of each
+    block, with f sampled at every block's nodes in one call.
 
-    Inner products are evaluated per block by Gauss-Chebyshev quadrature,
-    which absorbs the singular weight exactly and never touches block
-    endpoints; denominators are the closed-form norms pi/(A N) for degree 0
-    and pi/(2 A N) otherwise.
+    The default rule, projection_rule_size(M) points, gives the weighted L2
+    projection: the quadrature absorbs the singular weight exactly and never
+    touches block endpoints.  rule = M interpolates at each block's M nodes.
     """
-    Q = projection_rule_size(spec.M)
-    x = gauss_chebyshev_nodes(Q)
-    phi = chebyshev_vandermonde(spec.M, x)
-    coeffs = np.empty(spec.dim)
-    for n0 in range(spec.N):
-        fv = _sample(f, spec.block_nodes(n0, x))
-        blk = phi @ fv
-        blk[0] /= Q
-        if spec.M > 1:
-            blk[1:] *= 2.0 / Q
-        coeffs[n0 * spec.M:(n0 + 1) * spec.M] = blk
-    return CoeffVector(spec, coeffs)
+    Q = projection_rule_size(spec.M) if rule is None else rule
+    x, a = gauss_chebyshev_transform(spec.M, Q)
+    t = spec.block_nodes(np.arange(spec.N)[:, None], x).ravel()
+    # one matrix-vector product per block, the summation order of a per-block loop
+    return CoeffVector(spec, (a @ _sample(f, t).reshape(spec.N, Q, 1)).ravel())
 
 
 def constant_coeffs(spec: BasisSpec, value: float) -> CoeffVector:

@@ -169,8 +169,10 @@ def load_config(path: str) -> RunConfig:
     kernel = _parse_expr(prob["kernel"], "problem.kernel")
     f_expr = _parse_expr(prob["f"], "problem.f")
     interval = _value(prob, "interval", _pair, "problem.interval")
-    if not interval[1] > interval[0]:
-        raise ConfigError("problem.interval: tf must exceed t0")
+    try:
+        Interval(*interval)
+    except ValueError as exc:
+        raise ConfigError(f"problem.interval: {exc}") from None
     exact_fn = None
     if "exact_solution" in prob:
         exact = _parse_expr(prob["exact_solution"], "problem.exact_solution")

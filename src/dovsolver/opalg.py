@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    CoeffVector,
-    chebyshev_vandermonde,
-    gauss_chebyshev_nodes,
-    projection_rule_size,
-)
+from .basis import BasisSpec, CoeffVector, gauss_chebyshev_transform, projection_rule_size
 from .expr import Expr, evaluate
 
 
@@ -203,25 +197,19 @@ def power_vector(U: CoeffVector, r: int) -> CoeffVector:
 def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:
     """Projection K of a bivariate kernel with k(s, t) ~= H(s)^T K H(t).
 
-    Tensor Gauss-Chebyshev quadrature per block pair, matching the 1-D
-    projection rule; the kernel expression uses variable x for the first
-    argument and t for the second.
+    The Gauss-Chebyshev transform of project in each variable, per block
+    pair; the kernel expression uses variable x for the first argument and t
+    for the second.
     """
-    Q = projection_rule_size(spec.M)
-    x = gauss_chebyshev_nodes(Q)
-    phi = chebyshev_vandermonde(spec.M, x)
-    scale = np.full(spec.M, 2.0 / Q)
-    scale[0] = 1.0 / Q
-    proj = phi * scale[:, None]
+    x, proj = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
     a = np.empty((spec.dim, spec.dim))
     for ns in range(spec.N):
         s_pts = spec.block_nodes(ns, x)
         for nt in range(spec.N):
             t_pts = spec.block_nodes(nt, x)
-            vals = np.asarray(
-                evaluate(k, {"x": s_pts[:, None], "t": t_pts[None, :]}), dtype=float)
-            if vals.shape != (Q, Q):
-                vals = np.broadcast_to(vals, (Q, Q))
+            # a kernel without x or t evaluates to a lower-dimensional array
+            vals = np.broadcast_to(np.asarray(evaluate(
+                k, {"x": s_pts[:, None], "t": t_pts[None, :]}), dtype=float), (x.size, x.size))
             a[ns * spec.M:(ns + 1) * spec.M, nt * spec.M:(nt + 1) * spec.M] = \
                 proj @ vals @ proj.T
     return OpMatrix(spec, a)

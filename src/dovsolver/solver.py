@@ -5,9 +5,9 @@ linear system L Z = F for the coefficients Z of G(u), with L the map
 Z -> hat(K^T W_Z Q) and F the projection of f, then recover u from Z by the
 kind's own recover step.  Invertible recovers pointwise by Ginv, Derivative
 (G(u) = u^(n), zero initial data) by n integrations, Collocation by
-bracketed root finding at collocation points and a basis fit, and
-Polynomial and Taylor (G replaced by its Taylor polynomial) by solving
-P(U) = Z, where P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra,
+bracketed root finding interpolated at each block's M Chebyshev-Gauss
+points, and Polynomial and Taylor (G replaced by its Taylor polynomial) by
+solving P(U) = Z, where P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra,
 with damped Newton on the exact Jacobian dP/dU and a degree-continuation
 ladder.  The reported condition is the larger of cond L and the recover
 step's own, and every Solution carries Z.
@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    BasisSpec,
-    CoeffVector,
-    basis_matrix,
-    eval_series,
-    gauss_chebyshev_nodes,
-    project,
-    series_derivative,
-)
+from .basis import BasisSpec, CoeffVector, eval_series, project, series_derivative
 from .expr import EvalError, Expr, evaluate
 from .opalg import (
     OpMatrix,
@@ -182,25 +174,26 @@ class Collocation(_ExprKind):
 
     bracket: tuple[float, float]
 
-    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
-        """One bracketed inversion of all per-block Chebyshev-Gauss points at
-        once and a basis fit.
+    def __post_init__(self):
+        lo, hi = self.bracket
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"bracket must be finite with lo < hi, got {self.bracket!r}")
 
-        The point count equals the basis dimension, so the least-squares fit
-        is an interpolation; Gauss nodes avoid block endpoints.
-        """
-        spec = Z.spec
-        x = gauss_chebyshev_nodes(spec.M)
-        points = np.concatenate([spec.block_nodes(n0, x) for n0 in range(spec.N)])
-        targets = eval_series(Z, points)
-        try:
-            w = scalar_invert(self.G, targets, self.bracket)
-        except SolverError as exc:
-            raise SolverError(
-                f"no root of G(w) = {targets[exc.index]:g} in bracket {self.bracket} at "
-                f"collocation point t = {points[exc.index]:g}: {exc}") from exc
-        u, _, fit_cond = _lstsq(basis_matrix(spec, points), w)
-        return CoeffVector(spec, u), fit_cond, 0, True
+    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
+        """u interpolated at each block's M Chebyshev-Gauss points, which
+        avoid block endpoints, by project's transform; the values there come
+        from one bracketed inversion of G at all points at once."""
+        def invert(t):
+            targets = eval_series(Z, t)
+            try:
+                return scalar_invert(self.G, targets, self.bracket)
+            except SolverError as exc:
+                raise SolverError(
+                    f"no root of G(w) = {np.ravel(targets)[exc.index]:g} in bracket "
+                    f"{self.bracket} at collocation point t = {np.ravel(t)[exc.index]:g}: "
+                    f"{exc}") from exc
+
+        return project(invert, Z.spec, rule=Z.spec.M), 0.0, 0, True
 
 
 Nonlinearity = Invertible | Derivative | Polynomial | Taylor | Collocation
@@ -338,8 +331,12 @@ def _block_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares a x = b for each block of an (..., m, m)
     stack, with lstsq's cut: singular values up to eps m times the block's
     largest count as zero."""
-    pinv = np.linalg.pinv(a, rcond=np.finfo(float).eps * a.shape[-1])
-    return (pinv @ b[..., None])[..., 0]
+    u, s, vt = np.linalg.svd(a)
+    inv = np.divide(1.0, s, out=np.zeros_like(s),
+                    where=s > np.finfo(float).eps * a.shape[-1] * s[..., :1])
+    # x = V diag(inv) U^T b, as row vectors
+    y = (b[..., None, :] @ u)[..., 0, :] * inv
+    return (y[..., None, :] @ vt)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -429,11 +426,12 @@ def _polynomial_system(Z: CoeffVector, alpha: tuple[float, ...], m: int):
 
 def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
                    count: int = 32) -> np.ndarray:
-    # ranked by the 2-norm of P(c) - Z: a constant moves only the first
-    # coefficient of each block, so the max norm is flat wherever a higher
+    # ranked by the 2-norm of P(c) - Z on the degree-1 rung system: a
+    # constant moves only the first coefficient of each block, so this ranks
+    # as the full 2-norm does; the max norm is flat wherever a higher
     # coefficient of Z dominates and keeps the first scan point, which for
     # Taylor cos(u) on (0, 2) is c = 0, where dP/dU is singular
-    consts = np.zeros((count, spec.N, spec.M))
+    consts = np.zeros((count, spec.N, 1))
     consts[:, :, 0] = np.linspace(scan_range[0], scan_range[1], count)[:, None]
     r = system(consts)[0]
     return consts[np.argmin(np.linalg.norm(r.reshape(count, -1), axis=1))]
@@ -441,8 +439,9 @@ def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
 
 def _initial_candidates(system, spec: BasisSpec,
                         scan_range: tuple[float, float]) -> list[np.ndarray]:
-    """The three (N, M) starts of the ladder: the best constant c* from the
-    scan and c* +- width (t - mid) / halfw, with width that of the scan range.
+    """The three starts of the ladder: the best constant c* from the scan of
+    the degree-1 rung system, an (N, 1) start, and the (N, M) slopes
+    c* +- width (t - mid) / halfw, with width that of the scan range.
 
     Truncated algebra can hold spurious roots next to the wanted one, and a
     constant alone can sit in the wrong basin; the slopes reach branches a
@@ -505,7 +504,7 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     spec = problem.spec
     systems = {m: _polynomial_system(Z, alpha, m) for m in range(min(2, spec.M), spec.M + 1)}
     final_system = systems[spec.M]
-    candidates = _initial_candidates(final_system, spec, opts.scan_range)
+    candidates = _initial_candidates(_polynomial_system(Z, alpha, 1), spec, opts.scan_range)
 
     finals = [_run_ladder(systems, cand, opts) for cand in candidates]
 

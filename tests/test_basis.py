@@ -17,6 +17,7 @@ from dovsolver.basis import (
     gauss_chebyshev_nodes,
     hcp_eval,
     project,
+    projection_rule_size,
     series_derivative,
     weight,
 )
@@ -27,8 +28,9 @@ def test_interval_scaling():
     iv = Interval(0.0, 1.0)
     assert iv.A == 2.0
     assert Interval(-1.0, 1.0).A == 1.0
-    with pytest.raises(ValueError):
-        Interval(1.0, 1.0)
+    for t0, tf in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            Interval(t0, tf)
 
 
 def test_chebyshev_eval_examples():
@@ -141,10 +143,38 @@ def test_projection_exactness_for_polynomials(N, M):
     spec = BasisSpec(Interval(-0.5, 2.0), N, M)
     coeffs = rng.normal(size=M)  # global polynomial of degree M-1
     p = np.polynomial.Polynomial(coeffs)
-    cv = project(p, spec)
+    # the L2 rule and interpolation at the M nodes both reproduce degree M-1
+    for rule in (None, M):
+        cv = project(p, spec, rule=rule)
+        for n0 in range(N):
+            t = spec.block_nodes(n0, rng.uniform(-1, 1, 100))
+            assert np.max(np.abs(eval_series(cv, t) - p(t))) < 1e-12
+
+
+@pytest.mark.parametrize("N,M", [(1, 1), (1, 7), (3, 5), (4, 12)])
+def test_project_with_rule_m_interpolates_at_the_nodes(N, M):
+    spec = BasisSpec(Interval(-0.5, 2.0), N, M)
+    f = lambda t: np.exp(np.sin(3.0 * t))  # noqa: E731
+    cv = project(f, spec, rule=M)
     for n0 in range(N):
-        t = spec.block_nodes(n0, rng.uniform(-1, 1, 100))
-        assert np.max(np.abs(eval_series(cv, t) - p(t))) < 1e-12
+        t = spec.block_nodes(n0, gauss_chebyshev_nodes(M))
+        assert np.max(np.abs(eval_series(cv, t) - f(t))) < 1e-13
+
+
+def test_project_samples_every_block_in_one_call():
+    spec = BasisSpec(Interval(0.0, 1.0), 4, 6)
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        return np.cos(t)
+
+    t = np.linspace(0.0, 1.0, 50)
+    assert np.max(np.abs(eval_series(project(f, spec), t) - np.cos(t))) < 1e-9
+    assert calls == [(spec.N * projection_rule_size(spec.M),)]
+    calls.clear()
+    assert np.max(np.abs(eval_series(project(f, spec, rule=spec.M), t) - np.cos(t))) < 1e-9
+    assert calls == [(spec.dim,)]
 
 
 def test_best_approximation_beats_taylor():

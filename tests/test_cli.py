@@ -89,8 +89,14 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
     ("M = 4", "M = 4\n\n[solver]\nmax_iter = 1e2", "solver.max_iter"),
     ("M = 4", "M = 4\n\n[solver]\nresidual_grid = many", "solver.residual_grid"),
     ("M = 4", "M = 4\n\n[output]\ngrid = fine", "output.grid"),
+    # a reversed bracket used to exit 0 with a wrong solution
+    (_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = 3, 0', "bracket"),
+    (_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = 0, 1e999', "bracket"),
+    # a non-finite end used to crash the solve with a ZeroDivisionError
+    ("interval = 0, 1", "interval = 0, 1e999", "problem.interval"),
 ], ids=["degree", "center", "degree-0", "order", "N", "M", "scan_range", "newton_tol",
-        "max_iter", "residual_grid", "grid"])
+        "max_iter", "residual_grid", "grid", "bracket-reversed", "bracket-infinite",
+        "interval-infinite"])
 def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
@@ -139,9 +145,10 @@ def test_expression_error_reports_key(tmp_path):
 
 
 def test_interval_must_be_ordered(tmp_path):
-    text = MINIMAL.replace("interval = 0, 1", "interval = 1, 0")
-    with pytest.raises(ConfigError, match="interval"):
-        load_config(_write(tmp_path, text))
+    for interval in ("1, 0", "0, 1e999", "-1e999, 0"):
+        text = MINIMAL.replace("interval = 0, 1", f"interval = {interval}")
+        with pytest.raises(ConfigError, match="problem.interval"):
+            load_config(_write(tmp_path, text))
 
 
 def test_missing_file_is_config_error():

@@ -246,8 +246,10 @@ def test_continuation_rejects_spurious_algebraic_roots():
     e7 = EXAMPLES["ex7"]
     p = e7.problem(1, 3)
     picked = solve(p, SolveOptions(scan_range=(0.5, 2.0)))
-    system = _polynomial_system(picked.Z, p.nonlinearity.alpha, p.spec.M)
-    spurious = newton_solve(system, _scan_constant(system, p.spec, (0.5, 2.0)))
+    alpha = p.nonlinearity.alpha
+    start = np.zeros((p.spec.N, p.spec.M))
+    start[:, :1] = _scan_constant(_polynomial_system(picked.Z, alpha, 1), p.spec, (0.5, 2.0))
+    spurious = newton_solve(_polynomial_system(picked.Z, alpha, p.spec.M), start)
     assert spurious.converged
     assert oracle.equation_residual(p, CoeffVector(p.spec, spurious.x.ravel()),
                                     uniform_grid(p.spec.interval, 33), 1e-9) > 1e-3
