@@ -193,13 +193,12 @@ def projection_rule_size(M: int) -> int:
 
 
 def _sample(f, t: np.ndarray) -> np.ndarray:
+    # a result that broadcasts to t's shape (a constant, say) is taken as it
+    # is; a callable that rejects arrays is called once per point
     try:
-        v = np.asarray(f(t), dtype=float)
-        if v.shape == t.shape:
-            return v
+        return np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
     except (TypeError, ValueError):
-        pass
-    return np.array([float(f(ti)) for ti in t])
+        return np.array([float(f(ti)) for ti in t])
 
 
 def project(f, spec: BasisSpec, rule: int | None = None) -> CoeffVector:

@@ -195,18 +195,21 @@ def power_vector(U: CoeffVector, r: int) -> CoeffVector:
 
 
 def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:
-    """Projection K of a bivariate kernel with k(s, t) ~= H(s)^T K H(t).
+    """Projection K of a bivariate kernel with k(s, t) ~= H(s)^T K H(t) for
+    s <= t.
 
     The Gauss-Chebyshev transform of project in each variable, per block
     pair; the kernel expression uses variable x for the first argument and t
-    for the second.
+    for the second.  Only the N(N+1)/2 causal block pairs, s-block <= t-block,
+    are projected; every other block is 0, since a Volterra equation
+    integrates k(x, t) over x <= t and never reads a later s-block.
     """
     x, proj = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
-    a = np.empty((spec.dim, spec.dim))
-    for ns in range(spec.N):
-        s_pts = spec.block_nodes(ns, x)
-        for nt in range(spec.N):
-            t_pts = spec.block_nodes(nt, x)
+    a = np.zeros((spec.dim, spec.dim))
+    for nt in range(spec.N):
+        t_pts = spec.block_nodes(nt, x)
+        for ns in range(nt + 1):
+            s_pts = spec.block_nodes(ns, x)
             # a kernel without x or t evaluates to a lower-dimensional array
             vals = np.broadcast_to(np.asarray(evaluate(
                 k, {"x": s_pts[:, None], "t": t_pts[None, :]}), dtype=float), (x.size, x.size))

@@ -393,18 +393,29 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
     W_Z is the product matrix of the series Z and Q the integration matrix.
     With C the truncated-product tensor, block (n, j) of L is
     L[n d, j q] = sum K[j i, n p] C[i q k] Q[j k, n s] C[p s d], which
-    vanishes for j > n because Q is block upper triangular.  Every route's
-    equation becomes L Z = F.
+    vanishes for j > n because Q is block upper triangular; it reads only
+    the causal blocks K_jn, j <= n, that kernel_matrix projects.  Every
+    route's equation becomes L Z = F.
+
+    The diagonal blocks (n, n) take that contraction as it stands.  Below
+    the diagonal, Q_jn (j < n) holds the block averages e in column 0 and
+    zeros elsewhere, Q[j k, n s] = e_k delta_s0, and C[p 0 d] = delta_pd
+    (T_p T_0 = T_p), so the sums over s and p collapse:
+    L[n d, j q] = sum_i K[j i, n d] (C e)[i q], that is L_nj = K_jn^T (C e)
+    with (C e)[i q] = sum_k C[i q k] e_k, one M x M product per block.
     """
     N, M = spec.N, spec.M
     C = product_tensor(M)
     k4 = K.a.reshape(N, M, N, M)
     q4 = integration_matrix(spec).a.reshape(N, M, N, M)
     L = np.zeros((N, M, N, M))
+    if N > 1:
+        ce = C @ q4[0, :, 1, 0]  # C e, e column 0 of an off-diagonal block of Q
     for n in range(N):
-        for j in range(n + 1):
-            kcq = np.tensordot(k4[j, :, n, :], C, (0, 0)) @ q4[j, :, n, :]  # [p, q, s]
-            L[n, :, j, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
+        for j in range(n):
+            L[n, :, j, :] = k4[j, :, n, :].T @ ce
+        kcq = np.tensordot(k4[n, :, n, :], C, (0, 0)) @ q4[n, :, n, :]  # [p, q, s]
+        L[n, :, n, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
     return L.reshape(spec.dim, spec.dim)
 
 
@@ -491,9 +502,13 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     scanned constant and the two slopes around it, then keeps the converged
     root with the smallest oracle residual of the integral equation
     itself.  The oracle check is what discards exact roots of the truncated
-    algebra that do not solve the equation; among the roots within a factor
-    10 of the smallest residual, the one whose average value sits nearest
-    the middle of the scan range wins (the caller's branch hint).
+    algebra that do not solve the equation.  Among the roots within a factor
+    10 of the smallest residual, only the smoothest stay: those whose kink,
+    the jumps of u and h u' summed over the interior block edges, is within
+    10 times the smallest kink plus 1e-8.  Of these, the one whose average
+    value sits nearest the middle of the scan range wins (the caller's
+    branch hint).  A kinked root such as ex7's u = 1/2 + |t - 1/2| solves the
+    equation too (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.
 
     A candidate is scored only as far as it can still win: its residual
     stops as soon as one grid point exceeds 10 times the best complete
@@ -542,12 +557,27 @@ def _select_root(pool: list[NewtonResult], problem: Problem,
             res = math.inf
         best = min(best, res)
         scored.append((res, U))
-    # within a factor 10 of the best oracle residual the branch hint decides,
-    # then the residual, then the order of the candidates
+    # within a factor 10 of the best oracle residual only the smoothest roots
+    # stay, kink within 10 times the smallest plus 1e-8; among those the
+    # branch hint decides, then the residual, then the order of the candidates
+    kinks = {i: _kink(pool[i].x) for i, (res, _) in enumerate(scored)
+             if res <= 10.0 * best + 1e-300}
+    smooth = 10.0 * min(kinks.values()) + 1e-8
     mid = 0.5 * (opts.scan_range[0] + opts.scan_range[1])
     top = [(abs(float(np.mean(eval_series(U, grid.points))) - mid), res, i)
-           for i, (res, U) in enumerate(scored) if res <= 10.0 * best + 1e-300]
+           for i, (res, U) in enumerate(scored) if kinks.get(i, math.inf) <= smooth]
     return pool[min(top)[2]]
+
+
+def _kink(u: np.ndarray) -> float:
+    """Sum over the interior block edges of |jump of u| + h |jump of u'|, h
+    the block width, from the (N, M) coefficient blocks u: at the block ends
+    T_m(+-1) = (+-1)^m and h d/dt T_m = 2 T_m'(+-1) = 2 (+-1)^(m+1) m^2."""
+    m = np.arange(u.shape[-1])
+    left = (-1.0) ** m
+    jump = u[1:] @ left - u[:-1].sum(axis=1)
+    slope_jump = 2.0 * (u[1:] @ (-left * m * m) - u[:-1] @ (m * m))
+    return float(np.sum(np.abs(jump) + np.abs(slope_jump)))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,15 @@ def test_project_samples_every_block_in_one_call():
     calls.clear()
     assert np.max(np.abs(eval_series(project(f, spec, rule=spec.M), t) - np.cos(t))) < 1e-9
     assert calls == [(spec.dim,)]
+    # a constant result is broadcast to the nodes, not sampled point by point
+    calls.clear()
+
+    def zero(t):
+        calls.append(np.shape(t))
+        return 0
+
+    assert not project(zero, spec).c.any()
+    assert calls == [(spec.N * projection_rule_size(spec.M),)]
 
 
 def test_best_approximation_beats_taylor():

@@ -11,9 +11,11 @@ from dovsolver.basis import (
     basis_matrix,
     constant_coeffs,
     eval_series,
+    gauss_chebyshev_transform,
     project,
+    projection_rule_size,
 )
-from dovsolver.expr import parse
+from dovsolver.expr import evaluate, parse
 from dovsolver.opalg import (
     OpMatrix,
     hat_truncation_bound,
@@ -312,12 +314,40 @@ def test_unit_product_matrix_matches_generic():
                            product_matrix(CoeffVector(spec, c)).a)
 
 
+def per_pair_kernel_matrix(k, spec: BasisSpec) -> np.ndarray:
+    """K projected on every block pair, causal or not: the Gauss-Chebyshev
+    transform of the kernel's samples in both variables, pair by pair."""
+    x, a = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
+    return np.block([[a @ np.broadcast_to(np.asarray(evaluate(k, {
+        "x": spec.block_nodes(ns, x)[:, None], "t": spec.block_nodes(nt, x)[None, :]}),
+        dtype=float), (x.size, x.size)) @ a.T for nt in range(spec.N)] for ns in range(spec.N)])
+
+
 def test_kernel_matrix_constant():
+    # only the causal block pairs, s-block <= t-block, are projected: block
+    # (1, 0) of k = 1 is 0
     spec = BasisSpec(Interval(0, 1), 2, 3)
     K = kernel_matrix(parse("1"), spec).a
     expected = np.zeros((6, 6))
-    expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 1.0
+    expected[0, 0] = expected[0, 3] = expected[3, 3] = 1.0
     assert np.max(np.abs(K - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("N", [2, 3, 8])
+def test_kernel_matrix_projects_exactly_the_causal_block_pairs(N):
+    # a kernel that is nonzero for x > t: each causal block equals the
+    # per-pair projection bit for bit, every other block is exactly 0
+    spec = BasisSpec(Interval(0, 1.5), N, 5)
+    k = parse("exp(x-t)+x*t")
+    K = kernel_matrix(k, spec).a.reshape(N, 5, N, 5)
+    full = per_pair_kernel_matrix(k, spec).reshape(N, 5, N, 5)
+    for ns in range(N):
+        for nt in range(N):
+            if ns <= nt:
+                assert np.array_equal(K[ns, :, nt], full[ns, :, nt])
+                assert np.all(full[ns, :, nt] != 0.0)
+            else:
+                assert not K[ns, :, nt].any()
 
 
 def test_kernel_matrix_separable_bilinear():
