@@ -192,18 +192,11 @@ def projection_rule_size(M: int) -> int:
     return max(64, 4 * M)
 
 
-def _sample(f, t: np.ndarray) -> np.ndarray:
-    # a result that broadcasts to t's shape (a constant, say) is taken as it
-    # is; a callable that rejects arrays is called once per point
-    try:
-        return np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
-    except (TypeError, ValueError):
-        return np.array([float(f(ti)) for ti in t])
-
-
 def project(f, spec: BasisSpec, rule: int | None = None) -> CoeffVector:
     """Coefficients of a callable by the Gauss-Chebyshev transform of each
-    block, with f sampled at every block's nodes in one call.
+    block, with f sampled at every block's nodes in one call.  f must
+    accept a numpy array of points; a result that broadcasts to their shape
+    (a constant, say) is taken as it is.
 
     The default rule, projection_rule_size(M) points, gives the weighted L2
     projection: the quadrature absorbs the singular weight exactly and never
@@ -212,8 +205,9 @@ def project(f, spec: BasisSpec, rule: int | None = None) -> CoeffVector:
     Q = projection_rule_size(spec.M) if rule is None else rule
     x, a = gauss_chebyshev_transform(spec.M, Q)
     t = spec.block_nodes(np.arange(spec.N)[:, None], x).ravel()
+    samples = np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
     # one matrix-vector product per block, the summation order of a per-block loop
-    return CoeffVector(spec, (a @ _sample(f, t).reshape(spec.N, Q, 1)).ravel())
+    return CoeffVector(spec, (a @ samples.reshape(spec.N, Q, 1)).ravel())
 
 
 def constant_coeffs(spec: BasisSpec, value: float) -> CoeffVector:

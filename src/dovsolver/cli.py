@@ -148,9 +148,39 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
     raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}")
 
 
+# the keys load_config reads, per section; [nonlinearity] holds every kind's
+_KEYS = {
+    "problem": ("kernel", "f", "interval", "exact_solution"),
+    "nonlinearity": ("kind", "g", "ginv", "bracket", "order", "alpha", "degree", "center"),
+    "basis": ("n", "m", "sweep"),
+    "solver": ("scan_range",),
+    "output": ("format", "path", "grid"),
+}
+
+
+def _check_keys(cfg: configparser.ConfigParser) -> None:
+    """A section or key that load_config does not read is a ConfigError
+    naming it, so a misspelt or retired one is not silently ignored."""
+    sections = ", ".join(_KEYS)
+    for key in cfg.defaults():  # [DEFAULT] would hand its keys to every section
+        raise ConfigError(f"{cfg.default_section}.{key}: unknown section "
+                          f"[{cfg.default_section}]; sections are {sections}")
+    for section in cfg.sections():
+        known = _KEYS.get(section)
+        keys = list(cfg[section])
+        if known is None:
+            where = f"{section}.{keys[0]}" if keys else section
+            raise ConfigError(f"{where}: unknown section [{section}]; sections are {sections}")
+        for key in keys:
+            if key not in known:
+                raise ConfigError(f"{section}.{key}: unknown key; "
+                                  f"[{section}] reads {', '.join(known)}")
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a run configuration; expressions are parsed eagerly
-    and defaults filled (grid 1000, csv output, Newton tolerance 1e-12)."""
+    and defaults filled (grid 1000, csv output).  Every section and key must
+    be one this reads."""
     cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path, encoding="utf-8") as handle:
@@ -159,6 +189,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    _check_keys(cfg)
 
     if not cfg.has_section("problem"):
         raise ConfigError("missing [problem] section")
@@ -195,17 +226,11 @@ def load_config(path: str) -> RunConfig:
         bases = _pair_list(basis["sweep"], "basis.sweep")
 
     sol = cfg["solver"] if cfg.has_section("solver") else {}
-    opts = SolveOptions()
-    for key, name, convert in (("newton_tol", "newton_tol", float),
-                               ("max_iter", "newton_max_iter", int),
-                               ("scan_range", "scan_range", _pair),
-                               ("residual_grid", "residual_grid", int)):
-        where = f"solver.{key}"
-        value = _value(sol, key, convert, where, getattr(opts, name))
-        try:  # SolveOptions checks each value
-            opts = replace(opts, **{name: value})
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+    try:  # SolveOptions checks the value
+        opts = SolveOptions(_value(sol, "scan_range", _pair, "solver.scan_range",
+                                   SolveOptions().scan_range))
+    except ValueError as exc:
+        raise ConfigError(f"solver.scan_range: {exc}") from None
 
     out = cfg["output"] if cfg.has_section("output") else {}
     out_format = out.get("format", "csv").strip().lower()

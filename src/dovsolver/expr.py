@@ -285,18 +285,3 @@ def unparse(e: Expr) -> str:
         return f"{e.fn}({','.join(unparse(a) for a in e.args)})"
     raise TypeError(f"not an expression node: {e!r}")
 
-
-def variables(e: Expr) -> set:
-    """Set of variable names occurring in the tree."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return variables(e.operand)
-    if isinstance(e, Bin):
-        return variables(e.lhs) | variables(e.rhs)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= variables(a)
-        return out
-    return set()

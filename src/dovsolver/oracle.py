@@ -51,6 +51,10 @@ class Grid:
         object.__setattr__(self, "points", p)
 
 
+# grid size of the residual a solve reports, and of a residual given no grid
+RESIDUAL_GRID = 200
+
+
 def uniform_grid(interval: Interval, n: int = 1000) -> Grid:
     """n uniform points including both endpoints."""
     return Grid(np.linspace(interval.t0, interval.tf, n))
@@ -160,7 +164,7 @@ def _residual(problem, g, grid: Grid | None, quad_tol: float,
     exceeds stop_above it is returned without visiting the rest.
     """
     if grid is None:
-        grid = uniform_grid(problem.spec.interval, 200)
+        grid = uniform_grid(problem.spec.interval, RESIDUAL_GRID)
     kern = problem.kernel
     spec = problem.spec
     t0, tf = spec.interval.t0, spec.interval.tf

@@ -159,7 +159,7 @@ class Taylor(_ExprKind):
         """The polynomial recover step, with a warning when the solution
         leaves the expansion's trust radius."""
         U, *rest = _recover_powers(self.alpha, Z, problem, opts)
-        grid = oracle.uniform_grid(problem.spec.interval, 200)
+        grid = oracle.uniform_grid(problem.spec.interval, oracle.RESIDUAL_GRID)
         reach = float(np.max(np.abs(eval_series(U, grid.points) - self.center)))
         if reach > self.trust_radius:
             warnings.warn(
@@ -237,21 +237,13 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 100
     scan_range: tuple[float, float] = (-2.0, 2.0)
-    residual_grid: int = 200
     compute_residual: bool = True
 
     def __post_init__(self):
         lo, hi = self.scan_range
-        for name, ok, rule in (
-                ("newton_tol", 0 < self.newton_tol < math.inf, "finite and > 0"),
-                ("newton_max_iter", self.newton_max_iter >= 1, ">= 1"),
-                ("scan_range", -math.inf < lo < hi < math.inf, "finite with lo < hi"),
-                ("residual_grid", self.residual_grid >= 2, ">= 2")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"scan_range must be finite with lo < hi, got {self.scan_range!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +414,24 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # polynomial recover step: P(U) = Z
 
-def _polynomial_system(Z: CoeffVector, alpha: tuple[float, ...], m: int):
-    """u -> (P(u) - z_m, dP/du) on the degree-m rung of (..., N, m) stacks u
-    as a callable, with P as in opalg.polynomial and z_m each block of Z cut
-    to its first m coefficients."""
-    z = Z.c.reshape(Z.spec.N, Z.spec.M)[:, :m]
+def _polynomial_system(Z: CoeffVector, alpha: tuple[float, ...]):
+    """u -> (P(u) - z, dP/du) for (..., N, m) stacks u on any rung m <= M,
+    with P as in opalg.polynomial and z each block of Z cut to the rung's
+    first m coefficients, m read from u."""
+    z = Z.c.reshape(Z.spec.N, Z.spec.M)
 
     def system(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, jac = polynomial(u, alpha)
-        return p - z, jac
+        return p - z[:, :u.shape[-1]], jac
 
     return system
 
 
 def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
                    count: int = 32) -> np.ndarray:
-    # ranked by the 2-norm of P(c) - Z on the degree-1 rung system: a
-    # constant moves only the first coefficient of each block, so this ranks
-    # as the full 2-norm does; the max norm is flat wherever a higher
+    # ranked by the 2-norm of P(c) - Z on the degree-1 rung: a constant
+    # moves only the first coefficient of each block, so this ranks as the
+    # full 2-norm does; the max norm is flat wherever a higher
     # coefficient of Z dominates and keeps the first scan point, which for
     # Taylor cos(u) on (0, 2) is c = 0, where dP/dU is singular
     consts = np.zeros((count, spec.N, 1))
@@ -450,8 +442,8 @@ def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
 
 def _initial_candidates(system, spec: BasisSpec,
                         scan_range: tuple[float, float]) -> list[np.ndarray]:
-    """The three starts of the ladder: the best constant c* from the scan of
-    the degree-1 rung system, an (N, 1) start, and the (N, M) slopes
+    """The three starts of the ladder: the best constant c* from the scan on
+    the degree-1 rung, an (N, 1) start, and the (N, M) slopes
     c* +- width (t - mid) / halfw, with width that of the scan range.
 
     Truncated algebra can hold spurious roots next to the wanted one, and a
@@ -472,21 +464,20 @@ def _initial_candidates(system, spec: BasisSpec,
     return candidates
 
 
-def _run_ladder(systems: dict, u_start: np.ndarray,
-                opts: SolveOptions) -> tuple[NewtonResult, int]:
-    """One degree-continuation path over the rungs of systems (per-block
-    degrees in order), each rung started from the previous rung's result
-    zero-padded per block, the first from the truncated start.  A rung that
-    fails hands its best iterate on; the final rung's result is the path's.
+def _run_ladder(system, u_start: np.ndarray, M: int) -> tuple[NewtonResult, int]:
+    """One degree-continuation path over the rungs m = 2 .. M (per-block
+    degrees; rung 1 alone when M = 1), each rung started from the previous
+    rung's result zero-padded per block, the first from the truncated start.
+    A rung that fails hands its best iterate on; the final rung's result is
+    the path's.
     """
     u_prev = u_start
     total_iters = 0
-    result = None
-    for m_rung, system in systems.items():
+    for m_rung in range(min(2, M), M + 1):
         take = min(m_rung, u_prev.shape[-1])
         u0 = np.zeros((u_prev.shape[0], m_rung))
         u0[:, :take] = u_prev[:, :take]
-        result = newton_solve(system, u0, opts.newton_tol, opts.newton_max_iter)
+        result = newton_solve(system, u0)
         total_iters += result.iterations
         u_prev = result.x
     return result, total_iters
@@ -517,11 +508,10 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     winner is the same as with full scoring.
     """
     spec = problem.spec
-    systems = {m: _polynomial_system(Z, alpha, m) for m in range(min(2, spec.M), spec.M + 1)}
-    final_system = systems[spec.M]
-    candidates = _initial_candidates(_polynomial_system(Z, alpha, 1), spec, opts.scan_range)
+    system = _polynomial_system(Z, alpha)
+    candidates = _initial_candidates(system, spec, opts.scan_range)
 
-    finals = [_run_ladder(systems, cand, opts) for cand in candidates]
+    finals = [_run_ladder(system, cand, spec.M) for cand in candidates]
 
     # dedupe identical roots before paying for oracle residuals
     distinct: list[NewtonResult] = []
@@ -535,7 +525,7 @@ def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
     result = pool[0] if len(pool) == 1 else _select_root(pool, problem, opts)
     total_iters = sum(iters for _, iters in finals)
     # the 2-norm condition of the block-diagonal dP/dU
-    sv = np.linalg.svd(final_system(result.x)[1], compute_uv=False)
+    sv = np.linalg.svd(system(result.x)[1], compute_uv=False)
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else math.inf
     return CoeffVector(spec, result.x.ravel()), cond, total_iters, result.converged
 
@@ -643,7 +633,7 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     U, step_cond, iters, converged = nl.recover(Z, problem, opts)
     res = math.nan
     if opts.compute_residual:
-        grid = oracle.uniform_grid(spec.interval, opts.residual_grid)
+        grid = oracle.uniform_grid(spec.interval, oracle.RESIDUAL_GRID)
         try:
             res = oracle.equation_residual(problem, U, grid)
         except (EvalError, oracle.QuadratureError) as exc:

@@ -21,6 +21,7 @@ from dovsolver.basis import (
     series_derivative,
     weight,
 )
+from dovsolver.expr import EvalError, evaluate, parse
 from dovsolver.oracle import weighted_l2_error
 
 
@@ -184,6 +185,22 @@ def test_project_samples_every_block_in_one_call():
 
     assert not project(zero, spec).c.any()
     assert calls == [(spec.N * projection_rule_size(spec.M),)]
+
+
+def test_project_calls_f_once_when_it_raises():
+    # f must accept arrays: an EvalError on the array is not retried point
+    # by point, it propagates from the one call
+    spec = BasisSpec(Interval(0.0, 1.0), 1, 10)
+    expr = parse("sqrt(t-0.5)")
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        return evaluate(expr, {"t": t})
+
+    with pytest.raises(EvalError, match="sqrt"):
+        project(f, spec)
+    assert calls == [(projection_rule_size(spec.M),)]
 
 
 def test_best_approximation_beats_taylor():

@@ -4,7 +4,6 @@ package; a traced run fails if one of them is renamed or deleted."""
 import importlib
 import importlib.util
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from dovsolver import solver
@@ -44,7 +43,7 @@ def test_traced_solve_matches_untraced():
     for key, size in [("ex3", (1, 6)), ("ex5", (2, 4))]:
         example = EXAMPLES[key]
         problem = example.problem(*size)
-        opts = replace(example.options, residual_grid=20)
+        opts = example.options
         plain = solver.solve(problem, opts)
         tracer = tracer_mod.Tracer()
         tracer.install()

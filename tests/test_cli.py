@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -51,7 +52,7 @@ def test_load_minimal_config_with_defaults(tmp_path):
     assert cfg.bases == ((1, 4),)
     assert cfg.grid_size == 1000
     assert cfg.out_format == "csv"
-    assert cfg.options.newton_tol == 1e-12
+    assert cfg.options == dovsolver.SolveOptions()
     assert cfg.exact_fn is None
 
 
@@ -85,6 +86,8 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
     ("M = 4", "N = x\nM = 4", "basis.N"),
     ("M = 4", "M = 4.5", "basis.M"),
     ("M = 4", "M = 4\n\n[solver]\nscan_range = 3", "solver.scan_range"),
+    # newton_tol, max_iter and residual_grid are no longer keys: any value is
+    # an error that names the key
     ("M = 4", "M = 4\n\n[solver]\nnewton_tol = tight", "solver.newton_tol"),
     ("M = 4", "M = 4\n\n[solver]\nmax_iter = 1e2", "solver.max_iter"),
     ("M = 4", "M = 4\n\n[solver]\nresidual_grid = many", "solver.residual_grid"),
@@ -112,12 +115,46 @@ def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
 ])
 def test_out_of_range_solver_value_is_config_error(tmp_path, capsys, key, value):
     # well-formed values SolveOptions rejects: each used to run (a negative
-    # newton_iters, a failed row, or exit 0 on the wrong ex7 branch)
+    # newton_iters, a failed row, or exit 0 on the wrong ex7 branch); the
+    # keys other than scan_range are retired, so they fail as unknown keys
     path = _write(tmp_path, MINIMAL.replace("M = 4", f"M = 4\n\n[solver]\n{key} = {value}"))
     assert main(["solve", path]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: solver.{key}: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("old, new, where", [
+    # the retired solver keys, set to what used to be their defaults
+    ("M = 4", "M = 4\n\n[solver]\nnewton_tol = 1e-12", "solver.newton_tol"),
+    ("M = 4", "M = 4\n\n[solver]\nmax_iter = 100", "solver.max_iter"),
+    ("M = 4", "M = 4\n\n[solver]\nresidual_grid = 200", "solver.residual_grid"),
+    ("M = 4", "M = 4\n\n[solver]\nscan_rnage = 0.5, 2", "solver.scan_rnage"),
+    ("M = 4", "M = 4\nMM = 5", "basis.mm"),
+    ("f = ", "exact = \"t\"\nf = ", "problem.exact"),
+    # a key that no kind reads
+    ("Ginv", "Ginverse", "nonlinearity.ginverse"),
+    ("M = 4", "M = 4\n\n[ouput]\nformat = json", "ouput.format"),
+    ("M = 4", "M = 4\n\n[ouput]", "ouput"),
+    ("[problem]", "[DEFAULT]\ngrid = 10\n\n[problem]", "DEFAULT.grid"),
+], ids=["newton_tol", "max_iter", "residual_grid", "misspelt-key", "basis", "problem",
+        "nonlinearity", "misspelt-section", "empty-section", "default-section"])
+def test_unknown_section_or_key_is_config_error(tmp_path, capsys, old, new, where):
+    path = _write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {where}: unknown ")
+    assert captured.out == ""
+
+
+def test_readme_config_block_loads(tmp_path):
+    # every key the README documents is one load_config reads
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    cfg = load_config(_write(tmp_path, blocks[0]))
+    assert cfg.bases == ((1, 10),)
 
 
 def test_unknown_nonlinearity_kind(tmp_path):

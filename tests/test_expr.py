@@ -14,7 +14,6 @@ from dovsolver.expr import (
     evaluate,
     parse,
     unparse,
-    variables,
 )
 
 
@@ -161,7 +160,3 @@ def test_round_trip_property():
         for _ in range(100):
             b = {"t": float(rng.uniform(-2, 2)), "x": float(rng.uniform(-2, 2))}
             assert evaluate(e, b) == evaluate(back, b)
-
-
-def test_variables_listing():
-    assert variables(parse("sin(t-x)*u")) == {"t", "x", "u"}
