@@ -115,11 +115,33 @@ def _pair_list(raw: str, where: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+# the [nonlinearity] keys each kind reads besides kind
+_KIND_KEYS = {
+    "invertible": ("g", "ginv", "bracket"),
+    "collocation": ("g", "bracket"),
+    "derivative": ("order",),
+    "polynomial": ("alpha",),
+    "taylor": ("g", "degree", "center"),
+}
+
+
 def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
+    """The nonlinearity of [nonlinearity]; a key the chosen kind does not
+    read, such as G under kind = polynomial, is a ConfigError naming the key
+    and the kind."""
     if not cfg.has_section("nonlinearity"):
         raise ConfigError("missing [nonlinearity] section")
     sec = cfg["nonlinearity"]
     kind = sec.get("kind", "").strip().lower()
+    if kind not in _KIND_KEYS:
+        raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}")
+    reads = _KIND_KEYS[kind]
+    if kind == "invertible":  # an invertible G given Ginv needs no bracket
+        reads = ("g", "ginv") if "ginv" in sec else ("g", "bracket")
+    for key in sec:
+        if key != "kind" and key not in reads:
+            raise ConfigError(f"nonlinearity.{key}: unknown key for kind {kind!r}, "
+                              f"which reads {', '.join(reads)}")
 
     def expr_of(key: str) -> Expr:
         if key not in sec:
@@ -138,20 +160,18 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
             return Derivative(_value(sec, "order", int, "nonlinearity.order"))
         if kind == "polynomial":
             return Polynomial(_value(sec, "alpha", _floats, "nonlinearity.alpha"))
-        if kind == "taylor":
-            return Taylor(expr_of("g"), _value(sec, "degree", int, "nonlinearity.degree", 8),
-                          _value(sec, "center", float, "nonlinearity.center", 0.0))
+        return Taylor(expr_of("g"), _value(sec, "degree", int, "nonlinearity.degree", 8),
+                      _value(sec, "center", float, "nonlinearity.center", 0.0))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:  # a value the kind itself rejects
         raise ConfigError(f"nonlinearity ({kind}): {exc}") from None
-    raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}")
 
 
 # the keys load_config reads, per section; [nonlinearity] holds every kind's
 _KEYS = {
     "problem": ("kernel", "f", "interval", "exact_solution"),
-    "nonlinearity": ("kind", "g", "ginv", "bracket", "order", "alpha", "degree", "center"),
+    "nonlinearity": ("kind", *dict.fromkeys(k for keys in _KIND_KEYS.values() for k in keys)),
     "basis": ("n", "m", "sweep"),
     "solver": ("scan_range",),
     "output": ("format", "path", "grid"),

@@ -271,6 +271,27 @@ def evaluate(e: Expr, bindings: dict):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def is_difference_kernel(e: Expr) -> bool:
+    """True when x and t occur in ``e`` only as the node ``t - x``, so that
+    the kernel is a function of the lag t - x alone (a constant counts).
+
+    A syntactic test: ``exp(t)*exp(-x)`` is a difference kernel in value
+    but not in form, and gives False.
+    """
+    if isinstance(e, Var):
+        return e.name not in ("x", "t")
+    if (isinstance(e, Bin) and e.op == "-" and isinstance(e.lhs, Var) and e.lhs.name == "t"
+            and isinstance(e.rhs, Var) and e.rhs.name == "x"):
+        return True
+    if isinstance(e, Neg):
+        return is_difference_kernel(e.operand)
+    if isinstance(e, Bin):
+        return is_difference_kernel(e.lhs) and is_difference_kernel(e.rhs)
+    if isinstance(e, Call):
+        return all(is_difference_kernel(a) for a in e.args)
+    return isinstance(e, Num)
+
+
 def unparse(e: Expr) -> str:
     """Emit fully parenthesized text that parses back to an equivalent tree."""
     if isinstance(e, Num):

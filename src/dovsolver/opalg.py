@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, CoeffVector, gauss_chebyshev_transform, projection_rule_size
-from .expr import Expr, evaluate
+from .expr import Expr, evaluate, is_difference_kernel
 
 
 @dataclass(frozen=True)
@@ -203,16 +203,35 @@ def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:
     for the second.  Only the N(N+1)/2 causal block pairs, s-block <= t-block,
     are projected; every other block is 0, since a Volterra equation
     integrates k(x, t) over x <= t and never reads a later s-block.
+
+    A difference kernel k(t - x) (expr.is_difference_kernel) makes the causal
+    part block Toeplitz on the N equal blocks: the pair (ns, ns + d) samples
+    the lags t - x of the pair (0, d), up to roundoff.  Then only the N
+    blocks K_0d are projected, each on block_nodes(d) - block_nodes(0) with
+    x bound to 0.0, which are the (0, d) pair's own lags bit for bit, and
+    K_0d is copied to every pair (ns, ns + d); so N = 1 and the first block
+    row are bitwise the per-pair projection.  Any other kernel is projected
+    pair by pair.
     """
     x, proj = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
-    a = np.zeros((spec.dim, spec.dim))
-    for nt in range(spec.N):
-        t_pts = spec.block_nodes(nt, x)
-        for ns in range(nt + 1):
-            s_pts = spec.block_nodes(ns, x)
-            # a kernel without x or t evaluates to a lower-dimensional array
-            vals = np.broadcast_to(np.asarray(evaluate(
-                k, {"x": s_pts[:, None], "t": t_pts[None, :]}), dtype=float), (x.size, x.size))
-            a[ns * spec.M:(ns + 1) * spec.M, nt * spec.M:(nt + 1) * spec.M] = \
-                proj @ vals @ proj.T
-    return OpMatrix(spec, a)
+    N, M = spec.N, spec.M
+    a = np.zeros((N, M, N, M))
+
+    def transform(s, t):
+        # a kernel without x or t evaluates to a lower-dimensional array
+        vals = np.broadcast_to(np.asarray(evaluate(k, {"x": s, "t": t}), dtype=float),
+                               (x.size, x.size))
+        return proj @ vals @ proj.T
+
+    if is_difference_kernel(k):
+        s0 = spec.block_nodes(0, x)[:, None]
+        for d in range(N):
+            block = transform(0.0, spec.block_nodes(d, x)[None, :] - s0)
+            for ns in range(N - d):
+                a[ns, :, ns + d, :] = block
+    else:
+        for nt in range(N):
+            t_pts = spec.block_nodes(nt, x)[None, :]
+            for ns in range(nt + 1):
+                a[ns, :, nt, :] = transform(spec.block_nodes(ns, x)[:, None], t_pts)
+    return OpMatrix(spec, a.reshape(spec.dim, spec.dim))

@@ -350,10 +350,13 @@ def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonR
     each update; the Jacobian of an accepted trial point serves the next
     step.  Convergence: ||R||_inf <= tol or step norm <= 1e-14; on failure
     the last iterate, which every accepted step makes the best, is returned
-    with converged=False.
+    with converged=False.  A residual not shaped like u raises ValueError.
     """
     u = np.array(u0, dtype=float)
     r, jac = system(u)
+    if np.shape(r) != u.shape:
+        raise ValueError(f"residual shape {np.shape(r)} differs from the shape "
+                         f"{u.shape} of u")
     rnorm = float(np.max(np.abs(r)))
     if rnorm <= tol:
         return NewtonResult(u, 0, True, rnorm)
@@ -395,6 +398,14 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
     (T_p T_0 = T_p), so the sums over s and p collapse:
     L[n d, j q] = sum_i K[j i, n d] (C e)[i q], that is L_nj = K_jn^T (C e)
     with (C e)[i q] = sum_k C[i q k] e_k, one M x M product per block.
+
+    So L_nj reads only K_jn, and L_nn only K_nn, since every diagonal block
+    of Q is the same.  Each distinct block is built once: a block whose K
+    block is bitwise equal to its up-left neighbour's, K_jn = K_(j-1)(n-1),
+    copies that neighbour's L block.  For the block-Toeplitz K of a
+    difference kernel (kernel_matrix) that leaves N blocks to build instead
+    of N(N+1)/2, among them one diagonal contraction instead of N; the
+    result is bitwise the block-by-block one.
     """
     N, M = spec.N, spec.M
     C = product_tensor(M)
@@ -404,10 +415,15 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
     if N > 1:
         ce = C @ q4[0, :, 1, 0]  # C e, e column 0 of an off-diagonal block of Q
     for n in range(N):
-        for j in range(n):
-            L[n, :, j, :] = k4[j, :, n, :].T @ ce
-        kcq = np.tensordot(k4[n, :, n, :], C, (0, 0)) @ q4[n, :, n, :]  # [p, q, s]
-        L[n, :, n, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
+        for j in range(n + 1):
+            kb = k4[j, :, n, :]
+            if j > 0 and np.array_equal(kb, k4[j - 1, :, n - 1, :]):
+                L[n, :, j, :] = L[n - 1, :, j - 1, :]
+            elif j < n:
+                L[n, :, j, :] = kb.T @ ce
+            else:
+                kcq = np.tensordot(kb, C, (0, 0)) @ q4[n, :, n, :]  # [p, q, s]
+                L[n, :, n, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
     return L.reshape(spec.dim, spec.dim)
 
 

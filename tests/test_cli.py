@@ -147,6 +147,26 @@ def test_unknown_section_or_key_is_config_error(tmp_path, capsys, old, new, wher
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, key, kind", [
+    # used to solve G(u) = u and exit 0, with no word about G or the bracket
+    ('kind = polynomial\nalpha = 0, 1\nG = "u^3"\nbracket = 0, 1', "nonlinearity.g",
+     "polynomial"),
+    ('kind = invertible\nG = "u"\nGinv = "u"\nbracket = 0, 1', "nonlinearity.bracket",
+     "invertible"),
+    ('kind = collocation\nG = "u"\nbracket = 0, 1\ndegree = 3', "nonlinearity.degree",
+     "collocation"),
+    ("kind = derivative\norder = 1\ncenter = 0.5", "nonlinearity.center", "derivative"),
+    ('kind = taylor\nG = "exp(u)"\nalpha = 0, 1', "nonlinearity.alpha", "taylor"),
+], ids=["polynomial-g-bracket", "invertible-ginv-bracket", "collocation-degree",
+        "derivative-center", "taylor-alpha"])
+def test_key_the_kind_does_not_read_is_config_error(tmp_path, capsys, text, key, kind):
+    path = _write(tmp_path, MINIMAL.replace(_INVERTIBLE, text))
+    assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {key}: unknown key for kind {kind!r}")
+    assert captured.out == ""
+
+
 def test_readme_config_block_loads(tmp_path):
     # every key the README documents is one load_config reads
     readme = Path(__file__).resolve().parents[1] / "README.md"

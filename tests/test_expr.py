@@ -12,6 +12,7 @@ from dovsolver.expr import (
     ParseError,
     Var,
     evaluate,
+    is_difference_kernel,
     parse,
     unparse,
 )
@@ -160,3 +161,16 @@ def test_round_trip_property():
         for _ in range(100):
             b = {"t": float(rng.uniform(-2, 2)), "x": float(rng.uniform(-2, 2))}
             assert evaluate(e, b) == evaluate(back, b)
+
+
+@pytest.mark.parametrize("source", ["t-x", "exp(t-x)", "sin(t-x)+1", "pow(t-x,2)", "1",
+                                    "-(t - x)^2/2", "cos(pi*(t-x))*e"])
+def test_difference_kernel_query_accepts_lag_only(source):
+    assert is_difference_kernel(parse(source))
+
+
+@pytest.mark.parametrize("source", ["t*x", "exp(t+x)", "x-t", "t", "t-x+t", "x",
+                                    "exp(t)*exp(-x)", "(t-x)*x"])
+def test_difference_kernel_query_rejects_other_kernels(source):
+    # syntactic: exp(t)*exp(-x) is a function of t - x in value only
+    assert not is_difference_kernel(parse(source))

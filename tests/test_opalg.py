@@ -15,7 +15,7 @@ from dovsolver.basis import (
     project,
     projection_rule_size,
 )
-from dovsolver.expr import evaluate, parse
+from dovsolver.expr import evaluate, is_difference_kernel, parse
 from dovsolver.opalg import (
     OpMatrix,
     hat_truncation_bound,
@@ -321,6 +321,36 @@ def per_pair_kernel_matrix(k, spec: BasisSpec) -> np.ndarray:
     return np.block([[a @ np.broadcast_to(np.asarray(evaluate(k, {
         "x": spec.block_nodes(ns, x)[:, None], "t": spec.block_nodes(nt, x)[None, :]}),
         dtype=float), (x.size, x.size)) @ a.T for nt in range(spec.N)] for ns in range(spec.N)])
+
+
+_DIFFERENCE_KERNELS = ("exp(t-x)", "cos(t-x)", "sin(t-x)+1", "pow(t-x,2)", "1")
+_OTHER_KERNELS = ("t*x", "exp(t+x)", "exp(x-t)+x*t", "cos(t)-x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 12),
+       source=st.sampled_from(_DIFFERENCE_KERNELS + _OTHER_KERNELS),
+       interval=st.sampled_from([(0.0, 1.0), (0.0, 2.0), (-0.5, 1.0), (-1.0, 1.0)]))
+def test_kernel_matrix_matches_per_pair_projection(n, m, source, interval):
+    # a difference kernel is projected once per block diagonal: the copies
+    # agree with the per-pair projection to roundoff, and the first block
+    # row, projected on the (0, d) pairs' own lags, bit for bit; any other
+    # kernel is projected pair by pair, bit for bit
+    spec = BasisSpec(Interval(*interval), n, m)
+    k = parse(source)
+    K = kernel_matrix(k, spec).a.reshape(n, m, n, m)
+    ref = per_pair_kernel_matrix(k, spec).reshape(n, m, n, m)
+    causal = np.triu(np.ones((n, n), dtype=bool))[:, None, :, None]
+    assert not K[~np.broadcast_to(causal, K.shape)].any()
+    ref = np.where(causal, ref, 0.0)
+    if is_difference_kernel(k):
+        assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(K[0], ref[0])
+        for d in range(n):
+            for ns in range(n - d):
+                assert np.array_equal(K[ns, :, ns + d], K[0, :, d])
+    else:
+        assert np.array_equal(K, ref)
 
 
 def test_kernel_matrix_constant():

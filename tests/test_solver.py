@@ -19,6 +19,7 @@ from dovsolver.opalg import (
     polynomial,
     power_vector,
     product_matrix,
+    product_tensor,
     unit_product_matrix,
 )
 from dovsolver import oracle
@@ -190,6 +191,34 @@ def test_assemble_linear_map_matches_columnwise_reference(N, M):
     assert np.max(np.abs(L - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
+def block_by_block_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
+    """L built block by block, every causal block from its own K block: the
+    off-diagonal blocks K_jn^T (C e), the diagonal ones by the full
+    contraction with C, Q's diagonal block and C."""
+    N, M = spec.N, spec.M
+    C = product_tensor(M)
+    k4 = K.a.reshape(N, M, N, M)
+    q4 = integration_matrix(spec).a.reshape(N, M, N, M)
+    L = np.zeros((N, M, N, M))
+    for n in range(N):
+        for j in range(n):
+            L[n, :, j, :] = k4[j, :, n, :].T @ (C @ q4[0, :, 1, 0])
+        kcq = np.tensordot(k4[n, :, n, :], C, (0, 0)) @ q4[n, :, n, :]
+        L[n, :, n, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
+    return L.reshape(spec.dim, spec.dim)
+
+
+@pytest.mark.parametrize("source", ["exp(t-x)", "1", "sin(t-x)+1", "exp(x-t)+x*t", "t*x"])
+@pytest.mark.parametrize("N, M", [(1, 10), (2, 16), (3, 5), (8, 16), (8, 24)])
+def test_assemble_linear_map_block_reuse_is_bitwise(source, N, M):
+    # a block whose K block equals its up-left neighbour's copies that
+    # neighbour's L block; that must give L bit for bit, on the block-Toeplitz
+    # K of a difference kernel and on any other K
+    spec = BasisSpec(Interval(0, 1.5), N, M)
+    K = kernel_matrix(parse(source), spec)
+    assert np.array_equal(assemble_linear_map(K, spec), block_by_block_linear_map(K, spec))
+
+
 # ---------------------------------------------------------------------------
 # pipelines on small problems
 
@@ -230,9 +259,17 @@ def test_polynomial_linear_reduction_single_newton_iteration():
     Z = CoeffVector(BasisSpec(Interval(0, 1), 1, 4), rng.normal(size=4))
     system = _polynomial_system(Z, (0.0, 1.0))
     for _ in range(3):
-        res = newton_solve(system, rng.normal(size=4), tol=1e-8)
+        res = newton_solve(system, rng.normal(size=(1, 4)), tol=1e-8)
         assert res.converged
         assert res.iterations == 1
+
+
+def test_newton_rejects_residual_of_another_shape():
+    # the recover residual has Z's (N, m) block shape, so a plain (m,) start
+    # used to come back as a (1, m) iterate
+    Z = CoeffVector(BasisSpec(Interval(0, 1), 1, 4), np.arange(4.0))
+    with pytest.raises(ValueError, match=r"\(1, 4\).*\(4,\)"):
+        newton_solve(_polynomial_system(Z, (0.0, 1.0)), np.ones(4))
 
 
 def test_continuation_exact_cubic_case():
