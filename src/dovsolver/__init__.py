@@ -39,7 +39,6 @@ from .solver import (
     Solution,
     SolveOptions,
     SolverError,
-    Taylor,
     assemble_linear_map,
     newton_solve,
     scalar_invert,

@@ -31,7 +31,6 @@ from .solver import (
     Problem,
     SolveOptions,
     SolverError,
-    Taylor,
     solve,
 )
 
@@ -121,7 +120,6 @@ _KIND_KEYS = {
     "collocation": ("g", "bracket"),
     "derivative": ("order",),
     "polynomial": ("alpha",),
-    "taylor": ("g", "degree", "center"),
 }
 
 
@@ -134,7 +132,8 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
     sec = cfg["nonlinearity"]
     kind = sec.get("kind", "").strip().lower()
     if kind not in _KIND_KEYS:
-        raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}")
+        raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}; "
+                          f"kinds are {', '.join(_KIND_KEYS)}")
     reads = _KIND_KEYS[kind]
     if kind == "invertible":  # an invertible G given Ginv needs no bracket
         reads = ("g", "ginv") if "ginv" in sec else ("g", "bracket")
@@ -158,10 +157,7 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
             return Collocation(expr_of("g"), _value(sec, "bracket", _pair, "nonlinearity.bracket"))
         if kind == "derivative":
             return Derivative(_value(sec, "order", int, "nonlinearity.order"))
-        if kind == "polynomial":
-            return Polynomial(_value(sec, "alpha", _floats, "nonlinearity.alpha"))
-        return Taylor(expr_of("g"), _value(sec, "degree", int, "nonlinearity.degree", 8),
-                      _value(sec, "center", float, "nonlinearity.center", 0.0))
+        return Polynomial(_value(sec, "alpha", _floats, "nonlinearity.alpha"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:  # a value the kind itself rejects

@@ -6,18 +6,17 @@ Z -> hat(K^T W_Z Q) and F the projection of f, then recover u from Z by the
 kind's own recover step.  Invertible recovers pointwise by Ginv, Derivative
 (G(u) = u^(n), zero initial data) by n integrations, Collocation by
 bracketed root finding interpolated at each block's M Chebyshev-Gauss
-points, and Polynomial and Taylor (G replaced by its Taylor polynomial) by
-solving P(U) = Z, where P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra,
-with damped Newton on the exact Jacobian dP/dU and a degree-continuation
-ladder.  The reported condition is the larger of cond L and the recover
-step's own, and every Solution carries Z.
+points, and Polynomial by solving P(U) = Z, where P(U) = sum_r alpha_r U^r
+in truncated Chebyshev algebra, with damped Newton on the exact Jacobian
+dP/dU and a degree-continuation ladder.  The reported condition is the
+larger of cond L and the recover step's own, and every Solution carries Z.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,55 +116,49 @@ class Polynomial:
         return g
 
     def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
-        return _recover_powers(self.alpha, Z, problem, opts)
+        """Globalized solve of P(U) = Z.
 
+        Runs the degree-continuation ladder (rung m solves P(U) = Z with
+        each block cut to its first m coefficients) from three starts, the
+        best scanned constant and the two slopes around it, then keeps the
+        converged root with the smallest oracle residual of the integral
+        equation itself.  The oracle check is what discards exact roots of
+        the truncated algebra that do not solve the equation.  Among the
+        roots within a factor 10 of the smallest residual, only the
+        smoothest stay: those whose kink, the jumps of u and h u' summed
+        over the interior block edges, is within 10 times the smallest kink
+        plus 1e-8.  Of these, the one whose average value sits nearest the
+        middle of the scan range wins (the caller's branch hint).  A kinked
+        root such as ex7's u = 1/2 + |t - 1/2| solves the equation too
+        (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.
 
-@dataclass(frozen=True)
-class Taylor(_ExprKind):
-    """G replaced by its degree-n Taylor polynomial about center.
+        A candidate is scored only as far as it can still win: its residual
+        stops as soon as one grid point exceeds 10 times the best complete
+        residual so far, an unconverged root is not scored at all when a
+        converged one exists, and a single remaining root is not scored.
+        The winner is the same as with full scoring.
+        """
+        spec = problem.spec
+        system = _polynomial_system(Z, self.alpha)
+        candidates = _initial_candidates(system, spec, opts.scan_range)
 
-    The finite-difference Taylor coefficients are computed once, at
-    construction: the powers-of-u coefficients alpha of the polynomial
-    recover step, and the radius |u - center| within which the first dropped term
-    stays below 1e-8 (inf when that term vanishes).
-    """
+        finals = [_run_ladder(system, cand, spec.M) for cand in candidates]
 
-    degree: int
-    center: float = 0.0
-    alpha: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    trust_radius: float = field(init=False, repr=False, compare=False)
+        # dedupe identical roots before paying for oracle residuals
+        distinct: list[NewtonResult] = []
+        for result, _ in finals:
+            if not any(np.allclose(result.x, other.x, rtol=1e-7, atol=1e-9)
+                       for other in distinct):
+                distinct.append(result)
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"taylor degree must be >= 1: {self.degree}")
-
-        def g(v):
-            return float(evaluate(self.G, {"u": float(v)}))
-
-        # tau_d = G^(d)(center)/d! for d = 0 .. degree + 1
-        tau = [_fd_derivative(g, self.center, d) / math.factorial(d)
-               for d in range(self.degree + 2)]
-        # binomial re-expansion of sum_d tau_d (u - center)^d in powers of u
-        alpha = np.zeros(self.degree + 1)
-        for d in range(self.degree + 1):
-            for r in range(d + 1):
-                alpha[r] += tau[d] * math.comb(d, r) * (-self.center) ** (d - r)
-        radius = ((1e-8 / abs(tau[-1])) ** (1.0 / (self.degree + 1))
-                  if tau[-1] != 0.0 else math.inf)
-        object.__setattr__(self, "alpha", Polynomial(alpha).alpha)
-        object.__setattr__(self, "trust_radius", radius)
-
-    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
-        """The polynomial recover step, with a warning when the solution
-        leaves the expansion's trust radius."""
-        U, *rest = _recover_powers(self.alpha, Z, problem, opts)
-        grid = oracle.uniform_grid(problem.spec.interval, oracle.RESIDUAL_GRID)
-        reach = float(np.max(np.abs(eval_series(U, grid.points) - self.center)))
-        if reach > self.trust_radius:
-            warnings.warn(
-                f"solution range leaves the Taylor trust radius: |u - {self.center:g}| "
-                f"up to {reach:.3g} vs radius {self.trust_radius:.3g}", stacklevel=3)
-        return U, *rest
+        # only the class that can win is scored: converged roots, if any
+        pool = [result for result in distinct if result.converged] or distinct
+        result = pool[0] if len(pool) == 1 else _select_root(pool, problem, opts)
+        total_iters = sum(iters for _, iters in finals)
+        # the 2-norm condition of the block-diagonal dP/dU
+        sv = np.linalg.svd(system(result.x)[1], compute_uv=False)
+        cond = float(sv.max() / sv.min()) if sv.min() > 0 else math.inf
+        return CoeffVector(spec, result.x.ravel()), cond, total_iters, result.converged
 
 
 @dataclass(frozen=True)
@@ -196,7 +189,7 @@ class Collocation(_ExprKind):
         return project(invert, Z.spec, rule=Z.spec.M), 0.0, 0, True
 
 
-Nonlinearity = Invertible | Derivative | Polynomial | Taylor | Collocation
+Nonlinearity = Invertible | Derivative | Polynomial | Collocation
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +441,8 @@ def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
     # ranked by the 2-norm of P(c) - Z on the degree-1 rung: a constant
     # moves only the first coefficient of each block, so this ranks as the
     # full 2-norm does; the max norm is flat wherever a higher
-    # coefficient of Z dominates and keeps the first scan point, which for
-    # Taylor cos(u) on (0, 2) is c = 0, where dP/dU is singular
+    # coefficient of Z dominates and then keeps the first scan point,
+    # however poor a start it is
     consts = np.zeros((count, spec.N, 1))
     consts[:, :, 0] = np.linspace(scan_range[0], scan_range[1], count)[:, None]
     r = system(consts)[0]
@@ -499,53 +492,6 @@ def _run_ladder(system, u_start: np.ndarray, M: int) -> tuple[NewtonResult, int]
     return result, total_iters
 
 
-def _recover_powers(alpha: tuple[float, ...], Z: CoeffVector, problem: Problem,
-                    opts: SolveOptions):
-    """Globalized solve of P(U) = Z, the recover step of the Polynomial and
-    Taylor kinds.
-
-    Runs the degree-continuation ladder (rung m solves P(U) = Z with each
-    block cut to its first m coefficients) from three starts, the best
-    scanned constant and the two slopes around it, then keeps the converged
-    root with the smallest oracle residual of the integral equation
-    itself.  The oracle check is what discards exact roots of the truncated
-    algebra that do not solve the equation.  Among the roots within a factor
-    10 of the smallest residual, only the smoothest stay: those whose kink,
-    the jumps of u and h u' summed over the interior block edges, is within
-    10 times the smallest kink plus 1e-8.  Of these, the one whose average
-    value sits nearest the middle of the scan range wins (the caller's
-    branch hint).  A kinked root such as ex7's u = 1/2 + |t - 1/2| solves the
-    equation too (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.
-
-    A candidate is scored only as far as it can still win: its residual
-    stops as soon as one grid point exceeds 10 times the best complete
-    residual so far, an unconverged root is not scored at all when a
-    converged one exists, and a single remaining root is not scored.  The
-    winner is the same as with full scoring.
-    """
-    spec = problem.spec
-    system = _polynomial_system(Z, alpha)
-    candidates = _initial_candidates(system, spec, opts.scan_range)
-
-    finals = [_run_ladder(system, cand, spec.M) for cand in candidates]
-
-    # dedupe identical roots before paying for oracle residuals
-    distinct: list[NewtonResult] = []
-    for result, _ in finals:
-        if not any(np.allclose(result.x, other.x, rtol=1e-7, atol=1e-9)
-                   for other in distinct):
-            distinct.append(result)
-
-    # only the class that can win is scored: converged roots, if any
-    pool = [result for result in distinct if result.converged] or distinct
-    result = pool[0] if len(pool) == 1 else _select_root(pool, problem, opts)
-    total_iters = sum(iters for _, iters in finals)
-    # the 2-norm condition of the block-diagonal dP/dU
-    sv = np.linalg.svd(system(result.x)[1], compute_uv=False)
-    cond = float(sv.max() / sv.min()) if sv.min() > 0 else math.inf
-    return CoeffVector(spec, result.x.ravel()), cond, total_iters, result.converged
-
-
 def _select_root(pool: list[NewtonResult], problem: Problem,
                  opts: SolveOptions) -> NewtonResult:
     """The root of the pool that wins on the oracle residual and the branch
@@ -584,40 +530,6 @@ def _kink(u: np.ndarray) -> float:
     jump = u[1:] @ left - u[:-1].sum(axis=1)
     slope_jump = 2.0 * (u[1:] @ (-left * m * m) - u[:-1] @ (m * m))
     return float(np.sum(np.abs(jump) + np.abs(slope_jump)))
-
-
-# ---------------------------------------------------------------------------
-# Taylor reduction
-
-def _fd_derivative(g, x0: float, d: int) -> float:
-    """d-th derivative by Richardson-extrapolated central differences."""
-    if d == 0:
-        return g(x0)
-    coeffs = np.array([(-1.0) ** k * math.comb(d, k) for k in range(d + 1)])
-    offsets = np.array([d / 2.0 - k for k in range(d + 1)])
-    h0, levels = (0.4, 5) if d <= 5 else (0.8, 4)
-    for _ in range(8):
-        try:
-            g(x0 + offsets[0] * h0), g(x0 + offsets[-1] * h0)
-            break
-        except EvalError:
-            h0 *= 0.5
-    table = []
-    best, best_gap = math.nan, math.inf
-    for j in range(levels):
-        h = h0 / 2 ** j
-        est = sum(c * g(x0 + o * h) for c, o in zip(coeffs, offsets)) / h ** d
-        row = [est]
-        for i in range(1, j + 1):
-            row.append((4 ** i * row[i - 1] - table[j - 1][i - 1]) / (4 ** i - 1))
-        table.append(row)
-        if j > 0:
-            gap = abs(row[-1] - table[j - 1][-1])
-            if gap <= best_gap:
-                best, best_gap = row[-1], gap
-        else:
-            best = row[-1]
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,7 @@ def test_load_minimal_config_with_defaults(tmp_path):
     ('kind = collocation\nG = "u"\nbracket = -1, 2', "Collocation"),
     ("kind = derivative\norder = 2", "Derivative"),
     ("kind = polynomial\nalpha = 0, 1", "Polynomial"),
-    ('kind = taylor\nG = "exp(u)"\ndegree = 3', "Taylor"),
-], ids=["invertible", "invertible-bracket", "collocation", "derivative", "polynomial",
-        "taylor"])
+], ids=["invertible", "invertible-bracket", "collocation", "derivative", "polynomial"])
 def test_load_config_maps_each_kind(tmp_path, text, kind):
     cfg = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text)))
     assert type(cfg.nonlinearity) is getattr(dovsolver, kind)
@@ -78,11 +76,10 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
 
 
 @pytest.mark.parametrize("old, new, key", [
-    (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ndegree = abc', "nonlinearity.degree"),
-    (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ncenter = zero', "nonlinearity.center"),
-    # a degree-0 expansion makes P(U) independent of U
-    (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"\ndegree = 0', "degree"),
     (_INVERTIBLE, "kind = derivative\norder = two", "nonlinearity.order"),
+    # a kind that is not one: the error lists the kinds there are
+    (_INVERTIBLE, 'kind = taylor\nG = "exp(u)"',
+     "kinds are invertible, collocation, derivative, polynomial"),
     ("M = 4", "N = x\nM = 4", "basis.N"),
     ("M = 4", "M = 4.5", "basis.M"),
     ("M = 4", "M = 4\n\n[solver]\nscan_range = 3", "solver.scan_range"),
@@ -97,9 +94,8 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
     (_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = 0, 1e999', "bracket"),
     # a non-finite end used to crash the solve with a ZeroDivisionError
     ("interval = 0, 1", "interval = 0, 1e999", "problem.interval"),
-], ids=["degree", "center", "degree-0", "order", "N", "M", "scan_range", "newton_tol",
-        "max_iter", "residual_grid", "grid", "bracket-reversed", "bracket-infinite",
-        "interval-infinite"])
+], ids=["order", "kind", "N", "M", "scan_range", "newton_tol", "max_iter",
+        "residual_grid", "grid", "bracket-reversed", "bracket-infinite", "interval-infinite"])
 def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
@@ -153,12 +149,11 @@ def test_unknown_section_or_key_is_config_error(tmp_path, capsys, old, new, wher
      "polynomial"),
     ('kind = invertible\nG = "u"\nGinv = "u"\nbracket = 0, 1', "nonlinearity.bracket",
      "invertible"),
-    ('kind = collocation\nG = "u"\nbracket = 0, 1\ndegree = 3', "nonlinearity.degree",
+    ('kind = collocation\nG = "u"\nbracket = 0, 1\norder = 3', "nonlinearity.order",
      "collocation"),
-    ("kind = derivative\norder = 1\ncenter = 0.5", "nonlinearity.center", "derivative"),
-    ('kind = taylor\nG = "exp(u)"\nalpha = 0, 1', "nonlinearity.alpha", "taylor"),
-], ids=["polynomial-g-bracket", "invertible-ginv-bracket", "collocation-degree",
-        "derivative-center", "taylor-alpha"])
+    ("kind = derivative\norder = 1\nalpha = 0, 1", "nonlinearity.alpha", "derivative"),
+], ids=["polynomial-g-bracket", "invertible-ginv-bracket", "collocation-order",
+        "derivative-alpha"])
 def test_key_the_kind_does_not_read_is_config_error(tmp_path, capsys, text, key, kind):
     path = _write(tmp_path, MINIMAL.replace(_INVERTIBLE, text))
     assert main(["solve", path]) == 1

@@ -1,4 +1,5 @@
 import math
+import typing
 import warnings
 from dataclasses import fields, replace
 
@@ -29,11 +30,11 @@ from dovsolver.solver import (
     Collocation,
     Derivative,
     Invertible,
+    Nonlinearity,
     Polynomial,
     Problem,
     SolveOptions,
     SolverError,
-    Taylor,
     assemble_linear_map,
     newton_solve,
     scalar_invert,
@@ -357,50 +358,37 @@ def test_ex7_picks_the_exact_branch(n, m):
     assert max_error_fn(sol, lambda t: t, uniform_grid(p.spec.interval, 1000)) <= 1e-10
 
 
-def _taylor_cos(m, degree):
-    e4 = EXAMPLES["ex4"]
-    return Problem(parse(e4.kernel), parse(e4.f), Taylor(G=parse("cos(u)"), degree=degree),
-                   BasisSpec(Interval(0, 1), 1, m))
-
-
 # E_inf of each case when the recover step also ran direct Newton from five
 # starts; the three-start ladder must reach a root as good (within 2x, or
-# below 1e-12 outright).  The ex3 and Taylor winners come from the constant
-# start.
+# below 1e-12 outright).  The ex3 winners come from the constant start.
 _LADDER_CASES = {
     ("ex3", 1, 10): 1.173e-10, ("ex3", 2, 8): 4.691e-10, ("ex3", 4, 12): 1.703e-13,
     ("ex5", 2, 4): 9.712e-13, ("ex5", 4, 8): 1.458e-12, ("ex5", 2, 12): 9.629e-13,
-    ("cos", 10, 8): 3.419e-7, ("cos", 8, 6): 3.313e-5, ("cos", 12, 4): 1.636e-3,
 }
 
 
-def _case_error(key, a, b):
-    """E_inf of a recover-step case with the oracle off, on 1000 points:
-    (N, M) for a registry example, (M, degree) for Taylor cos(u) on ex4's
-    data with scan range (0, 2)."""
-    if key == "cos":
-        p, opts, exact = _taylor_cos(a, b), SolveOptions(scan_range=(0.0, 2.0)), lambda t: t
-    else:
-        e = EXAMPLES[key]
-        p, opts, exact = e.problem(a, b), e.options, e.exact_fn()
+def _case_error(key, n, m):
+    """E_inf of a registry example's recover step at (N, M) with the oracle
+    off, on 1000 points."""
+    e = EXAMPLES[key]
+    p, opts, exact = e.problem(n, m), e.options, e.exact_fn()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = solve(p, replace(opts, compute_residual=False))
     return max_error_fn(sol, exact, uniform_grid(p.spec.interval, 1000))
 
 
-@pytest.mark.parametrize("key, a, b", sorted(_LADDER_CASES))
-def test_ladder_reaches_the_exact_branch(key, a, b):
-    err = _case_error(key, a, b)
-    assert err <= 2.0 * _LADDER_CASES[key, a, b] or err < 1e-12
+@pytest.mark.parametrize("key, n, m", sorted(_LADDER_CASES))
+def test_ladder_reaches_the_exact_branch(key, n, m):
+    err = _case_error(key, n, m)
+    assert err <= 2.0 * _LADDER_CASES[key, n, m] or err < 1e-12
 
 
 # E_inf of the polynomial recover step over ex3, ex5 and ex7 at N in
-# {1, 2, 4, 8} and M in {3, 4, 6, 10, 16}, ex7 at (8, 24), and Taylor cos(u)
-# at M in {6, 8, 10, 12} and degree in {4, 6, 8}, pinned from the dense-SVD
-# Newton step.  ex5 at M = 3 and N = 1 cannot resolve the kink; ex7 at N = 8
-# and M >= 10 has a kinked root u = 1/2 + |t - 1/2| as well, which the
-# smoothness rule of the root selection passes over.
+# {1, 2, 4, 8} and M in {3, 4, 6, 10, 16} and ex7 at (8, 24), pinned from
+# the dense-SVD Newton step.  ex5 at M = 3 and N = 1 cannot resolve the
+# kink; ex7 at N = 8 and M >= 10 has a kinked root u = 1/2 + |t - 1/2| as
+# well, which the smoothness rule of the root selection passes over.
 _SWEEP = {("ex3",) + k: v for k, v in {
     (1, 3): 0.0326, (1, 4): 0.00509, (1, 6): 2.45e-05, (1, 10): 1.17e-10,
     (1, 16): 2.84e-13, (2, 3): 0.00346, (2, 4): 0.000791, (2, 6): 9.97e-07,
@@ -419,17 +407,13 @@ _SWEEP = {("ex3",) + k: v for k, v in {
     (2, 10): 3e-15, (2, 16): 6e-15, (4, 3): 1.11e-14, (4, 4): 3.9e-14, (4, 6): 9.77e-15,
     (4, 10): 2.58e-14, (4, 16): 6.19e-13, (8, 3): 9.15e-14, (8, 4): 2.38e-13,
     (8, 6): 2.92e-13, (8, 10): 8.54e-13, (8, 16): 1.16e-12, (8, 24): 1.38e-12,
-}.items()} | {("cos",) + k: v for k, v in {
-    (6, 4): 0.00216, (6, 6): 0.00121, (6, 8): 0.00121, (8, 4): 0.00163, (8, 6): 3.31e-05,
-    (8, 8): 1.15e-05, (10, 4): 0.00164, (10, 6): 2.91e-05, (10, 8): 3.42e-07,
-    (12, 4): 0.00164, (12, 6): 2.91e-05, (12, 8): 3.25e-07,
 }.items()}
 
 
-@pytest.mark.parametrize("key, a, b", sorted(_SWEEP))
-def test_recover_step_sweep(key, a, b):
-    err = _case_error(key, a, b)
-    assert err <= 2.0 * _SWEEP[key, a, b] or err < 1e-12
+@pytest.mark.parametrize("key, n, m", sorted(_SWEEP))
+def test_recover_step_sweep(key, n, m):
+    err = _case_error(key, n, m)
+    assert err <= 2.0 * _SWEEP[key, n, m] or err < 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: M = 2 stays open (no real root of "
@@ -471,42 +455,6 @@ def test_polynomial_residual_is_linear_map_of_powers(n, m, alpha, seed):
     P = polynomial(U.c.reshape(n, m), alpha)[0].ravel()
     got = assemble_linear_map(kernel_matrix(p.kernel, spec), spec) @ P - F
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
-
-
-def test_taylor_power_coefficients_exp():
-    alpha = Taylor(parse("exp(u)"), 4, 0.0).alpha
-    assert np.max(np.abs(np.array(alpha) - [1, 1, 1 / 2, 1 / 6, 1 / 24])) < 1e-6
-
-
-def test_taylor_power_coefficients_cos():
-    alpha = Taylor(parse("cos(u)"), 4, 0.0).alpha
-    assert np.max(np.abs(np.array(alpha) - [1, 0, -1 / 2, 0, 1 / 24])) < 1e-6
-
-
-def test_taylor_power_coefficients_recentered():
-    alpha = np.array(Taylor(parse("exp(u)"), 3, 1.0).alpha)
-    e = math.e
-    expected = np.array([e / 3, e / 2, 0.0, e / 6])
-    assert np.max(np.abs(alpha - expected)) < 1e-6
-
-
-def test_solve_taylor_cosine_problem():
-    e4 = EXAMPLES["ex4"]
-    p = Problem(parse(e4.kernel), parse(e4.f),
-                Taylor(G=parse("cos(u)"), degree=8),
-                BasisSpec(Interval(0, 1), 1, 10))
-    sol = solve(p, SolveOptions(compute_residual=False, scan_range=(0.0, 2.0)))
-    g = uniform_grid(p.spec.interval, 1000)
-    assert max_error_fn(sol, lambda t: t, g) <= 1e-6
-
-
-def test_taylor_trust_radius_warning():
-    # solution range [0, 2] far exceeds a degree-2 expansion of exp about 0
-    p = Problem(parse("1"), parse("t^2/2"),
-                Taylor(G=parse("exp(u)-1"), degree=2),
-                BasisSpec(Interval(0, 2), 1, 3))
-    with pytest.warns(UserWarning, match="trust radius"):
-        solve(p, SolveOptions(compute_residual=False, scan_range=(0.0, 2.0)))
 
 
 def test_collocation_hybrid_linear_plant():
@@ -565,10 +513,9 @@ def test_dispatch_by_kind():
     # every kind solves L Z = F and carries Z
     problems = [(EXAMPLES[k].problem(1, 4), EXAMPLES[k].options.scan_range)
                 for k in ("ex1", "ex2", "ex3", "ex4")]
-    problems.append((Problem(parse("1"), parse("1-cos(t)"), Taylor(G=parse("sin(u)"), degree=3),
-                             BasisSpec(Interval(0, 1), 1, 4)), (0.0, 1.0)))
     kinds = [type(p.nonlinearity) for p, _ in problems]
-    assert kinds == [Derivative, Invertible, Polynomial, Collocation, Taylor]
+    assert kinds == [Derivative, Invertible, Polynomial, Collocation]
+    assert set(kinds) == set(typing.get_args(Nonlinearity))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for p, scan in problems:
@@ -584,12 +531,6 @@ def test_polynomial_kind_validation():
         Polynomial(alpha=(1.0,))
     with pytest.raises(ValueError):
         Derivative(order=0)
-    # a degree-0 expansion is the constant G(center): P(U) would not depend
-    # on U
-    with pytest.raises(ValueError, match="degree"):
-        Taylor(G=parse("exp(u)"), degree=0)
-    with pytest.raises(ValueError, match="nonzero coefficient"):
-        Taylor(G=parse("cos(u)"), degree=1)
 
 
 def test_solution_carries_z_for_linear_stages():
