@@ -10,7 +10,6 @@ from .basis import (
     eval_series,
     hcp_eval,
     project,
-    weight,
 )
 from .expr import EvalError, ParseError, evaluate, parse, unparse
 from .opalg import (

@@ -177,16 +177,6 @@ def basis_matrix(spec: BasisSpec, t: np.ndarray) -> np.ndarray:
     return out.reshape(idx.size, spec.dim)
 
 
-def weight(spec: BasisSpec, t: float) -> float:
-    """Chebyshev weight of the block containing t; singular at block edges."""
-    n0 = spec.block_index(t)
-    xi = spec.local_coord(n0, float(t))
-    s = 1.0 - xi * xi
-    if s <= 0.0:
-        raise ValueError(f"weight is singular at block endpoint t={t}")
-    return 1.0 / np.sqrt(s)
-
-
 def projection_rule_size(M: int) -> int:
     # exact for polynomial integrands of degree <= 2Q-1
     return max(64, 4 * M)

@@ -1,4 +1,4 @@
-"""Command-line front end: single solves, convergence sweeps, the built-in
+"""Command-line front end: solves of a config file's sizes, the built-in
 example registry, and CSV/JSON table output.
 
 Config files are INI-style ([section] headers, key = value lines) with
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import contextlib
 import json
 import math
 import sys
@@ -53,7 +54,6 @@ class RunConfig:
     options: SolveOptions = SolveOptions()
     out_format: str = "csv"
     out_path: str | None = None
-    grid_size: int = 1000
     timing: bool = True
     check: dict[tuple[int, int], float] = field(default_factory=dict)
 
@@ -116,7 +116,7 @@ def _pair_list(raw: str, where: str) -> tuple[tuple[int, int], ...]:
 
 # the [nonlinearity] keys each kind reads besides kind
 _KIND_KEYS = {
-    "invertible": ("g", "ginv", "bracket"),
+    "invertible": ("g", "ginv"),
     "collocation": ("g", "bracket"),
     "derivative": ("order",),
     "polynomial": ("alpha",),
@@ -135,8 +135,6 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
         raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}; "
                           f"kinds are {', '.join(_KIND_KEYS)}")
     reads = _KIND_KEYS[kind]
-    if kind == "invertible":  # an invertible G given Ginv needs no bracket
-        reads = ("g", "ginv") if "ginv" in sec else ("g", "bracket")
     for key in sec:
         if key != "kind" and key not in reads:
             raise ConfigError(f"nonlinearity.{key}: unknown key for kind {kind!r}, "
@@ -148,12 +146,9 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
         return _parse_expr(sec[key], f"nonlinearity.{key}")
 
     try:
-        if kind == "invertible" and "ginv" in sec:
+        if kind == "invertible":
             return Invertible(expr_of("g"), expr_of("ginv"))
-        if kind == "invertible" and "bracket" not in sec:
-            raise ConfigError("nonlinearity.ginv: kind 'invertible' needs ginv or a bracket")
-        if kind in ("invertible", "collocation"):
-            # an invertible G given only a bracket is solved by collocation
+        if kind == "collocation":
             return Collocation(expr_of("g"), _value(sec, "bracket", _pair, "nonlinearity.bracket"))
         if kind == "derivative":
             return Derivative(_value(sec, "order", int, "nonlinearity.order"))
@@ -170,7 +165,6 @@ _KEYS = {
     "nonlinearity": ("kind", *dict.fromkeys(k for keys in _KIND_KEYS.values() for k in keys)),
     "basis": ("n", "m", "sweep"),
     "solver": ("scan_range",),
-    "output": ("format", "path", "grid"),
 }
 
 
@@ -194,9 +188,8 @@ def _check_keys(cfg: configparser.ConfigParser) -> None:
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and validate a run configuration; expressions are parsed eagerly
-    and defaults filled (grid 1000, csv output).  Every section and key must
-    be one this reads."""
+    """Read and validate a run configuration; expressions are parsed eagerly.
+    Every section and key must be one this reads."""
     cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path, encoding="utf-8") as handle:
@@ -248,19 +241,8 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"solver.scan_range: {exc}") from None
 
-    out = cfg["output"] if cfg.has_section("output") else {}
-    out_format = out.get("format", "csv").strip().lower()
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format: expected csv or json, got {out_format!r}")
-    out_path = out.get("path")
-    grid_size = _value(out, "grid", int, "output.grid", 1000)
-    if grid_size < 1:
-        raise ConfigError("output.grid: must be positive")
-
     return RunConfig(kernel=kernel, f=f_expr, nonlinearity=nonlinearity,
-                     interval=interval, bases=bases, exact_fn=exact_fn,
-                     options=opts, out_format=out_format, out_path=out_path,
-                     grid_size=grid_size)
+                     interval=interval, bases=bases, exact_fn=exact_fn, options=opts)
 
 
 def config_from_example(entry: ExampleEntry, N: int | None = None,
@@ -300,9 +282,8 @@ def _run_single(config: RunConfig, n: int, m: int) -> dict:
         spec = BasisSpec(Interval(*config.interval), n, m)
         problem = Problem(config.kernel, config.f, config.nonlinearity, spec)
         solution = solve(problem, config.options)
-        grid = uniform_grid(spec.interval, config.grid_size)
         if config.exact_fn is not None:
-            row["E_inf"] = max_error_fn(solution, config.exact_fn, grid)
+            row["E_inf"] = max_error_fn(solution, config.exact_fn, uniform_grid(spec.interval))
         d = solution.diagnostics
         row.update(residual_linf=d.residual_linf, newton_iters=d.newton_iters,
                    condition_estimate=d.condition_estimate, converged=d.converged)
@@ -334,15 +315,18 @@ def _emit(rows: list[dict], config: RunConfig, out) -> None:
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Solve every configured (N, M), emit the result table, and return the
-    exit code: 0 all converged, 2 on any failure or non-convergence."""
-    rows = [_run_single(config, n, m) for n, m in config.bases]
+    """Solve every configured (N, M) in config order, emit the result table
+    to out_path or else out, and return the exit code: 0 all converged, 2 on
+    any failure or non-convergence.  An out_path that cannot be opened is a
+    ConfigError, raised before the first solve."""
     sink = out or sys.stdout
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
-            _emit(rows, config, handle)
-    else:
-        _emit(rows, config, sink)
+    try:
+        table = open(config.out_path, "w", encoding="utf-8") if config.out_path else None
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
+    with table or contextlib.nullcontext(sink) as handle:
+        rows = [_run_single(config, n, m) for n, m in config.bases]
+        _emit(rows, config, handle)
     code = 0
     for row in rows:
         if row["error"] or not row["converged"]:
@@ -377,19 +361,14 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_output_flags(p):
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--grid", type=int, default=None, metavar="N")
         p.add_argument("--no-timing", action="store_true",
                        help="report wall_ms as 0 for byte-reproducible output")
 
-    p_solve = sub.add_parser("solve", help="single solve from a config file")
+    p_solve = sub.add_parser("solve", help="solve every size a config file's [basis] lists")
     p_solve.add_argument("config")
     add_output_flags(p_solve)
-
-    p_sweep = sub.add_parser("sweep", help="convergence sweep from a config file")
-    p_sweep.add_argument("config")
-    add_output_flags(p_sweep)
 
     p_ex = sub.add_parser("examples", help="registry operations")
     p_ex.add_argument("action", choices=("list",))
@@ -409,7 +388,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        for flag in ("N", "M", "grid"):
+        for flag in ("N", "M"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ConfigError(f"--{flag}: must be positive, got {value}")
@@ -421,26 +400,11 @@ def main(argv=None) -> int:
             config = config_from_example(entry, args.N, args.M, check=args.check)
         else:
             config = load_config(args.config)
-            single = len(config.bases) == 1
-            if args.command == "solve" and not single:
-                raise ConfigError("solve expects a single-basis config; use sweep")
-            if args.command == "sweep" and single:
-                raise ConfigError("sweep expects a config with a [basis] sweep list")
-        overrides = {}
-        if args.format:
-            overrides["out_format"] = args.format
-        if args.out:
-            overrides["out_path"] = args.out
-        if args.grid is not None:
-            overrides["grid_size"] = args.grid
-        if args.no_timing:
-            overrides["timing"] = False
-        if overrides:
-            config = replace(config, **overrides)
+        return run(replace(config, out_format=args.format, out_path=args.out,
+                           timing=not args.no_timing))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
 
 
 def console_main() -> None:  # pragma: no cover

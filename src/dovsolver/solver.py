@@ -32,6 +32,9 @@ from .opalg import (
 from . import oracle
 
 CONSISTENCY_TOL = 1e-8
+NEWTON_TOL = 1e-12  # ||R||_inf at which a Newton rung has converged
+NEWTON_MAX_ITER = 100
+SCAN_POINTS = 32  # constants tried by the Newton initializer's scan
 
 
 class SolverError(RuntimeError):
@@ -332,7 +335,7 @@ class NewtonResult:
     residual_norm: float
 
 
-def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonResult:
+def newton_solve(system, u0) -> NewtonResult:
     """Damped Newton iteration on an (..., m) stack of uncoupled square
     systems; a plain vector is one block.
 
@@ -341,9 +344,10 @@ def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonR
     least-squares solution, and one Armijo backtracking line search on
     ||R||_inf of the whole stack (factor 1/2, at most 30 halvings) guards
     each update; the Jacobian of an accepted trial point serves the next
-    step.  Convergence: ||R||_inf <= tol or step norm <= 1e-14; on failure
-    the last iterate, which every accepted step makes the best, is returned
-    with converged=False.  A residual not shaped like u raises ValueError.
+    step.  Convergence: ||R||_inf <= NEWTON_TOL or step norm <= 1e-14 within
+    NEWTON_MAX_ITER steps; on failure the last iterate, which every accepted
+    step makes the best, is returned with converged=False.  A residual not
+    shaped like u raises ValueError.
     """
     u = np.array(u0, dtype=float)
     r, jac = system(u)
@@ -351,9 +355,9 @@ def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonR
         raise ValueError(f"residual shape {np.shape(r)} differs from the shape "
                          f"{u.shape} of u")
     rnorm = float(np.max(np.abs(r)))
-    if rnorm <= tol:
+    if rnorm <= NEWTON_TOL:
         return NewtonResult(u, 0, True, rnorm)
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         step = _block_lstsq(jac, -r)
         lam = 1.0
         for _ in range(31):
@@ -367,9 +371,9 @@ def newton_solve(system, u0, tol: float = 1e-12, max_iter: int = 100) -> NewtonR
             return NewtonResult(u, it, False, rnorm)
         step_norm = float(np.max(np.abs(lam * step)))
         u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
-        if rnorm <= tol or step_norm <= 1e-14:
+        if rnorm <= NEWTON_TOL or step_norm <= 1e-14:
             return NewtonResult(u, it, True, rnorm)
-    return NewtonResult(u, max_iter, False, rnorm)
+    return NewtonResult(u, NEWTON_MAX_ITER, False, rnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +440,16 @@ def _polynomial_system(Z: CoeffVector, alpha: tuple[float, ...]):
     return system
 
 
-def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float],
-                   count: int = 32) -> np.ndarray:
+def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float]) -> np.ndarray:
     # ranked by the 2-norm of P(c) - Z on the degree-1 rung: a constant
     # moves only the first coefficient of each block, so this ranks as the
     # full 2-norm does; the max norm is flat wherever a higher
     # coefficient of Z dominates and then keeps the first scan point,
     # however poor a start it is
-    consts = np.zeros((count, spec.N, 1))
-    consts[:, :, 0] = np.linspace(scan_range[0], scan_range[1], count)[:, None]
+    consts = np.zeros((SCAN_POINTS, spec.N, 1))
+    consts[:, :, 0] = np.linspace(scan_range[0], scan_range[1], SCAN_POINTS)[:, None]
     r = system(consts)[0]
-    return consts[np.argmin(np.linalg.norm(r.reshape(count, -1), axis=1))]
+    return consts[np.argmin(np.linalg.norm(r.reshape(SCAN_POINTS, -1), axis=1))]
 
 
 def _initial_candidates(system, spec: BasisSpec,

@@ -19,7 +19,6 @@ from dovsolver.basis import (
     project,
     projection_rule_size,
     series_derivative,
-    weight,
 )
 from dovsolver.expr import EvalError, evaluate, parse
 from dovsolver.oracle import weighted_l2_error
@@ -69,15 +68,6 @@ def test_block_ownership_half_open():
     assert spec.block_index(0.5) == 1  # boundary belongs to the right block
     assert spec.block_index(1.0) == 1  # last block closed
     assert spec.block_index(0.0) == 0
-
-
-def test_weight_examples():
-    assert weight(BasisSpec(Interval(-1, 1), 1, 4), 0.0) == pytest.approx(1.0)
-    assert weight(BasisSpec(Interval(0, 1), 1, 4), 0.5) == pytest.approx(1.0)
-    spec = BasisSpec(Interval(0, 1), 2, 4)
-    assert weight(spec, 0.375) == pytest.approx(1 / math.sqrt(1 - 0.25))
-    with pytest.raises(ValueError, match="singular"):
-        weight(spec, 0.5)
 
 
 def test_project_constant():

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -50,7 +51,6 @@ def _write(tmp_path, text, name="run.ini"):
 def test_load_minimal_config_with_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.bases == ((1, 4),)
-    assert cfg.grid_size == 1000
     assert cfg.out_format == "csv"
     assert cfg.options == dovsolver.SolveOptions()
     assert cfg.exact_fn is None
@@ -58,12 +58,10 @@ def test_load_minimal_config_with_defaults(tmp_path):
 
 @pytest.mark.parametrize("text, kind", [
     (_INVERTIBLE, "Invertible"),
-    # README documents an invertible G given only a bracket
-    ('kind = invertible\nG = "u"\nbracket = -1, 2', "Collocation"),
     ('kind = collocation\nG = "u"\nbracket = -1, 2', "Collocation"),
     ("kind = derivative\norder = 2", "Derivative"),
     ("kind = polynomial\nalpha = 0, 1", "Polynomial"),
-], ids=["invertible", "invertible-bracket", "collocation", "derivative", "polynomial"])
+], ids=["invertible", "collocation", "derivative", "polynomial"])
 def test_load_config_maps_each_kind(tmp_path, text, kind):
     cfg = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text)))
     assert type(cfg.nonlinearity) is getattr(dovsolver, kind)
@@ -71,7 +69,7 @@ def test_load_config_maps_each_kind(tmp_path, text, kind):
 
 def test_invertible_config_needs_ginv_or_bracket(tmp_path):
     text = MINIMAL.replace(_INVERTIBLE, 'kind = invertible\nG = "u^3"')
-    with pytest.raises(ConfigError, match="bracket"):
+    with pytest.raises(ConfigError, match="nonlinearity.ginv"):
         load_config(_write(tmp_path, text))
 
 
@@ -88,6 +86,9 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
     ("M = 4", "M = 4\n\n[solver]\nnewton_tol = tight", "solver.newton_tol"),
     ("M = 4", "M = 4\n\n[solver]\nmax_iter = 1e2", "solver.max_iter"),
     ("M = 4", "M = 4\n\n[solver]\nresidual_grid = many", "solver.residual_grid"),
+    # [output] is no longer a section (--format and --out set the output, and
+    # E_inf is measured on 1000 points): any of its keys is an error that
+    # names it
     ("M = 4", "M = 4\n\n[output]\ngrid = fine", "output.grid"),
     # a reversed bracket used to exit 0 with a wrong solution
     (_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = 3, 0', "bracket"),
@@ -149,11 +150,14 @@ def test_unknown_section_or_key_is_config_error(tmp_path, capsys, old, new, wher
      "polynomial"),
     ('kind = invertible\nG = "u"\nGinv = "u"\nbracket = 0, 1', "nonlinearity.bracket",
      "invertible"),
+    # an invertible G given only a bracket used to be solved by collocation,
+    # which kind = collocation names
+    ('kind = invertible\nG = "u"\nbracket = -1, 2', "nonlinearity.bracket", "invertible"),
     ('kind = collocation\nG = "u"\nbracket = 0, 1\norder = 3', "nonlinearity.order",
      "collocation"),
     ("kind = derivative\norder = 1\nalpha = 0, 1", "nonlinearity.alpha", "derivative"),
-], ids=["polynomial-g-bracket", "invertible-ginv-bracket", "collocation-order",
-        "derivative-alpha"])
+], ids=["polynomial-g-bracket", "invertible-ginv-bracket", "invertible-bracket",
+        "collocation-order", "derivative-alpha"])
 def test_key_the_kind_does_not_read_is_config_error(tmp_path, capsys, text, key, kind):
     path = _write(tmp_path, MINIMAL.replace(_INVERTIBLE, text))
     assert main(["solve", path]) == 1
@@ -295,8 +299,9 @@ sweep = (1,3), (1,4)
     assert code == 2
     # f that cannot be evaluated on the interval: an EvalError per row
     text = MINIMAL.replace('f = "t^2/2"', 'f = "sqrt(t-0.5)"').replace(
-        "M = 4", "sweep = (1,3), (1,4)\n\n[output]\nformat = json")
+        "M = 4", "sweep = (1,3), (1,4)")
     cfg = load_config(_write(tmp_path, text, "bad_f.ini"))
+    cfg = RunConfig(**{**cfg.__dict__, "out_format": "json"})
     out = io.StringIO()
     code = run(cfg, out)
     rows = json.loads(out.getvalue())
@@ -366,12 +371,14 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     assert main(["solve", path]) == 0
     capsys.readouterr()
-    assert main(["sweep", path]) == 1  # single-basis config refused for sweep
-    err = capsys.readouterr().err
-    assert "config error" in err
+    # solve runs every size a sweep lists, one row each
+    path = _write(tmp_path, MINIMAL.replace("M = 4", "sweep = (1,3), (2,4)"), "sweep.ini")
+    assert main(["solve", path, "--no-timing"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [tuple(row.split(",")[:2]) for row in rows] == [("1", "3"), ("2", "4")]
 
 
-@pytest.mark.parametrize("flags", [["--N", "0"], ["--M", "-2"], ["--grid", "0"]])
+@pytest.mark.parametrize("flags", [["--N", "0"], ["--M", "-2"]])
 def test_main_rejects_nonpositive_size_flags(flags, capsys):
     assert main(["run-example", "ex1", *flags, "--no-timing"]) == 1
     captured = capsys.readouterr()
@@ -379,15 +386,9 @@ def test_main_rejects_nonpositive_size_flags(flags, capsys):
     assert captured.out == ""
 
 
-def test_main_grid_flag_is_applied(capsys):
-    # a coarse error grid changes E_inf, so the flag reached the run
-    assert main(["run-example", "ex1", "--grid", "3", "--no-timing"]) == 0
-    coarse = capsys.readouterr().out
-    assert main(["run-example", "ex1", "--no-timing"]) == 0
-    assert coarse != capsys.readouterr().out
-
-
 def test_output_grid_must_be_positive(tmp_path):
+    # [output] is no longer a section, so any grid is an unknown-section error
+    # that names output.grid
     with pytest.raises(ConfigError, match="output.grid"):
         load_config(_write(tmp_path, MINIMAL + "\n[output]\ngrid = 0\n"))
 
@@ -407,6 +408,43 @@ def test_main_output_file(tmp_path):
     dest = tmp_path / "out.csv"
     assert main(["solve", path, "--out", str(dest), "--no-timing"]) == 0
     assert dest.read_text().startswith(",".join(CSV_COLUMNS))
+
+
+def test_main_output_file_that_cannot_be_opened(tmp_path, capsys, monkeypatch):
+    # --out into a missing directory used to solve every row and then die
+    # with a FileNotFoundError traceback; the file is opened before any solve
+
+    def solve(*args):
+        raise AssertionError("a solve ran before --out was opened")
+
+    monkeypatch.setattr("dovsolver.cli.solve", solve)
+    dest = tmp_path / "missing" / "out.csv"
+    assert main(["run-example", "ex2", "--out", str(dest), "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --out: ") and str(dest) in captured.err
+    assert captured.out == ""
+
+
+def test_readme_cli_lines_parse(tmp_path, capsys, monkeypatch):
+    # every `dov ...` line of README's CLI block names a subcommand and flags
+    # that exist; myproblem.ini is README's config block
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_block = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    ini_block = re.search(r"^```ini\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, ini_block.group(1), "myproblem.ini")
+    lines = [shlex.split(line, comments=True) for line in cli_block.group(1).splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "dov"]
+    assert len(commands) >= 4
+    for argv in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                pytest.fail(f"dov {shlex.join(argv)}: argparse exit {exc.code}: "
+                            f"{capsys.readouterr().err}")
+        assert code == 0 or ("--check" in argv and code == 2), shlex.join(argv)
 
 
 def test_registry_requires_known_key():

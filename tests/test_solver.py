@@ -51,11 +51,8 @@ FAST = SolveOptions(compute_residual=False)
 
 def test_newton_linear_single_iteration():
     c = np.array([3.0, -1.0, 0.5])
-    res = newton_solve(lambda u: (u - c, np.eye(3)), np.zeros(3), tol=1e-8)
-    assert res.converged and res.iterations == 1
-    assert np.allclose(res.x, c, atol=1e-8)
     res = newton_solve(lambda u: (u - c, np.eye(3)), np.zeros(3))
-    assert res.converged and res.iterations <= 2
+    assert res.converged and res.iterations == 1
     assert np.allclose(res.x, c, atol=1e-12)
 
 
@@ -94,7 +91,7 @@ def test_newton_step_matches_dense_block_diagonal_lstsq(m, ranks, seed):
 
 def test_newton_returns_best_iterate_on_failure():
     res = newton_solve(lambda u: (np.array([u[0] ** 2 + 1.0]), np.diag(2.0 * u)),
-                       np.array([0.5]), max_iter=20)
+                       np.array([0.5]))
     assert not res.converged
     assert np.isfinite(res.residual_norm)
 
@@ -260,7 +257,7 @@ def test_polynomial_linear_reduction_single_newton_iteration():
     Z = CoeffVector(BasisSpec(Interval(0, 1), 1, 4), rng.normal(size=4))
     system = _polynomial_system(Z, (0.0, 1.0))
     for _ in range(3):
-        res = newton_solve(system, rng.normal(size=(1, 4)), tol=1e-8)
+        res = newton_solve(system, rng.normal(size=(1, 4)))
         assert res.converged
         assert res.iterations == 1
 
@@ -570,3 +567,19 @@ def test_residual_coupled_to_truncation_for_constant_kernels():
         f_proj = project(lambda t, _f=p.f: evaluate(_f, {"t": t}), p.spec)
         eps_f = float(np.max(np.abs(f_vals - eval_series(f_proj, grid))))
         assert sol.diagnostics.residual_linf <= 1e3 * 1e-12 + eps_f + 1e-13
+
+
+def test_residual_falls_back_to_g_of_u_equals_z():
+    # ex10 at (1, 10): the series of U dips below 0 where sqrt is applied, so
+    # the oracle cannot evaluate G(series(U)) and the residual is taken with
+    # G(u) = z instead, with one warning; the solve still counts as converged
+    e10 = EXAMPLES["ex10"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve(e10.problem(1, 10), e10.options)
+    fallback = [w for w in caught if "residual evaluated through G(u) = z" in str(w.message)]
+    assert len(fallback) == 1
+    d = sol.diagnostics
+    assert math.isfinite(d.residual_linf)
+    assert 5.4e-3 / 2 <= d.residual_linf <= 2 * 5.4e-3
+    assert d.converged
