@@ -129,7 +129,7 @@ class BasisSpec:
         return (r - 1) // self.M, (r - 1) % self.M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoeffVector:
     """Coefficients of a function in the basis of ``spec`` (length N*M)."""
 

@@ -231,6 +231,9 @@ def load_config(path: str) -> RunConfig:
         if n < 1 or m < 1:
             raise ConfigError("basis.N/basis.M: must be positive")
         bases = ((n, m),)
+    elif "n" in basis:
+        raise ConfigError("basis.N: not read with 'sweep'; each sweep pair (N, M) "
+                          "carries its own N")
     else:
         bases = _pair_list(basis["sweep"], "basis.sweep")
 
@@ -302,6 +305,8 @@ def _emit(rows: list[dict], config: RunConfig, out) -> None:
             item["converged"] = row["converged"]
             if row["error"]:
                 item["error"] = row["error"]
+            if "check" in row:
+                item.update(reference_E_inf=row["reference_E_inf"], check=row["check"])
             # JSON has no NaN or Infinity: a non-finite float is null
             for k, v in item.items():
                 if isinstance(v, float) and not math.isfinite(v):
@@ -317,8 +322,11 @@ def _emit(rows: list[dict], config: RunConfig, out) -> None:
 def run(config: RunConfig, out=None) -> int:
     """Solve every configured (N, M) in config order, emit the result table
     to out_path or else out, and return the exit code: 0 all converged, 2 on
-    any failure or non-convergence.  An out_path that cannot be opened is a
-    ConfigError, raised before the first solve."""
+    any failure, non-convergence or failed check.  A row with a reference
+    error is checked against it: JSON carries reference_E_inf and check
+    ("PASS"/"FAIL") in the row, CSV is followed by one check line per row on
+    out.  An out_path that cannot be opened is a ConfigError, raised before
+    the first solve."""
     sink = out or sys.stdout
     try:
         table = open(config.out_path, "w", encoding="utf-8") if config.out_path else None
@@ -326,23 +334,20 @@ def run(config: RunConfig, out=None) -> int:
         raise ConfigError(f"--out: {exc}") from None
     with table or contextlib.nullcontext(sink) as handle:
         rows = [_run_single(config, n, m) for n, m in config.bases]
-        _emit(rows, config, handle)
-    code = 0
-    for row in rows:
-        if row["error"] or not row["converged"]:
-            code = 2
-    if config.check:
         for row in rows:
-            key = (row["N"], row["M"])
-            expected = config.check.get(key)
-            if expected is None or row["E_inf"] is None:
-                continue
-            ok = expected / 100.0 <= row["E_inf"] <= expected * 100.0
-            sink.write(f"check N={key[0]} M={key[1]}: measured {row['E_inf']:.3g} "
-                       f"vs reference {expected:.3g} -> {'PASS' if ok else 'FAIL'}\n")
-            if not ok:
-                code = 2
-    return code
+            expected = config.check.get((row["N"], row["M"]))
+            if expected is not None and row["E_inf"] is not None:
+                ok = expected / 100.0 <= row["E_inf"] <= expected * 100.0
+                row.update(reference_E_inf=expected, check="PASS" if ok else "FAIL")
+        _emit(rows, config, handle)
+    if config.out_format != "json":
+        for row in rows:
+            if "check" in row:
+                sink.write(f"check N={row['N']} M={row['M']}: measured {row['E_inf']:.3g} "
+                           f"vs reference {row['reference_E_inf']:.3g} -> {row['check']}\n")
+    failed = any(row["error"] or not row["converged"] or row.get("check") == "FAIL"
+                 for row in rows)
+    return 2 if failed else 0
 
 
 def list_examples(out=None) -> None:

@@ -3,12 +3,14 @@
 Every kind of nonlinearity takes the same two steps in solve(): solve the
 linear system L Z = F for the coefficients Z of G(u), with L the map
 Z -> hat(K^T W_Z Q) and F the projection of f, then recover u from Z by the
-kind's own recover step.  Invertible recovers pointwise by Ginv, Derivative
-(G(u) = u^(n), zero initial data) by n integrations, Collocation by
-bracketed root finding interpolated at each block's M Chebyshev-Gauss
-points, and Polynomial by solving P(U) = Z, where P(U) = sum_r alpha_r U^r
-in truncated Chebyshev algebra, with damped Newton on the exact Jacobian
-dP/dU and a degree-continuation ladder.  The reported condition is the
+kind's own recover step.  L is block lower triangular (Volterra causality),
+so Z is marched block by block, with one refinement step; a rank-deficient
+L takes the minimum-norm least-squares Z instead.  Invertible recovers
+pointwise by Ginv, Derivative (G(u) = u^(n), zero initial data) by n
+integrations, Collocation by bracketed root finding interpolated at each
+block's M Chebyshev-Gauss points, and Polynomial by solving P(U) = Z, where
+P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra, with damped Newton
+on the exact Jacobian dP/dU and a degree-continuation ladder.  The reported condition is the
 larger of cond L and the recover step's own, and every Solution carries Z.
 """
 
@@ -216,7 +218,7 @@ class Problem:
                 stacklevel=2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostics:
     residual_linf: float
     newton_iters: int
@@ -224,7 +226,7 @@ class Diagnostics:
     condition_estimate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
     U: CoeffVector
     Z: CoeffVector
@@ -313,6 +315,32 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Minimum-norm least squares with the rank and 2-norm condition of a."""
     x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
     return x, int(rank), float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+
+
+def _march(L: np.ndarray, F: np.ndarray, M: int) -> tuple[np.ndarray, int, float]:
+    """Solve the block lower-triangular L z = F, with M x M blocks, with the
+    rank and 2-norm condition of L.
+
+    The singular values of L give rank and condition with lstsq's cut
+    (singular values up to eps dim times the largest count as zero).  A
+    full-rank L is solved block by block, z_n = L_nn^-1 (F_n - sum_{j<n}
+    L_nj z_j), and one refinement step marches the residual F - L z and adds
+    it.  A rank-deficient L takes lstsq's minimum-norm solution instead.
+    """
+    sv = np.linalg.svd(L, compute_uv=False)
+    dim = L.shape[0]
+    if sv[-1] <= np.finfo(float).eps * dim * sv[0]:
+        return _lstsq(L, F)
+
+    def sweep(b: np.ndarray) -> np.ndarray:
+        z = np.empty_like(b)
+        for lo in range(0, dim, M):
+            hi = lo + M
+            z[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], b[lo:hi] - L[lo:hi, :lo] @ z[:lo])
+        return z
+
+    z = sweep(F)
+    return z + sweep(F - L @ z), dim, float(sv[0] / sv[-1])
 
 
 def _block_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -542,12 +570,17 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     """Solve L Z = F, then recover u from Z by the nonlinearity kind's own
     recover step.
 
-    The reported condition is the larger of the linear solve's and the
-    recover step's.  The oracle residual is evaluated at G(series(U)); when
-    G rejects the re-projected series (e.g. sqrt of a solution that grazes
-    zero), the composite G(u) = z is used instead, which is the same
-    function up to the projection error of U.  A solve whose residual
-    cannot be computed at all is reported as not converged.
+    L Z = F is marched block by block (_march): L is block lower triangular,
+    so Z_n = L_nn^-1 (F_n - sum_{j<n} L_nj Z_j), and one refinement step
+    marches the residual F - L Z and adds it.  The singular values of L give
+    its rank and condition with lstsq's cut; a rank-deficient L takes
+    lstsq's minimum-norm Z and warns with the rank.  The reported condition
+    is the larger of cond L and the recover step's.  The oracle residual is
+    evaluated at G(series(U)); when G rejects the re-projected series (e.g.
+    sqrt of a solution that grazes zero), the composite G(u) = z is used
+    instead, which is the same function up to the projection error of U.
+    A solve whose residual cannot be computed at all is reported as not
+    converged.
     """
     nl = problem.nonlinearity
     if not isinstance(nl, Nonlinearity):
@@ -555,7 +588,7 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     spec = problem.spec
     L = assemble_linear_map(kernel_matrix(problem.kernel, spec), spec)
     F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
-    z, rank, cond = _lstsq(L, F)
+    z, rank, cond = _march(L, F, spec.M)
     if rank < spec.dim:
         warnings.warn(
             f"rank-deficient linear stage: rank {rank} of {spec.dim}, "

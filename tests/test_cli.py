@@ -194,6 +194,16 @@ def test_single_and_sweep_are_exclusive(tmp_path):
         load_config(_write(tmp_path, text))
 
 
+def test_sweep_with_basis_n_is_config_error(tmp_path, capsys):
+    # each sweep pair carries its own N, so a lone N would be silently unread
+    text = MINIMAL.replace("M = 4", "N = 2\nsweep = (1,4), (1,6)")
+    with pytest.raises(ConfigError, match=r"^basis\.N: .*each sweep pair"):
+        load_config(_write(tmp_path, text))
+    assert main(["solve", _write(tmp_path, text), "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: basis.N: ")
+
+
 def test_expression_error_reports_key(tmp_path):
     text = MINIMAL.replace('f = "t^2/2"', 'f = "t^/2"')
     with pytest.raises(ConfigError, match="problem.f"):
@@ -342,6 +352,30 @@ def test_run_example_check_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "check N=1 M=8" in out and "PASS" in out
+
+
+def test_run_example_check_json_is_one_document(capsys):
+    # the verdict rides in the row, so stdout parses as one JSON document
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["run-example", "ex1", "--M", "8", "--check", "--format", "json",
+                     "--no-timing"])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [(r["N"], r["M"], r["check"]) for r in rows] == [(1, 8, "PASS")]
+    assert rows[0]["reference_E_inf"] == pytest.approx(2.20e-10)
+
+
+def test_run_example_failed_check_json_exits_2():
+    cfg = config_from_example(EXAMPLES["ex1"], N=1, M=8, check=True)
+    cfg = RunConfig(**{**cfg.__dict__, "out_format": "json", "timing": False,
+                       "check": {(1, 8): 1.0}})
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(cfg, out) == 2
+    (row,) = json.loads(out.getvalue())
+    assert row["check"] == "FAIL" and row["reference_E_inf"] == 1.0
 
 
 @pytest.mark.parametrize("argv, sizes", [

@@ -1,4 +1,5 @@
 import math
+import pickle
 import typing
 import warnings
 from dataclasses import fields, replace
@@ -40,7 +41,7 @@ from dovsolver.solver import (
     scalar_invert,
     solve,
 )
-from dovsolver.solver import _block_lstsq, _polynomial_system, _scan_constant
+from dovsolver.solver import _block_lstsq, _march, _polynomial_system, _scan_constant
 from test_opalg import per_pair_kernel_matrix
 
 FAST = SolveOptions(compute_residual=False)
@@ -215,6 +216,59 @@ def test_assemble_linear_map_block_reuse_is_bitwise(source, N, M):
     spec = BasisSpec(Interval(0, 1.5), N, M)
     K = kernel_matrix(parse(source), spec)
     assert np.array_equal(assemble_linear_map(K, spec), block_by_block_linear_map(K, spec))
+
+
+# ---------------------------------------------------------------------------
+# the march through the block lower-triangular L
+
+def _orthogonal(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    return q * np.sign(np.diag(r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_march_matches_lstsq_on_block_lower_triangular(n, m, seed):
+    # diagonal blocks with singular values in [1, 10], blocks below the
+    # diagonal of norm about 1, blocks above it exactly 0
+    rng = np.random.default_rng(seed)
+    L = np.zeros((n, m, n, m))
+    for i in range(n):
+        L[i, :, i, :] = (_orthogonal(rng, m) * rng.uniform(1.0, 10.0, m)) @ _orthogonal(rng, m)
+        L[i, :, :i, :] = rng.uniform(-1.0, 1.0, (m, i, m)) / m
+    L = L.reshape(n * m, n * m)
+    F = rng.uniform(-1.0, 1.0, n * m)
+    z, rank, cond = _march(L, F, m)
+    ref, _, ref_rank, sv = np.linalg.lstsq(L, F, rcond=None)
+    assert rank == ref_rank == n * m
+    assert cond == pytest.approx(sv[0] / sv[-1], rel=1e-9)
+    assert np.linalg.norm(z - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+
+
+def test_march_takes_lstsq_on_a_rank_deficient_block():
+    # a diagonal block of rank m - 2: the march cannot run, lstsq's
+    # minimum-norm solution and rank come back instead
+    rng = np.random.default_rng(7)
+    n, m = 3, 4
+    L = np.tril(rng.uniform(-1.0, 1.0, (n * m, n * m))) + 4.0 * np.eye(n * m)
+    a = rng.uniform(1.0, 2.0, (m, m - 2))
+    L[m:2 * m, m:2 * m] = a @ a.T
+    F = rng.uniform(-1.0, 1.0, n * m)
+    ref, _, ref_rank, _ = np.linalg.lstsq(L, F, rcond=None)
+    z, rank, cond = _march(L, F, m)
+    assert rank == ref_rank == n * m - 2
+    assert np.array_equal(z, ref)
+
+
+def test_solve_with_zero_kernel_takes_the_minimum_norm_z_and_warns():
+    spec = BasisSpec(Interval(0, 1), 2, 4)
+    problem = Problem(parse("0"), parse("t^2"), Invertible(G=parse("u"), Ginv=parse("u")), spec)
+    with pytest.warns(UserWarning, match=r"rank-deficient linear stage: rank 0 of 8"):
+        sol = solve(problem, FAST)
+    L = assemble_linear_map(kernel_matrix(problem.kernel, spec), spec)
+    F = project(lambda t: t * t, spec).c
+    assert np.array_equal(sol.Z.c, np.linalg.lstsq(L, F, rcond=None)[0])
+    assert sol.diagnostics.condition_estimate == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +591,16 @@ def test_solution_carries_z_for_linear_stages():
     # Z approximates G(u) = ln(exp(t)) = t
     g = np.linspace(0, 1, 50)
     assert np.max(np.abs(eval_series(sol.Z, g) - g)) < 1e-3
+
+
+def test_solution_is_slotted_and_pickles():
+    sol = solve(EXAMPLES["ex2"].problem(1, 6))
+    for obj in (sol, sol.U, sol.diagnostics):
+        assert not hasattr(obj, "__dict__")
+    back = pickle.loads(pickle.dumps(sol))
+    assert back.diagnostics == sol.diagnostics
+    for a, b in ((back.U, sol.U), (back.Z, sol.Z)):
+        assert a.spec == b.spec and np.array_equal(a.c, b.c)
 
 
 def test_condition_estimate_reported():
