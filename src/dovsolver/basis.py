@@ -143,6 +143,9 @@ class CoeffVector:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
+    def __reduce__(self):  # unpickling skips __post_init__, which seals c
+        return CoeffVector, (self.spec, self.c)
+
     def block(self, n0: int) -> np.ndarray:
         return self.c[n0 * self.spec.M:(n0 + 1) * self.spec.M]
 

@@ -30,7 +30,6 @@ from .solver import (
     Nonlinearity,
     Polynomial,
     Problem,
-    SolveOptions,
     SolverError,
     solve,
 )
@@ -51,7 +50,6 @@ class RunConfig:
     interval: tuple[float, float]
     bases: tuple[tuple[int, int], ...]
     exact_fn: object = None  # u(t) as an array-capable callable, if known
-    options: SolveOptions = SolveOptions()
     out_format: str = "csv"
     out_path: str | None = None
     timing: bool = True
@@ -119,7 +117,7 @@ _KIND_KEYS = {
     "invertible": ("g", "ginv"),
     "collocation": ("g", "bracket"),
     "derivative": ("order",),
-    "polynomial": ("alpha",),
+    "polynomial": ("alpha", "scan_range"),
 }
 
 
@@ -152,7 +150,9 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
             return Collocation(expr_of("g"), _value(sec, "bracket", _pair, "nonlinearity.bracket"))
         if kind == "derivative":
             return Derivative(_value(sec, "order", int, "nonlinearity.order"))
-        return Polynomial(_value(sec, "alpha", _floats, "nonlinearity.alpha"))
+        return Polynomial(_value(sec, "alpha", _floats, "nonlinearity.alpha"),
+                          _value(sec, "scan_range", _pair, "nonlinearity.scan_range",
+                                 Polynomial.scan_range))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:  # a value the kind itself rejects
@@ -164,7 +164,6 @@ _KEYS = {
     "problem": ("kernel", "f", "interval", "exact_solution"),
     "nonlinearity": ("kind", *dict.fromkeys(k for keys in _KIND_KEYS.values() for k in keys)),
     "basis": ("n", "m", "sweep"),
-    "solver": ("scan_range",),
 }
 
 
@@ -237,15 +236,8 @@ def load_config(path: str) -> RunConfig:
     else:
         bases = _pair_list(basis["sweep"], "basis.sweep")
 
-    sol = cfg["solver"] if cfg.has_section("solver") else {}
-    try:  # SolveOptions checks the value
-        opts = SolveOptions(_value(sol, "scan_range", _pair, "solver.scan_range",
-                                   SolveOptions().scan_range))
-    except ValueError as exc:
-        raise ConfigError(f"solver.scan_range: {exc}") from None
-
     return RunConfig(kernel=kernel, f=f_expr, nonlinearity=nonlinearity,
-                     interval=interval, bases=bases, exact_fn=exact_fn, options=opts)
+                     interval=interval, bases=bases, exact_fn=exact_fn)
 
 
 def config_from_example(entry: ExampleEntry, N: int | None = None,
@@ -262,7 +254,7 @@ def config_from_example(entry: ExampleEntry, N: int | None = None,
     return RunConfig(
         kernel=parse(entry.kernel), f=parse(entry.f),
         nonlinearity=entry.nonlinearity, interval=entry.interval, bases=((n, m),),
-        exact_fn=entry.exact_fn(), options=entry.options,
+        exact_fn=entry.exact_fn(),
         check=dict(entry.reference_errors) if check else {})
 
 
@@ -284,7 +276,7 @@ def _run_single(config: RunConfig, n: int, m: int) -> dict:
     try:
         spec = BasisSpec(Interval(*config.interval), n, m)
         problem = Problem(config.kernel, config.f, config.nonlinearity, spec)
-        solution = solve(problem, config.options)
+        solution = solve(problem)
         if config.exact_fn is not None:
             row["E_inf"] = max_error_fn(solution, config.exact_fn, uniform_grid(spec.interval))
         d = solution.diagnostics

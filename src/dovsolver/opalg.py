@@ -34,6 +34,9 @@ class OpMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
+    def __reduce__(self):  # unpickling skips __post_init__, which seals a
+        return OpMatrix, (self.spec, self.a)
+
 
 def _integration_rows(M: int) -> np.ndarray:
     """Rows of antiderivative coefficients on the reference interval.

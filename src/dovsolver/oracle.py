@@ -50,6 +50,9 @@ class Grid:
         p.setflags(write=False)
         object.__setattr__(self, "points", p)
 
+    def __reduce__(self):  # unpickling skips __post_init__, which seals points
+        return Grid, (self.points,)
+
 
 # grid size of the residual a solve reports, and of a residual given no grid
 RESIDUAL_GRID = 200

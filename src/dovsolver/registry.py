@@ -48,9 +48,10 @@ class ExampleEntry:
     recommended: tuple[int, int]
     reference_errors: dict[tuple[int, int], float] = field(default_factory=dict)
     notes: str = ""
-    # recommended solver settings; scan_range doubles as the solution-branch
-    # selector when G(u) has a sign or reflection symmetry
-    options: SolveOptions = SolveOptions()
+    # not a field, since every example solves with the defaults; a class
+    # attribute because perfbench/worker.py and tests/test_bench_contract.py
+    # pass entry.options to solve()
+    options = SolveOptions()
 
     def problem(self, N: int | None = None, M: int | None = None) -> Problem:
         n, m = self.recommended
@@ -109,14 +110,13 @@ def _entries() -> dict[str, ExampleEntry]:
             description="polynomial G = u^2, kernel exp(t-x), exact u = exp(t) on [0,1]",
             kernel="exp(t-x)",
             f="exp(2*t)-exp(t)",
-            nonlinearity=Polynomial(alpha=(0.0, 0.0, 1.0)),
+            nonlinearity=Polynomial(alpha=(0.0, 0.0, 1.0), scan_range=(0.25, 3.0)),
             interval=(0.0, 1.0),
             exact="exp(t)",
             recommended=(1, 10),
             reference_errors={(1, 2): 2.4e-1, (1, 4): 8.32e-3, (1, 6): 4.01e-5,
                           (1, 8): 2.22e-7, (1, 10): 1.02e-7},
             notes="G = u^2 also admits -u; the positive scan range picks the u > 0 branch",
-            options=SolveOptions(scan_range=(0.25, 3.0)),
         ),
         ExampleEntry(
             key="ex4",
@@ -158,12 +158,11 @@ def _entries() -> dict[str, ExampleEntry]:
             description="G = u^2 - u, kernel 1, exact u = t on [0,2]; exact at L=3",
             kernel="1",
             f="t^3/3-t^2/2",
-            nonlinearity=Polynomial(alpha=(0.0, -1.0, 1.0)),
+            nonlinearity=Polynomial(alpha=(0.0, -1.0, 1.0), scan_range=(0.5, 2.0)),
             interval=(0.0, 2.0),
             exact="t",
             recommended=(1, 3),
             notes="exact at L=3; G(u) = G(1-u), the scan range selects the u = t branch",
-            options=SolveOptions(scan_range=(0.5, 2.0)),
         ),
         ExampleEntry(
             key="ex8",

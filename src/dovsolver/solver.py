@@ -3,15 +3,15 @@
 Every kind of nonlinearity takes the same two steps in solve(): solve the
 linear system L Z = F for the coefficients Z of G(u), with L the map
 Z -> hat(K^T W_Z Q) and F the projection of f, then recover u from Z by the
-kind's own recover step.  L is block lower triangular (Volterra causality),
-so Z is marched block by block, with one refinement step; a rank-deficient
-L takes the minimum-norm least-squares Z instead.  Invertible recovers
-pointwise by Ginv, Derivative (G(u) = u^(n), zero initial data) by n
-integrations, Collocation by bracketed root finding interpolated at each
-block's M Chebyshev-Gauss points, and Polynomial by solving P(U) = Z, where
-P(U) = sum_r alpha_r U^r in truncated Chebyshev algebra, with damped Newton
-on the exact Jacobian dP/dU and a degree-continuation ladder.  The reported condition is the
-larger of cond L and the recover step's own, and every Solution carries Z.
+kind's own recover(Z, problem), which reads no setting but the kind's.  L is
+block lower triangular (Volterra causality), so Z is marched block by block
+with one refinement step; a rank-deficient L takes the minimum-norm
+least-squares Z.  Invertible recovers pointwise by Ginv, Derivative (G(u) =
+u^(n), zero initial data) by n integrations, Collocation by root finding in
+its bracket at each block's M Chebyshev-Gauss points, and Polynomial by
+damped Newton on P(U) = sum_r alpha_r U^r = Z in truncated Chebyshev
+algebra, on a degree-continuation ladder started from its scan range.  The
+condition is the larger of cond L and the recover step's; Solution carries Z.
 """
 
 from __future__ import annotations
@@ -44,9 +44,16 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity kinds: each carries recover(Z, problem, opts), the step from
-# the solution Z of L Z = F to u, returning (U, step condition, Newton
+# nonlinearity kinds: each carries recover(Z, problem), the step from the
+# solution Z of L Z = F to u, returning (U, step condition, Newton
 # iterations, converged)
+
+def _check_range(name: str, value: tuple[float, float]) -> None:
+    """A ValueError naming the field unless value is a finite (lo, hi), lo < hi."""
+    lo, hi = value
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"{name} must be finite with lo < hi, got {value!r}")
+
 
 @dataclass(frozen=True)
 class _ExprKind:
@@ -64,7 +71,7 @@ class Invertible(_ExprKind):
 
     Ginv: Expr
 
-    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
+    def recover(self, Z: CoeffVector, problem: Problem):
         """u = Ginv(z) pointwise, projected onto the basis."""
         U = project(lambda t: evaluate(self.Ginv, {"u": eval_series(Z, t)}), Z.spec)
         return U, 0.0, 0, True
@@ -84,7 +91,7 @@ class Derivative:
         dz = series_derivative(U, self.order)
         return lambda x: eval_series(dz, x)
 
-    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
+    def recover(self, Z: CoeffVector, problem: Problem):
         """n integrations of z.
 
         Valid because the problem class fixes u and its first n-1
@@ -100,14 +107,20 @@ class Derivative:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """G(u) = sum_r alpha[r] u^r."""
+    """G(u) = sum_r alpha[r] u^r, alpha finite.  The Newton starts scan
+    scan_range (finite, lo < hi), and its midpoint picks the branch of a
+    symmetric G: u > 0 of u^2 (ex3), u = t of u^2 - u = G(1 - u) (ex7)."""
 
     alpha: tuple[float, ...]
+    scan_range: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.alpha)
+        if not all(math.isfinite(v) for v in a):
+            raise ValueError(f"alpha must be finite, got {a!r}")
         if not any(v != 0.0 for v in a[1:]):
             raise ValueError("polynomial nonlinearity needs a nonzero coefficient of u^r, r >= 1")
+        _check_range("scan_range", self.scan_range)
         object.__setattr__(self, "alpha", a)
 
     def g_from_coeffs(self, U: CoeffVector):
@@ -120,7 +133,7 @@ class Polynomial:
 
         return g
 
-    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
+    def recover(self, Z: CoeffVector, problem: Problem):
         """Globalized solve of P(U) = Z.
 
         Runs the degree-continuation ladder (rung m solves P(U) = Z with
@@ -133,7 +146,7 @@ class Polynomial:
         smoothest stay: those whose kink, the jumps of u and h u' summed
         over the interior block edges, is within 10 times the smallest kink
         plus 1e-8.  Of these, the one whose average value sits nearest the
-        middle of the scan range wins (the caller's branch hint).  A kinked
+        middle of the scan range wins (the kind's branch hint).  A kinked
         root such as ex7's u = 1/2 + |t - 1/2| solves the equation too
         (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.
 
@@ -145,7 +158,7 @@ class Polynomial:
         """
         spec = problem.spec
         system = _polynomial_system(Z, self.alpha)
-        candidates = _initial_candidates(system, spec, opts.scan_range)
+        candidates = _initial_candidates(system, spec, self.scan_range)
 
         finals = [_run_ladder(system, cand, spec.M) for cand in candidates]
 
@@ -158,7 +171,7 @@ class Polynomial:
 
         # only the class that can win is scored: converged roots, if any
         pool = [result for result in distinct if result.converged] or distinct
-        result = pool[0] if len(pool) == 1 else _select_root(pool, problem, opts)
+        result = pool[0] if len(pool) == 1 else _select_root(pool, problem, self.scan_range)
         total_iters = sum(iters for _, iters in finals)
         # the 2-norm condition of the block-diagonal dP/dU
         sv = np.linalg.svd(system(result.x)[1], compute_uv=False)
@@ -173,23 +186,18 @@ class Collocation(_ExprKind):
     bracket: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.bracket
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"bracket must be finite with lo < hi, got {self.bracket!r}")
+        _check_range("bracket", self.bracket)
 
-    def recover(self, Z: CoeffVector, problem: Problem, opts: SolveOptions):
+    def recover(self, Z: CoeffVector, problem: Problem):
         """u interpolated at each block's M Chebyshev-Gauss points, which
         avoid block endpoints, by project's transform; the values there come
         from one bracketed inversion of G at all points at once."""
         def invert(t):
-            targets = eval_series(Z, t)
             try:
-                return scalar_invert(self.G, targets, self.bracket)
+                return scalar_invert(self.G, eval_series(Z, t), self.bracket)
             except SolverError as exc:
                 raise SolverError(
-                    f"no root of G(w) = {np.ravel(targets)[exc.index]:g} in bracket "
-                    f"{self.bracket} at collocation point t = {np.ravel(t)[exc.index]:g}: "
-                    f"{exc}") from exc
+                    f"{exc} at collocation point t = {np.ravel(t)[exc.index]:g}") from exc
 
         return project(invert, Z.spec, rule=Z.spec.M), 0.0, 0, True
 
@@ -235,13 +243,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    scan_range: tuple[float, float] = (-2.0, 2.0)
     compute_residual: bool = True
-
-    def __post_init__(self):
-        lo, hi = self.scan_range
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"scan_range must be finite with lo < hi, got {self.scan_range!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +313,6 @@ def scalar_invert(G: Expr, target, bracket: tuple[float, float]):
     return float(w[0]) if t.ndim == 0 else w.reshape(t.shape)
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Minimum-norm least squares with the rank and 2-norm condition of a."""
-    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    return x, int(rank), float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-
-
 def _march(L: np.ndarray, F: np.ndarray, M: int) -> tuple[np.ndarray, int, float]:
     """Solve the block lower-triangular L z = F, with M x M blocks, with the
     rank and 2-norm condition of L.
@@ -329,8 +325,10 @@ def _march(L: np.ndarray, F: np.ndarray, M: int) -> tuple[np.ndarray, int, float
     """
     sv = np.linalg.svd(L, compute_uv=False)
     dim = L.shape[0]
-    if sv[-1] <= np.finfo(float).eps * dim * sv[0]:
-        return _lstsq(L, F)
+    rank = int(np.count_nonzero(sv > np.finfo(float).eps * dim * sv[0]))
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    if rank < dim:
+        return np.linalg.lstsq(L, F, rcond=None)[0], rank, cond
 
     def sweep(b: np.ndarray) -> np.ndarray:
         z = np.empty_like(b)
@@ -340,7 +338,7 @@ def _march(L: np.ndarray, F: np.ndarray, M: int) -> tuple[np.ndarray, int, float
         return z
 
     z = sweep(F)
-    return z + sweep(F - L @ z), dim, float(sv[0] / sv[-1])
+    return z + sweep(F - L @ z), dim, cond
 
 
 def _block_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -524,7 +522,7 @@ def _run_ladder(system, u_start: np.ndarray, M: int) -> tuple[NewtonResult, int]
 
 
 def _select_root(pool: list[NewtonResult], problem: Problem,
-                 opts: SolveOptions) -> NewtonResult:
+                 scan_range: tuple[float, float]) -> NewtonResult:
     """The root of the pool that wins on the oracle residual and the branch
     hint, each scored only as far as it can still win."""
     spec = problem.spec
@@ -546,7 +544,7 @@ def _select_root(pool: list[NewtonResult], problem: Problem,
     kinks = {i: _kink(pool[i].x) for i, (res, _) in enumerate(scored)
              if res <= 10.0 * best + 1e-300}
     smooth = 10.0 * min(kinks.values()) + 1e-8
-    mid = 0.5 * (opts.scan_range[0] + opts.scan_range[1])
+    mid = 0.5 * (scan_range[0] + scan_range[1])
     top = [(abs(float(np.mean(eval_series(U, grid.points))) - mid), res, i)
            for i, (res, U) in enumerate(scored) if kinks.get(i, math.inf) <= smooth]
     return pool[min(top)[2]]
@@ -594,7 +592,7 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
             f"rank-deficient linear stage: rank {rank} of {spec.dim}, "
             f"condition estimate {cond:.3g}", stacklevel=2)
     Z = CoeffVector(spec, z)
-    U, step_cond, iters, converged = nl.recover(Z, problem, opts)
+    U, step_cond, iters, converged = nl.recover(Z, problem)
     res = math.nan
     if opts.compute_residual:
         grid = oracle.uniform_grid(spec.interval, oracle.RESIDUAL_GRID)

@@ -52,8 +52,10 @@ def test_load_minimal_config_with_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.bases == ((1, 4),)
     assert cfg.out_format == "csv"
-    assert cfg.options == dovsolver.SolveOptions()
     assert cfg.exact_fn is None
+    # a polynomial kind without scan_range scans the default range
+    text = MINIMAL.replace(_INVERTIBLE, "kind = polynomial\nalpha = 0, 1")
+    assert load_config(_write(tmp_path, text)).nonlinearity.scan_range == (-2.0, 2.0)
 
 
 @pytest.mark.parametrize("text, kind", [
@@ -80,7 +82,7 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
      "kinds are invertible, collocation, derivative, polynomial"),
     ("M = 4", "N = x\nM = 4", "basis.N"),
     ("M = 4", "M = 4.5", "basis.M"),
-    ("M = 4", "M = 4\n\n[solver]\nscan_range = 3", "solver.scan_range"),
+    (_INVERTIBLE, "kind = polynomial\nalpha = 0, 1\nscan_range = 3", "nonlinearity.scan_range"),
     # newton_tol, max_iter and residual_grid are no longer keys: any value is
     # an error that names the key
     ("M = 4", "M = 4\n\n[solver]\nnewton_tol = tight", "solver.newton_tol"),
@@ -93,10 +95,19 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
     # a reversed bracket used to exit 0 with a wrong solution
     (_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = 3, 0', "bracket"),
     (_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = 0, 1e999', "bracket"),
+    # a non-finite coefficient used to print RuntimeWarnings and a NaN row
+    (_INVERTIBLE, "kind = polynomial\nalpha = 0, -1, 1e999",
+     "nonlinearity (polynomial): alpha must be finite"),
+    # the polynomial kind checks its scan range as collocation its bracket
+    (_INVERTIBLE, "kind = polynomial\nalpha = 0, 1\nscan_range = 2, 2",
+     "nonlinearity (polynomial): scan_range must be finite with lo < hi"),
+    (_INVERTIBLE, "kind = polynomial\nalpha = 0, 1\nscan_range = 1, -1",
+     "nonlinearity (polynomial): scan_range must be finite with lo < hi"),
     # a non-finite end used to crash the solve with a ZeroDivisionError
     ("interval = 0, 1", "interval = 0, 1e999", "problem.interval"),
 ], ids=["order", "kind", "N", "M", "scan_range", "newton_tol", "max_iter",
-        "residual_grid", "grid", "bracket-reversed", "bracket-infinite", "interval-infinite"])
+        "residual_grid", "grid", "bracket-reversed", "bracket-infinite", "alpha-infinite",
+        "scan_range-empty", "scan_range-reversed", "interval-infinite"])
 def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
@@ -111,9 +122,9 @@ def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     ("scan_range", "2, 2"), ("scan_range", "1, -1"),
 ])
 def test_out_of_range_solver_value_is_config_error(tmp_path, capsys, key, value):
-    # well-formed values SolveOptions rejects: each used to run (a negative
-    # newton_iters, a failed row, or exit 0 on the wrong ex7 branch); the
-    # keys other than scan_range are retired, so they fail as unknown keys
+    # values that each used to run (a negative newton_iters, a failed row, or
+    # exit 0 on the wrong ex7 branch); [solver] is no longer a section, so
+    # each fails as an unknown section that names the key
     path = _write(tmp_path, MINIMAL.replace("M = 4", f"M = 4\n\n[solver]\n{key} = {value}"))
     assert main(["solve", path]) == 1
     captured = capsys.readouterr()
@@ -121,12 +132,43 @@ def test_out_of_range_solver_value_is_config_error(tmp_path, capsys, key, value)
     assert captured.out == ""
 
 
+def test_config_scan_range_gives_the_registry_row(tmp_path, capsys):
+    # ex7's data with its scan range gives the run-example row: u = t, not
+    # the reflected branch 1 - t
+    text = """
+[problem]
+kernel = "1"
+f = "t^3/3-t^2/2"
+interval = 0, 2
+exact_solution = "t"
+
+[nonlinearity]
+kind = polynomial
+alpha = 0, -1, 1
+scan_range = 0.5, 2
+
+[basis]
+N = 1
+M = 3
+"""
+    assert main(["solve", _write(tmp_path, text), "--no-timing"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["run-example", "ex7", "--no-timing"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("old, new, where", [
-    # the retired solver keys, set to what used to be their defaults
+    # the retired [solver] section, its keys set to what used to be their
+    # defaults
     ("M = 4", "M = 4\n\n[solver]\nnewton_tol = 1e-12", "solver.newton_tol"),
     ("M = 4", "M = 4\n\n[solver]\nmax_iter = 100", "solver.max_iter"),
     ("M = 4", "M = 4\n\n[solver]\nresidual_grid = 200", "solver.residual_grid"),
-    ("M = 4", "M = 4\n\n[solver]\nscan_rnage = 0.5, 2", "solver.scan_rnage"),
+    # scan_range is a [nonlinearity] key of kind = polynomial; under [solver]
+    # with a kind that never read it, it used to exit 0
+    ("M = 4", "M = 4\n\n[solver]\nscan_range = 100, 200", "solver.scan_range"),
+    # a misspelt key of the kind that reads scan_range
+    (_INVERTIBLE, "kind = polynomial\nalpha = 0, 1\nscan_rnage = 0.5, 2",
+     "nonlinearity.scan_rnage"),
     ("M = 4", "M = 4\nMM = 5", "basis.mm"),
     ("f = ", "exact = \"t\"\nf = ", "problem.exact"),
     # a key that no kind reads
@@ -134,8 +176,9 @@ def test_out_of_range_solver_value_is_config_error(tmp_path, capsys, key, value)
     ("M = 4", "M = 4\n\n[ouput]\nformat = json", "ouput.format"),
     ("M = 4", "M = 4\n\n[ouput]", "ouput"),
     ("[problem]", "[DEFAULT]\ngrid = 10\n\n[problem]", "DEFAULT.grid"),
-], ids=["newton_tol", "max_iter", "residual_grid", "misspelt-key", "basis", "problem",
-        "nonlinearity", "misspelt-section", "empty-section", "default-section"])
+], ids=["newton_tol", "max_iter", "residual_grid", "solver-scan_range", "misspelt-key",
+        "basis", "problem", "nonlinearity", "misspelt-section", "empty-section",
+        "default-section"])
 def test_unknown_section_or_key_is_config_error(tmp_path, capsys, old, new, where):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
@@ -156,8 +199,11 @@ def test_unknown_section_or_key_is_config_error(tmp_path, capsys, old, new, wher
     ('kind = collocation\nG = "u"\nbracket = 0, 1\norder = 3', "nonlinearity.order",
      "collocation"),
     ("kind = derivative\norder = 1\nalpha = 0, 1", "nonlinearity.alpha", "derivative"),
+    # only the polynomial kind scans for a Newton start
+    ('kind = invertible\nG = "u"\nGinv = "u"\nscan_range = 0.5, 2', "nonlinearity.scan_range",
+     "invertible"),
 ], ids=["polynomial-g-bracket", "invertible-ginv-bracket", "invertible-bracket",
-        "collocation-order", "derivative-alpha"])
+        "collocation-order", "derivative-alpha", "invertible-scan_range"])
 def test_key_the_kind_does_not_read_is_config_error(tmp_path, capsys, text, key, kind):
     path = _write(tmp_path, MINIMAL.replace(_INVERTIBLE, text))
     assert main(["solve", path]) == 1

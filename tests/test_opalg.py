@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,15 @@ def test_product_tensor_matches_chebmul(M):
             expected[:min(M, full.size)] = full[:M]
             assert np.array_equal(C[p, q], expected)
     assert not C.flags.writeable
+
+
+def test_op_matrix_pickles_read_only():
+    # unpickling skips __post_init__, which marks the array read-only
+    spec = BasisSpec(Interval(0, 1), 2, 3)
+    m = OpMatrix(spec, np.arange(36.0).reshape(6, 6))
+    back = pickle.loads(pickle.dumps(m))
+    assert back.spec == spec and np.array_equal(back.a, m.a)
+    assert not back.a.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)

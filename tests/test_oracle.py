@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,14 @@ def test_grid_validation():
         Grid(np.array([]))
     g = uniform_grid(Interval(0, 1), 11)
     assert g.points[0] == 0.0 and g.points[-1] == 1.0 and g.points.size == 11
+
+
+def test_grid_pickles_read_only():
+    # unpickling skips __post_init__, which marks the points read-only
+    g = uniform_grid(Interval(0, 1), 11)
+    back = pickle.loads(pickle.dumps(g))
+    assert np.array_equal(back.points, g.points)
+    assert not back.points.flags.writeable
 
 
 def test_grid_rejects_non_finite_points():

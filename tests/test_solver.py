@@ -326,7 +326,7 @@ def test_newton_rejects_residual_of_another_shape():
 
 def test_continuation_exact_cubic_case():
     e7 = EXAMPLES["ex7"]
-    sol = solve(e7.problem(1, 3), SolveOptions(compute_residual=False, scan_range=(0.5, 2.0)))
+    sol = solve(e7.problem(1, 3), FAST)
     g = uniform_grid(Interval(0, 2), 500)
     assert max_error_fn(sol, lambda t: t, g) < 1e-10
     assert sol.diagnostics.converged
@@ -338,11 +338,12 @@ def test_continuation_rejects_spurious_algebraic_roots():
     # return it
     e7 = EXAMPLES["ex7"]
     p = e7.problem(1, 3)
-    picked = solve(p, SolveOptions(scan_range=(0.5, 2.0)))
+    picked = solve(p)
+    assert p.nonlinearity.scan_range == (0.5, 2.0)
     alpha = p.nonlinearity.alpha
     start = np.zeros((p.spec.N, p.spec.M))
     system = _polynomial_system(picked.Z, alpha)
-    start[:, :1] = _scan_constant(system, p.spec, (0.5, 2.0))
+    start[:, :1] = _scan_constant(system, p.spec, p.nonlinearity.scan_range)
     spurious = newton_solve(system, start)
     assert spurious.converged
     assert oracle.equation_residual(p, CoeffVector(p.spec, spurious.x.ravel()),
@@ -521,28 +522,35 @@ def test_collocation_unbracketed_root_reports_point():
     p = Problem(parse("1"), parse("t^2/2"),
                 Collocation(G=parse("u^2+10"), bracket=(-1, 1)),
                 BasisSpec(Interval(0, 1), 1, 3))
-    with pytest.raises(SolverError, match="collocation"):
+    with pytest.raises(SolverError, match="collocation point t = ") as caught:
         solve(p, FAST)
+    # scalar_invert's message names the bracket; the point is all that is added
+    assert str(caught.value).count("(-1, 1)") == 1
 
 
 @pytest.mark.parametrize("field, value", [
     ("newton_tol", -1.0), ("newton_tol", math.nan), ("newton_tol", math.inf),
-    ("newton_max_iter", 0), ("residual_grid", 1), ("scan_range", (2.0, 2.0)),
-    ("scan_range", (-math.inf, 1.0)),
+    ("newton_max_iter", 0), ("residual_grid", 1),
 ])
 def test_solve_options_validation(field, value):
-    # scan_range is checked by value; newton_tol, newton_max_iter and
-    # residual_grid are fields no longer (the Newton defaults and
-    # oracle.RESIDUAL_GRID are fixed), so naming one is a TypeError
-    error = ValueError if field == "scan_range" else TypeError
-    with pytest.raises(error, match=field):
+    # newton_tol, newton_max_iter and residual_grid are fields no longer (the
+    # Newton defaults and oracle.RESIDUAL_GRID are fixed), so naming one is a
+    # TypeError
+    with pytest.raises(TypeError, match=field):
         SolveOptions(**{field: value})
 
 
+@pytest.mark.parametrize("value", [(2.0, 2.0), (-math.inf, 1.0)], ids=["empty", "infinite"])
+def test_polynomial_scan_range_validation(value):
+    # scan_range is the polynomial kind's own field, checked by value
+    with pytest.raises(ValueError, match="scan_range"):
+        Polynomial(alpha=(0.0, 0.0, 1.0), scan_range=value)
+
+
 def test_solve_options_holds_only_what_a_caller_sets():
-    # the registry sets scan_range, the size-ladder benchmark turns
-    # compute_residual off
-    assert [f.name for f in fields(SolveOptions)] == ["scan_range", "compute_residual"]
+    # the size-ladder benchmark turns compute_residual off; a branch
+    # selector belongs to the kind (Polynomial.scan_range)
+    assert [f.name for f in fields(SolveOptions)] == ["compute_residual"]
 
 
 def test_inconsistent_data_warns():
@@ -562,24 +570,26 @@ def test_unbound_variable_in_f_skips_consistency_check():
 
 def test_dispatch_by_kind():
     # every kind solves L Z = F and carries Z
-    problems = [(EXAMPLES[k].problem(1, 4), EXAMPLES[k].options.scan_range)
-                for k in ("ex1", "ex2", "ex3", "ex4")]
-    kinds = [type(p.nonlinearity) for p, _ in problems]
+    problems = [EXAMPLES[k].problem(1, 4) for k in ("ex1", "ex2", "ex3", "ex4")]
+    kinds = [type(p.nonlinearity) for p in problems]
     assert kinds == [Derivative, Invertible, Polynomial, Collocation]
     assert set(kinds) == set(typing.get_args(Nonlinearity))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for p, scan in problems:
-            sol = solve(p, SolveOptions(compute_residual=False, scan_range=scan))
+        for p in problems:
+            sol = solve(p, FAST)
             assert sol.U.spec == p.spec
             assert sol.Z.spec == p.spec
     with pytest.raises(SolverError, match="unknown nonlinearity"):
-        solve(replace(problems[0][0], nonlinearity=parse("u")), FAST)
+        solve(replace(problems[0], nonlinearity=parse("u")), FAST)
 
 
 def test_polynomial_kind_validation():
     with pytest.raises(ValueError):
         Polynomial(alpha=(1.0,))
+    # a non-finite coefficient used to reach the solve and give a NaN row
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        Polynomial(alpha=(0.0, -1.0, math.inf))
     with pytest.raises(ValueError):
         Derivative(order=0)
 
@@ -601,6 +611,8 @@ def test_solution_is_slotted_and_pickles():
     assert back.diagnostics == sol.diagnostics
     for a, b in ((back.U, sol.U), (back.Z, sol.Z)):
         assert a.spec == b.spec and np.array_equal(a.c, b.c)
+        # unpickling skips __post_init__; the coefficients stay read-only
+        assert not a.c.flags.writeable
 
 
 def test_condition_estimate_reported():
@@ -625,7 +637,7 @@ def test_residual_coupled_to_truncation_for_constant_kernels():
     for key, n, m in [("ex7", 1, 3), ("ex5", 2, 4)]:
         e = EXAMPLES[key]
         p = e.problem(n, m)
-        sol = solve(p, SolveOptions(scan_range=e.options.scan_range))
+        sol = solve(p)
         grid = np.linspace(p.spec.interval.t0, p.spec.interval.tf, 400)
         f_vals = np.asarray(evaluate(p.f, {"t": grid}), dtype=float)
         f_proj = project(lambda t, _f=p.f: evaluate(_f, {"t": t}), p.spec)
