@@ -12,14 +12,7 @@ from .basis import (
     project,
 )
 from .expr import EvalError, ParseError, evaluate, parse, unparse
-from .opalg import (
-    OpMatrix,
-    hat_vector,
-    integration_matrix,
-    kernel_matrix,
-    power_vector,
-    product_matrix,
-)
+from .opalg import integration_matrix, kernel_matrix, product_matrix
 from .oracle import (
     Grid,
     quad_adaptive,

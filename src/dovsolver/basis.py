@@ -106,16 +106,6 @@ class BasisSpec:
     def block_width(self) -> float:
         return self.interval.width / self.N
 
-    def block_index(self, t):
-        """0-based index of the block owning t (vectorized)."""
-        idx = _locate(self, t)[0]
-        return int(idx[0]) if np.ndim(t) == 0 else idx
-
-    def local_coord(self, n0, t):
-        """Map t inside block n0 to the reference coordinate in [-1, 1]."""
-        a = self.interval.A
-        return a * self.N * (np.asarray(t, dtype=float) - self.interval.t0) - 2.0 * (n0 + 1) + 1.0
-
     def block_nodes(self, n0, x: np.ndarray) -> np.ndarray:
         """Map reference points x in [-1, 1] into block n0 (an index, or an
         array of them broadcast against x)."""
@@ -163,21 +153,12 @@ def hcp_eval(spec: BasisSpec, r: int, t):
 
 
 def _locate(spec: BasisSpec, t) -> tuple[np.ndarray, np.ndarray]:
-    """Owning block and clamped reference coordinate (local_coord's
-    arithmetic) of each point of t, in one pass; points off the domain go to
-    the nearest block."""
+    """Owning block and clamped reference coordinate in [-1, 1] of each
+    point of t, in one pass; points off the domain go to the nearest block."""
     s = np.array(t, dtype=float, ndmin=1) - spec.interval.t0
     block = np.minimum(np.maximum(np.floor(s / spec.block_width), 0.0), spec.N - 1.0)
     xi = spec.interval.A * spec.N * s - 2.0 * (block + 1.0) + 1.0
     return block.astype(int), np.minimum(np.maximum(xi, -1.0, out=xi), 1.0, out=xi)
-
-
-def basis_matrix(spec: BasisSpec, t: np.ndarray) -> np.ndarray:
-    """Matrix H[i, r] = (basis function r+1)(t_i)."""
-    idx, xi = _locate(spec, t)
-    out = np.zeros((idx.size, spec.N, spec.M))
-    out[np.arange(idx.size), idx] = chebyshev_vandermonde(spec.M, xi).T
-    return out.reshape(idx.size, spec.dim)
 
 
 def projection_rule_size(M: int) -> int:
@@ -201,13 +182,6 @@ def project(f, spec: BasisSpec, rule: int | None = None) -> CoeffVector:
     samples = np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
     # one matrix-vector product per block, the summation order of a per-block loop
     return CoeffVector(spec, (a @ samples.reshape(spec.N, Q, 1)).ravel())
-
-
-def constant_coeffs(spec: BasisSpec, value: float) -> CoeffVector:
-    """Coefficients of the constant function (exact, no quadrature)."""
-    c = np.zeros(spec.dim)
-    c[::spec.M] = value
-    return CoeffVector(spec, c)
 
 
 def eval_series(cv: CoeffVector, t):

@@ -317,8 +317,9 @@ def run(config: RunConfig, out=None) -> int:
     any failure, non-convergence or failed check.  A row with a reference
     error is checked against it: JSON carries reference_E_inf and check
     ("PASS"/"FAIL") in the row, CSV is followed by one check line per row on
-    out.  An out_path that cannot be opened is a ConfigError, raised before
-    the first solve."""
+    out.  CSV has no error column, so each failed row's error goes to stderr
+    as "dov: row N=.. M=..: <error>".  An out_path that cannot be opened is a
+    ConfigError, raised before the first solve."""
     sink = out or sys.stdout
     try:
         table = open(config.out_path, "w", encoding="utf-8") if config.out_path else None
@@ -337,6 +338,8 @@ def run(config: RunConfig, out=None) -> int:
             if "check" in row:
                 sink.write(f"check N={row['N']} M={row['M']}: measured {row['E_inf']:.3g} "
                            f"vs reference {row['reference_E_inf']:.3g} -> {row['check']}\n")
+            if row["error"]:
+                print(f"dov: row N={row['N']} M={row['M']}: {row['error']}", file=sys.stderr)
     failed = any(row["error"] or not row["converged"] or row.get("check") == "FAIL"
                  for row in rows)
     return 2 if failed else 0

@@ -40,10 +40,11 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Evaluation failure; carries the offending node."""
+    """Evaluation failure; carries the offending node and the bare reason."""
 
     def __init__(self, message: str, node):
         self.node = node
+        self.reason = message
         super().__init__(f"{message} in {unparse(node)!r} (offset {node.pos})")
 
 

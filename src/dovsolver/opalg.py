@@ -1,41 +1,25 @@
-"""Operational matrices of integration and product, and the hat transform.
+"""Operational matrices of integration and product, and the kernel's
+projection.
 
 These are the algebraic core of the direct method: integration and
-multiplication become matrix actions on coefficient vectors, and the hat
-transform turns the quadratic form H(t)^T B H(t) into a plain series, which
-is what removes collocation from the first-kind equation.  The product
-matrix, the hat transform, its truncation bound, the polynomial P(U) with its
-Jacobian, and the solver's linear map L are all contractions of one cached
-tensor, the truncated Chebyshev product of product_tensor.
+multiplication become matrix actions on coefficient vectors.  The paper's
+hat transform, which turns the quadratic form H(t)^T B H(t) into a plain
+series, is not a function here: it lives in the contraction that builds the
+solver's linear map L, and the one-by-one versions of the paper's matrices
+and vectors are the test references in tests/paper_matrices.py.  The product
+matrix, the polynomial P(U) with its Jacobian, and L are all contractions of
+one cached tensor, the truncated Chebyshev product of product_tensor.  Every
+matrix function returns a fresh dense (NM, NM) array, block-major.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import BasisSpec, CoeffVector, gauss_chebyshev_transform, projection_rule_size
-from .expr import Expr, evaluate, is_difference_kernel
-
-
-@dataclass(frozen=True)
-class OpMatrix:
-    """Dense NM x NM matrix over a basis, block-major index order."""
-
-    spec: BasisSpec
-    a: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        if a.shape != (self.spec.dim, self.spec.dim):
-            raise ValueError(f"expected {self.spec.dim}x{self.spec.dim} matrix, got {a.shape}")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    def __reduce__(self):  # unpickling skips __post_init__, which seals a
-        return OpMatrix, (self.spec, self.a)
+from .expr import EvalError, Expr, evaluate, is_difference_kernel, unparse
 
 
 def _integration_rows(M: int) -> np.ndarray:
@@ -71,7 +55,7 @@ def _block_average_column(M: int) -> np.ndarray:
     return e
 
 
-def integration_matrix(spec: BasisSpec) -> OpMatrix:
+def integration_matrix(spec: BasisSpec) -> np.ndarray:
     """Matrix Q with int_{t0}^t H(s) ds ~= Q H(t).
 
     Block upper triangular: diagonal blocks integrate within a block,
@@ -89,7 +73,7 @@ def integration_matrix(spec: BasisSpec) -> OpMatrix:
         a[nr * M:(nr + 1) * M, nr * M:(nr + 1) * M] = p
         for nc in range(nr + 1, N):
             a[nr * M:(nr + 1) * M, nc * M:(nc + 1) * M] = e
-    return OpMatrix(spec, a)
+    return a
 
 
 @functools.cache
@@ -97,7 +81,7 @@ def product_tensor(M: int) -> np.ndarray:
     """Truncated-product tensor C[p, q, d]: the coefficient of T_d in T_p T_q.
 
     From the linearization T_p T_q = (T_{p+q} + T_|p-q|)/2 with degrees >= M
-    dropped.  Every product and hat operation below is a contraction of C;
+    dropped.  Every product operation below is a contraction of C;
     the array is shared between callers and therefore read-only.
     """
     p, q = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
@@ -109,7 +93,7 @@ def product_tensor(M: int) -> np.ndarray:
     return c
 
 
-def product_matrix(cv: CoeffVector) -> OpMatrix:
+def product_matrix(cv: CoeffVector) -> np.ndarray:
     """Product operational matrix W of the function represented by cv.
 
     W[i, k] is the coefficient of H_k in H_i * f: per block, the series of f
@@ -123,46 +107,16 @@ def product_matrix(cv: CoeffVector) -> OpMatrix:
     for n0 in range(spec.N):
         sl = slice(n0 * spec.M, (n0 + 1) * spec.M)
         a[sl, sl] = np.tensordot(cv.block(n0), C, (0, 1))
-    return OpMatrix(spec, a)
+    return a
 
 
 def unit_product_matrix(spec: BasisSpec, r: int) -> np.ndarray:
-    """Product matrix of the r-th basis function (1-based), as a raw array."""
+    """Product matrix of the r-th basis function (1-based)."""
     n0, m = spec.split(r)
     a = np.zeros((spec.dim, spec.dim))
     sl = slice(n0 * spec.M, (n0 + 1) * spec.M)
     a[sl, sl] = product_tensor(spec.M)[:, m, :]
     return a
-
-
-def _diagonal_blocks(B: OpMatrix) -> np.ndarray:
-    """The N diagonal M x M blocks of B as an (N, M, M) view."""
-    N, M = B.spec.N, B.spec.M
-    return np.einsum("npnq->npq", B.a.reshape(N, M, N, M))
-
-
-def hat_vector(B: OpMatrix) -> np.ndarray:
-    """Hat transform: read-only vector b with H(t)^T B H(t) ~= b . H(t).
-
-    Only the diagonal blocks of B contribute (off-block products of basis
-    functions are identically zero); within a block b_d = sum_pq B_pq C_pqd,
-    the same truncated product as the product matrix.  The transform is
-    exactly linear in B.
-    """
-    C = product_tensor(B.spec.M)
-    # plain einsum: a BLAS contraction reorders the sums and loses exact
-    # linearity at the 1e-15 level
-    b = np.einsum("npq,pqd->nd", _diagonal_blocks(B), C).ravel()
-    b.setflags(write=False)
-    return b
-
-
-def hat_truncation_bound(B: OpMatrix) -> float:
-    """Mass of the linearization terms the hat transform drops:
-    sum over diagonal blocks of |B_pq| (1 - sum_d C_pqd), i.e. half of |B_pq|
-    wherever p + q >= M."""
-    dropped = 1.0 - product_tensor(B.spec.M).sum(axis=2)
-    return float(np.einsum("npq,pq->", np.abs(_diagonal_blocks(B)), dropped))
 
 
 def polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -187,17 +141,7 @@ def polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     return p, jac
 
 
-def power_vector(U: CoeffVector, r: int) -> CoeffVector:
-    """Coefficients approximating the r-th pointwise power of the function:
-    the polynomial u^r in truncated algebra, exact up to roundoff while r
-    times the per-block degree stays below M."""
-    if r < 1:
-        raise ValueError(f"power must be >= 1: {r}")
-    u = U.c.reshape(U.spec.N, U.spec.M)
-    return CoeffVector(U.spec, polynomial(u, (0.0,) * r + (1.0,))[0].ravel())
-
-
-def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:
+def kernel_matrix(k: Expr, spec: BasisSpec) -> np.ndarray:
     """Projection K of a bivariate kernel with k(s, t) ~= H(s)^T K H(t) for
     s <= t.
 
@@ -215,15 +159,25 @@ def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:
     K_0d is copied to every pair (ns, ns + d); so N = 1 and the first block
     row are bitwise the per-pair projection.  Any other kernel is projected
     pair by pair.
+
+    Each block pair is sampled whole, so a diagonal block samples x > t too.
+    A kernel undefined there raises an EvalError that names the kernel.
     """
     x, proj = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
     N, M = spec.N, spec.M
     a = np.zeros((N, M, N, M))
 
     def transform(s, t):
+        try:
+            vals = evaluate(k, {"x": s, "t": t})
+        except EvalError as exc:
+            raise EvalError(
+                f"kernel {unparse(k)!r} is undefined where it is sampled: each whole "
+                "diagonal block is sampled, x > t included, so the kernel must be "
+                "defined there (a smooth extension will do; weakly singular (Abel) "
+                f"kernels are out of scope): {exc.reason}", exc.node) from exc
         # a kernel without x or t evaluates to a lower-dimensional array
-        vals = np.broadcast_to(np.asarray(evaluate(k, {"x": s, "t": t}), dtype=float),
-                               (x.size, x.size))
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), (x.size, x.size))
         return proj @ vals @ proj.T
 
     if is_difference_kernel(k):
@@ -237,4 +191,4 @@ def kernel_matrix(k: Expr, spec: BasisSpec) -> OpMatrix:
             t_pts = spec.block_nodes(nt, x)[None, :]
             for ns in range(nt + 1):
                 a[ns, :, nt, :] = transform(spec.block_nodes(ns, x)[:, None], t_pts)
-    return OpMatrix(spec, a.reshape(spec.dim, spec.dim))
+    return a.reshape(spec.dim, spec.dim)

@@ -272,7 +272,7 @@ def validate_integration_matrix(spec: BasisSpec) -> IntegrationMatrixReport:
     independently integrated basis functions."""
     from .opalg import integration_matrix  # oracle stays import-light
 
-    qa = integration_matrix(spec).a
+    qa = integration_matrix(spec)
     worst = 0.0
     for r in range(1, spec.dim + 1):
         def antiderivative(t, _r=r):

@@ -24,13 +24,7 @@ import numpy as np
 
 from .basis import BasisSpec, CoeffVector, eval_series, project, series_derivative
 from .expr import EvalError, Expr, evaluate
-from .opalg import (
-    OpMatrix,
-    integration_matrix,
-    kernel_matrix,
-    polynomial,
-    product_tensor,
-)
+from .opalg import integration_matrix, kernel_matrix, polynomial, product_tensor
 from . import oracle
 
 CONSISTENCY_TOL = 1e-8
@@ -98,7 +92,7 @@ class Derivative:
         derivatives to zero at the left endpoint, which is exactly what the
         integration matrix produces.
         """
-        qt = integration_matrix(Z.spec).a.T
+        qt = integration_matrix(Z.spec).T
         u = Z.c
         for _ in range(self.order):
             u = qt @ u
@@ -405,7 +399,7 @@ def newton_solve(system, u0) -> NewtonResult:
 # ---------------------------------------------------------------------------
 # the linear system L Z = F shared by every route
 
-def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
+def assemble_linear_map(K: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """Matrix of the linear map Z -> hat(K^T W_Z Q) in coefficient space.
 
     W_Z is the product matrix of the series Z and Q the integration matrix.
@@ -432,8 +426,8 @@ def assemble_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
     """
     N, M = spec.N, spec.M
     C = product_tensor(M)
-    k4 = K.a.reshape(N, M, N, M)
-    q4 = integration_matrix(spec).a.reshape(N, M, N, M)
+    k4 = K.reshape(N, M, N, M)
+    q4 = integration_matrix(spec).reshape(N, M, N, M)
     L = np.zeros((N, M, N, M))
     if N > 1:
         ce = C @ q4[0, :, 1, 0]  # C e, e column 0 of an off-diagonal block of Q
@@ -564,6 +558,21 @@ def _kink(u: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # the pipeline
 
+def _require_finite(stage: str, values: np.ndarray, spec: BasisSpec | None = None) -> None:
+    """SolverError naming the stage unless every value is finite; for a
+    coefficient vector of spec, also the t-range of its first block with a
+    non-finite value."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    where = ""
+    if spec is not None:
+        n0 = int(np.argmin(finite.reshape(spec.N, spec.M).all(axis=1)))
+        lo, hi = spec.block_nodes(n0, np.array([-1.0, 1.0]))
+        where = f" on t in [{lo:g}, {hi:g}]"
+    raise SolverError(f"{stage} holds a non-finite value{where}")
+
+
 def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     """Solve L Z = F, then recover u from Z by the nonlinearity kind's own
     recover step.
@@ -578,15 +587,21 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     sqrt of a solution that grazes zero), the composite G(u) = z is used
     instead, which is the same function up to the projection error of U.
     A solve whose residual cannot be computed at all is reported as not
-    converged.
+    converged.  A kernel projection K, projection F of f or solution Z that
+    holds a non-finite value raises SolverError naming the stage, and for F
+    and Z the t-range of the first block that holds one.
     """
     nl = problem.nonlinearity
     if not isinstance(nl, Nonlinearity):
         raise SolverError(f"unknown nonlinearity: {type(nl).__name__}")
     spec = problem.spec
-    L = assemble_linear_map(kernel_matrix(problem.kernel, spec), spec)
+    K = kernel_matrix(problem.kernel, spec)
+    _require_finite("kernel projection K", K)
+    L = assemble_linear_map(K, spec)
     F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
+    _require_finite("projection F of f", F, spec)
     z, rank, cond = _march(L, F, spec.M)
+    _require_finite("linear-stage solution Z", z, spec)
     if rank < spec.dim:
         warnings.warn(
             f"rank-deficient linear stage: rank {rank} of {spec.dim}, "

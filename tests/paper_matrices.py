@@ -1,0 +1,98 @@
+"""The paper's operational matrices and vectors written out one by one.
+
+The solver fuses them: the hat transform lives in the contraction that
+builds the linear map L (solver.assemble_linear_map), and the powers of U in
+opalg.polynomial.  These plain versions are the references the tests compare
+the fused contractions against; no path in the package calls them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dovsolver.basis import (
+    BasisSpec,
+    CoeffVector,
+    _locate,
+    chebyshev_vandermonde,
+    gauss_chebyshev_transform,
+    projection_rule_size,
+)
+from dovsolver.expr import evaluate
+from dovsolver.opalg import polynomial, product_tensor
+
+
+def block_index(spec: BasisSpec, t):
+    """0-based index of the block owning t (vectorized)."""
+    idx = _locate(spec, t)[0]
+    return int(idx[0]) if np.ndim(t) == 0 else idx
+
+
+def local_coord(spec: BasisSpec, n0, t):
+    """Map t inside block n0 to the reference coordinate in [-1, 1]."""
+    a = spec.interval.A
+    return a * spec.N * (np.asarray(t, dtype=float) - spec.interval.t0) - 2.0 * (n0 + 1) + 1.0
+
+
+def basis_matrix(spec: BasisSpec, t: np.ndarray) -> np.ndarray:
+    """Matrix H[i, r] = (basis function r+1)(t_i)."""
+    idx, xi = _locate(spec, t)
+    out = np.zeros((idx.size, spec.N, spec.M))
+    out[np.arange(idx.size), idx] = chebyshev_vandermonde(spec.M, xi).T
+    return out.reshape(idx.size, spec.dim)
+
+
+def constant_coeffs(spec: BasisSpec, value: float) -> CoeffVector:
+    """Coefficients of the constant function (exact, no quadrature)."""
+    c = np.zeros(spec.dim)
+    c[::spec.M] = value
+    return CoeffVector(spec, c)
+
+
+def _diagonal_blocks(spec: BasisSpec, B: np.ndarray) -> np.ndarray:
+    """The N diagonal M x M blocks of the (NM, NM) matrix B as an (N, M, M) view."""
+    N, M = spec.N, spec.M
+    return np.einsum("npnq->npq", np.asarray(B, dtype=float).reshape(N, M, N, M))
+
+
+def hat_vector(spec: BasisSpec, B: np.ndarray) -> np.ndarray:
+    """Hat transform: read-only vector b with H(t)^T B H(t) ~= b . H(t).
+
+    Only the diagonal blocks of B contribute (off-block products of basis
+    functions are identically zero); within a block b_d = sum_pq B_pq C_pqd,
+    the same truncated product as the product matrix.  The transform is
+    exactly linear in B.
+    """
+    C = product_tensor(spec.M)
+    # plain einsum: a BLAS contraction reorders the sums and loses exact
+    # linearity at the 1e-15 level
+    b = np.einsum("npq,pqd->nd", _diagonal_blocks(spec, B), C).ravel()
+    b.setflags(write=False)
+    return b
+
+
+def hat_truncation_bound(spec: BasisSpec, B: np.ndarray) -> float:
+    """Mass of the linearization terms the hat transform drops:
+    sum over diagonal blocks of |B_pq| (1 - sum_d C_pqd), i.e. half of |B_pq|
+    wherever p + q >= M."""
+    dropped = 1.0 - product_tensor(spec.M).sum(axis=2)
+    return float(np.einsum("npq,pq->", np.abs(_diagonal_blocks(spec, B)), dropped))
+
+
+def power_vector(U: CoeffVector, r: int) -> CoeffVector:
+    """Coefficients approximating the r-th pointwise power of the function:
+    the polynomial u^r in truncated algebra, exact up to roundoff while r
+    times the per-block degree stays below M."""
+    if r < 1:
+        raise ValueError(f"power must be >= 1: {r}")
+    u = U.c.reshape(U.spec.N, U.spec.M)
+    return CoeffVector(U.spec, polynomial(u, (0.0,) * r + (1.0,))[0].ravel())
+
+
+def per_pair_kernel_matrix(k, spec: BasisSpec) -> np.ndarray:
+    """K projected on every block pair, causal or not: the Gauss-Chebyshev
+    transform of the kernel's samples in both variables, pair by pair."""
+    x, a = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
+    return np.block([[a @ np.broadcast_to(np.asarray(evaluate(k, {
+        "x": spec.block_nodes(ns, x)[:, None], "t": spec.block_nodes(nt, x)[None, :]}),
+        dtype=float), (x.size, x.size)) @ a.T for nt in range(spec.N)] for ns in range(spec.N)])

@@ -366,6 +366,23 @@ sweep = (1,3), (1,4)
     assert code == 2
 
 
+def test_failed_csv_row_says_why_on_stderr(capsys):
+    # the CSV table has no error column, so each failed row's error goes to
+    # stderr; stdout and the JSON output are as before
+    argv = ["run-example", "ex9", "--N", "1", "--M", "3", "--no-timing"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ",".join(CSV_COLUMNS) + "\n1,3,3,,nan,0,nan,0\n"
+        assert re.fullmatch(r"dov: row N=1 M=3: SolverError: no sign change [^\n]*"
+                            r"at collocation point t = \S+\n", captured.err)
+        assert main([*argv, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)[0]["error"].startswith("SolverError: no sign change")
+
+
 def test_sweep_rows_in_config_order(tmp_path):
     text = MINIMAL.replace("M = 4", "sweep = (1,6), (1,2), (1,4)")
     cfg = load_config(_write(tmp_path, text))

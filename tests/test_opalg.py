@@ -1,54 +1,48 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from dovsolver.basis import (
-    BasisSpec,
-    CoeffVector,
-    Interval,
-    basis_matrix,
-    constant_coeffs,
-    eval_series,
-    gauss_chebyshev_transform,
-    project,
-    projection_rule_size,
-)
-from dovsolver.expr import evaluate, is_difference_kernel, parse
+from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, project
+from dovsolver.expr import EvalError, is_difference_kernel, parse, unparse
 from dovsolver.opalg import (
-    OpMatrix,
-    hat_truncation_bound,
-    hat_vector,
     integration_matrix,
     kernel_matrix,
     polynomial,
-    power_vector,
     product_matrix,
     product_tensor,
     unit_product_matrix,
 )
+from paper_matrices import (
+    basis_matrix,
+    block_index,
+    constant_coeffs,
+    hat_truncation_bound,
+    hat_vector,
+    local_coord,
+    per_pair_kernel_matrix,
+    power_vector,
+)
 
 
 def test_integration_matrix_published_rows():
-    p3 = integration_matrix(BasisSpec(Interval(-1, 1), 1, 3)).a
+    p3 = integration_matrix(BasisSpec(Interval(-1, 1), 1, 3))
     assert np.allclose(p3[1], [-0.25, 0.0, 0.25])
-    p4 = integration_matrix(BasisSpec(Interval(-1, 1), 1, 4)).a
+    p4 = integration_matrix(BasisSpec(Interval(-1, 1), 1, 4))
     assert np.allclose(p4[2], [-1 / 3, -1 / 2, 0.0, 1 / 6])
 
 
 def test_integration_matrix_first_row_from_antiderivative():
     # int_{-1}^{x} T_0 = x + 1 = T_0 + T_1 (the displayed variant 1,0,1,0...
     # fails the quadrature cross-check below)
-    p3 = integration_matrix(BasisSpec(Interval(-1, 1), 1, 3)).a
+    p3 = integration_matrix(BasisSpec(Interval(-1, 1), 1, 3))
     assert np.allclose(p3[0], [1.0, 1.0, 0.0])
 
 
 def test_hybrid_integration_block_structure():
     spec = BasisSpec(Interval(0, 1), 2, 2)
-    q = integration_matrix(spec).a
+    q = integration_matrix(spec)
     # cross-block coupling of the constant: whole-block integral 1/2
     assert np.allclose(q[0:2, 2:4], [[0.5, 0.0], [0.0, 0.0]])
     # diagonal blocks are the one-block matrix scaled into the half-width block
@@ -64,7 +58,7 @@ def _analytic_running_integral(cv):
     def F(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
-        idx = np.atleast_1d(spec.block_index(t))
+        idx = np.atleast_1d(block_index(spec, t))
         masses = []
         for n0 in range(spec.N):
             anti = cheb.chebint(cv.block(n0), lbnd=-1.0) * scale
@@ -73,7 +67,7 @@ def _analytic_running_integral(cv):
         for n0 in np.unique(idx):
             mask = idx == n0
             anti = cheb.chebint(cv.block(n0), lbnd=-1.0) * scale
-            xi = np.clip(spec.local_coord(n0, t[mask]), -1, 1)
+            xi = np.clip(local_coord(spec, n0, t[mask]), -1, 1)
             out[mask] = cum[n0] + cheb.chebval(xi, anti)
         return out
 
@@ -91,7 +85,7 @@ def test_integration_contract_random_polynomials(N, M):
         for n0 in range(N):
             c[n0 * M:n0 * M + M - 1] = rng.normal(size=M - 1)  # degree <= M-2
         cv = CoeffVector(spec, c)
-        through_matrix = Q.a.T @ cv.c
+        through_matrix = Q.T @ cv.c
         reference = project(_analytic_running_integral(cv), spec)
         assert np.max(np.abs(through_matrix - reference.c)) < 1e-10
 
@@ -109,15 +103,6 @@ def test_product_tensor_matches_chebmul(M):
     assert not C.flags.writeable
 
 
-def test_op_matrix_pickles_read_only():
-    # unpickling skips __post_init__, which marks the array read-only
-    spec = BasisSpec(Interval(0, 1), 2, 3)
-    m = OpMatrix(spec, np.arange(36.0).reshape(6, 6))
-    back = pickle.loads(pickle.dumps(m))
-    assert back.spec == spec and np.array_equal(back.a, m.a)
-    assert not back.a.flags.writeable
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
@@ -128,27 +113,27 @@ def test_product_and_hat_algebra(n, m, seed, a, b):
     x, y, z = (rng.normal(size=spec.dim) for _ in range(3))
 
     def W(c):
-        return product_matrix(CoeffVector(spec, c)).a
+        return product_matrix(CoeffVector(spec, c))
 
     tol = 1e-13 * (1.0 + abs(a) + abs(b))
     assert np.max(np.abs(W(a * x + b * y) - (a * W(x) + b * W(y)))) <= tol
     assert np.max(np.abs(W(x).T @ y - W(y).T @ x)) <= 1e-13
     B1, B2 = rng.normal(size=(2, spec.dim, spec.dim))
-    combined = hat_vector(OpMatrix(spec, a * B1 + b * B2))
-    split = a * hat_vector(OpMatrix(spec, B1)) + b * hat_vector(OpMatrix(spec, B2))
+    combined = hat_vector(spec, a * B1 + b * B2)
+    split = a * hat_vector(spec, B1) + b * hat_vector(spec, B2)
     assert np.max(np.abs(combined - split)) <= tol * m
 
 
 def test_product_matrix_of_one_is_identity():
     for spec in (BasisSpec(Interval(0, 1), 1, 5), BasisSpec(Interval(0, 1), 3, 4)):
         W = product_matrix(constant_coeffs(spec, 1.0))
-        assert np.allclose(W.a, np.eye(spec.dim))
+        assert np.allclose(W, np.eye(spec.dim))
 
 
 def test_product_matrix_linearization_rows():
     spec = BasisSpec(Interval(-1, 1), 1, 3)
     W = product_matrix(CoeffVector(spec, [0, 1, 0]))
-    assert np.allclose(W.a, [[0, 1, 0], [0.5, 0, 0.5], [0, 0.5, 0]])
+    assert np.allclose(W, [[0, 1, 0], [0.5, 0, 0.5], [0, 0.5, 0]])
 
 
 def test_product_matrix_pointwise_property():
@@ -162,24 +147,24 @@ def test_product_matrix_pointwise_property():
         v = np.zeros(6)
         v[:deg_v + 1] = rng.normal(size=deg_v + 1)
         cv, vv = CoeffVector(spec, c), CoeffVector(spec, v)
-        prod = CoeffVector(spec, product_matrix(cv).a.T @ v)
+        prod = CoeffVector(spec, product_matrix(cv).T @ v)
         direct = eval_series(cv, t) * eval_series(vv, t)
         assert np.max(np.abs(eval_series(prod, t) - direct)) < 1e-12
 
 
 def test_hat_vector_identity():
     spec = BasisSpec(Interval(-1, 1), 1, 4)
-    assert np.allclose(hat_vector(OpMatrix(spec, np.eye(4))), [2.5, 0, 0.5, 0])
+    assert np.allclose(hat_vector(spec, np.eye(4)), [2.5, 0, 0.5, 0])
 
 
 def test_hat_vector_single_entries():
     spec = BasisSpec(Interval(-1, 1), 1, 5)
     b = np.zeros((5, 5))
     b[0, 0] = 1.0
-    assert np.allclose(hat_vector(OpMatrix(spec, b)), [1, 0, 0, 0, 0])
+    assert np.allclose(hat_vector(spec, b), [1, 0, 0, 0, 0])
     b = np.zeros((5, 5))
     b[0, 1] = 1.0
-    assert np.allclose(hat_vector(OpMatrix(spec, b)), [0, 1, 0, 0, 0])
+    assert np.allclose(hat_vector(spec, b), [0, 1, 0, 0, 0])
 
 
 def test_hat_contract_with_truncation_bound():
@@ -189,10 +174,10 @@ def test_hat_contract_with_truncation_bound():
         t = rng.uniform(0, 2, 100)
         H = basis_matrix(spec, t)
         for _ in range(10):
-            B = OpMatrix(spec, rng.normal(size=(spec.dim, spec.dim)))
-            lhs = np.einsum("ij,jk,ik->i", H, B.a, H)
-            rhs = H @ hat_vector(B)
-            assert np.max(np.abs(lhs - rhs)) <= hat_truncation_bound(B) + 1e-12
+            B = rng.normal(size=(spec.dim, spec.dim))
+            lhs = np.einsum("ij,jk,ik->i", H, B, H)
+            rhs = H @ hat_vector(spec, B)
+            assert np.max(np.abs(lhs - rhs)) <= hat_truncation_bound(spec, B) + 1e-12
 
 
 def test_hat_contract_exact_on_low_degree_support():
@@ -206,9 +191,8 @@ def test_hat_contract_exact_on_low_degree_support():
         for p in range(6):
             for q in range(6 - p):
                 B[n0 * 6 + p, n0 * 6 + q] = rng.normal()
-    Bm = OpMatrix(spec, B)
     lhs = np.einsum("ij,jk,ik->i", H, B, H)
-    rhs = H @ hat_vector(Bm)
+    rhs = H @ hat_vector(spec, B)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -218,8 +202,8 @@ def test_hat_vector_linearity():
     B1 = rng.normal(size=(8, 8))
     B2 = rng.normal(size=(8, 8))
     a, b = 1.7, -0.3
-    combined = hat_vector(OpMatrix(spec, a * B1 + b * B2))
-    split = a * hat_vector(OpMatrix(spec, B1)) + b * hat_vector(OpMatrix(spec, B2))
+    combined = hat_vector(spec, a * B1 + b * B2)
+    split = a * hat_vector(spec, B1) + b * hat_vector(spec, B2)
     assert np.array_equal(combined, split) or np.max(np.abs(combined - split)) < 1e-15
 
 
@@ -322,16 +306,7 @@ def test_unit_product_matrix_matches_generic():
         c = np.zeros(spec.dim)
         c[r - 1] = 1.0
         assert np.allclose(unit_product_matrix(spec, r),
-                           product_matrix(CoeffVector(spec, c)).a)
-
-
-def per_pair_kernel_matrix(k, spec: BasisSpec) -> np.ndarray:
-    """K projected on every block pair, causal or not: the Gauss-Chebyshev
-    transform of the kernel's samples in both variables, pair by pair."""
-    x, a = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
-    return np.block([[a @ np.broadcast_to(np.asarray(evaluate(k, {
-        "x": spec.block_nodes(ns, x)[:, None], "t": spec.block_nodes(nt, x)[None, :]}),
-        dtype=float), (x.size, x.size)) @ a.T for nt in range(spec.N)] for ns in range(spec.N)])
+                           product_matrix(CoeffVector(spec, c)))
 
 
 _DIFFERENCE_KERNELS = ("exp(t-x)", "cos(t-x)", "sin(t-x)+1", "pow(t-x,2)", "1")
@@ -349,7 +324,7 @@ def test_kernel_matrix_matches_per_pair_projection(n, m, source, interval):
     # kernel is projected pair by pair, bit for bit
     spec = BasisSpec(Interval(*interval), n, m)
     k = parse(source)
-    K = kernel_matrix(k, spec).a.reshape(n, m, n, m)
+    K = kernel_matrix(k, spec).reshape(n, m, n, m)
     ref = per_pair_kernel_matrix(k, spec).reshape(n, m, n, m)
     causal = np.triu(np.ones((n, n), dtype=bool))[:, None, :, None]
     assert not K[~np.broadcast_to(causal, K.shape)].any()
@@ -368,7 +343,7 @@ def test_kernel_matrix_constant():
     # only the causal block pairs, s-block <= t-block, are projected: block
     # (1, 0) of k = 1 is 0
     spec = BasisSpec(Interval(0, 1), 2, 3)
-    K = kernel_matrix(parse("1"), spec).a
+    K = kernel_matrix(parse("1"), spec)
     expected = np.zeros((6, 6))
     expected[0, 0] = expected[0, 3] = expected[3, 3] = 1.0
     assert np.max(np.abs(K - expected)) < 1e-13
@@ -380,7 +355,7 @@ def test_kernel_matrix_projects_exactly_the_causal_block_pairs(N):
     # per-pair projection bit for bit, every other block is exactly 0
     spec = BasisSpec(Interval(0, 1.5), N, 5)
     k = parse("exp(x-t)+x*t")
-    K = kernel_matrix(k, spec).a.reshape(N, 5, N, 5)
+    K = kernel_matrix(k, spec).reshape(N, 5, N, 5)
     full = per_pair_kernel_matrix(k, spec).reshape(N, 5, N, 5)
     for ns in range(N):
         for nt in range(N):
@@ -391,8 +366,23 @@ def test_kernel_matrix_projects_exactly_the_causal_block_pairs(N):
                 assert not K[ns, :, nt].any()
 
 
+@pytest.mark.parametrize("source", ["sqrt(t-x)", "1/(t-x)", "(t-x)^(-0.5)"])
+def test_kernel_undefined_for_x_above_t_says_why(source):
+    # each whole diagonal block is sampled, x > t included, so a kernel
+    # defined only for x < t fails there; the error names the kernel, says
+    # why, and keeps the node of the evaluation that failed
+    k = parse(source)
+    with pytest.raises(EvalError) as info:
+        kernel_matrix(k, BasisSpec(Interval(0, 1), 2, 4))
+    message = str(info.value)
+    assert f"kernel {unparse(k)!r}" in message
+    assert "each whole diagonal block is sampled" in message
+    assert "smooth extension" in message and "weakly singular (Abel)" in message
+    assert info.value.node is info.value.__cause__.node
+
+
 def test_kernel_matrix_separable_bilinear():
-    K = kernel_matrix(parse("t*x"), BasisSpec(Interval(-1, 1), 1, 3)).a
+    K = kernel_matrix(parse("t*x"), BasisSpec(Interval(-1, 1), 1, 3))
     expected = np.zeros((3, 3))
     expected[1, 1] = 1.0
     assert np.max(np.abs(K - expected)) < 1e-14
@@ -402,7 +392,7 @@ def test_kernel_matrix_smooth_kernel_grid_error():
     # measured truncation of the degree-7x7 expansion of cos(t-x) on [0,1]^2
     # is 1.5e-9 on this grid
     spec = BasisSpec(Interval(0, 1), 1, 8)
-    K = kernel_matrix(parse("cos(t-x)"), spec).a
+    K = kernel_matrix(parse("cos(t-x)"), spec)
     g = np.linspace(0, 1, 20)
     H = basis_matrix(spec, g)
     approx = H @ K @ H.T

@@ -1,11 +1,14 @@
+import ast
 import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from dovsolver import oracle
 from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, project
 from dovsolver.expr import evaluate, parse
 from dovsolver.oracle import (
@@ -258,3 +261,37 @@ def test_validate_integration_matrix(N, M):
 def test_validate_integration_matrix_off_reference_interval():
     report = validate_integration_matrix(BasisSpec(Interval(0, 1), 3, 4))
     assert report.max_deviation <= 1e-10
+
+
+def _imports(node, where="module"):
+    """(imported dotted name, enclosing function or TYPE_CHECKING) of every
+    import under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = node.name
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        for child in node.body:
+            yield from _imports(child, "TYPE_CHECKING")
+        for child in node.orelse:
+            yield from _imports(child, where)
+        return
+    if isinstance(node, ast.Import):
+        yield from ((alias.name, where) for alias in node.names)
+    elif isinstance(node, ast.ImportFrom):
+        yield from ((f"{node.module or ''}.{alias.name}".lstrip("."), where)
+                    for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from _imports(child, where)
+
+
+def test_oracle_imports_no_operational_matrix_formulas():
+    # the referee stays independent of the algebra it checks: of opalg and
+    # solver it imports only the matrix it validates, inside the validator,
+    # and the two types its signatures name
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    touching = {(name, where) for name, where in _imports(tree)
+                if {"opalg", "solver"} & set(name.split("."))}
+    assert touching == {
+        ("opalg.integration_matrix", "validate_integration_matrix"),
+        ("solver.Problem", "TYPE_CHECKING"),
+        ("solver.Solution", "TYPE_CHECKING"),
+    }

@@ -11,15 +11,12 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dovsolver.basis import BasisSpec, CoeffVector, Interval, constant_coeffs, eval_series, project
+from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, project
 from dovsolver.expr import evaluate, parse
 from dovsolver.opalg import (
-    OpMatrix,
-    hat_vector,
     integration_matrix,
     kernel_matrix,
     polynomial,
-    power_vector,
     product_matrix,
     product_tensor,
     unit_product_matrix,
@@ -42,7 +39,7 @@ from dovsolver.solver import (
     solve,
 )
 from dovsolver.solver import _block_lstsq, _march, _polynomial_system, _scan_constant
-from test_opalg import per_pair_kernel_matrix
+from paper_matrices import constant_coeffs, hat_vector, per_pair_kernel_matrix, power_vector
 
 FAST = SolveOptions(compute_residual=False)
 
@@ -182,22 +179,22 @@ def test_assemble_linear_map_matches_columnwise_reference(N, M):
     spec = BasisSpec(Interval(0, 1.5), N, M)
     k = parse("exp(x-t)+x*t")
     K = kernel_matrix(k, spec)
-    kt, qa = per_pair_kernel_matrix(k, spec).T, integration_matrix(spec).a
+    kt, qa = per_pair_kernel_matrix(k, spec).T, integration_matrix(spec)
     reference = np.column_stack([
-        hat_vector(OpMatrix(spec, kt @ unit_product_matrix(spec, r) @ qa))
+        hat_vector(spec, kt @ unit_product_matrix(spec, r) @ qa)
         for r in range(1, spec.dim + 1)])
     L = assemble_linear_map(K, spec)
     assert np.max(np.abs(L - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
-def block_by_block_linear_map(K: OpMatrix, spec: BasisSpec) -> np.ndarray:
+def block_by_block_linear_map(K: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """L built block by block, every causal block from its own K block: the
     off-diagonal blocks K_jn^T (C e), the diagonal ones by the full
     contraction with C, Q's diagonal block and C."""
     N, M = spec.N, spec.M
     C = product_tensor(M)
-    k4 = K.a.reshape(N, M, N, M)
-    q4 = integration_matrix(spec).a.reshape(N, M, N, M)
+    k4 = K.reshape(N, M, N, M)
+    q4 = integration_matrix(spec).reshape(N, M, N, M)
     L = np.zeros((N, M, N, M))
     for n in range(N):
         for j in range(n):
@@ -269,6 +266,22 @@ def test_solve_with_zero_kernel_takes_the_minimum_norm_z_and_warns():
     F = project(lambda t: t * t, spec).c
     assert np.array_equal(sol.Z.c, np.linalg.lstsq(L, F, rcond=None)[0])
     assert sol.diagnostics.condition_estimate == math.inf
+
+
+@pytest.mark.parametrize("kernel, f, n, stage", [
+    # f overflows on every block, or only on the second, where exp(800 t) does
+    ("exp(t-x)", "t*exp(800)", 1, r"projection F of f holds a non-finite value on t in \[0, 1\]"),
+    ("exp(t-x)", "t*exp(800*t)", 2,
+     r"projection F of f holds a non-finite value on t in \[0.5, 1\]"),
+    ("exp(t-x)*exp(800)", "t", 1, r"kernel projection K holds a non-finite value$"),
+    # L and F are finite, but Z = L^-1 F overflows
+    ("1e-300", "t*1e300", 2,
+     r"linear-stage solution Z holds a non-finite value on t in \[0, 0.5\]"),
+], ids=["F", "F-second-block", "K", "Z"])
+def test_non_finite_stage_raises_naming_it(kernel, f, n, stage):
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=stage):
+        solve(Problem(parse(kernel), parse(f), Derivative(order=1),
+                      BasisSpec(Interval(0, 1), n, 4)), FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +508,12 @@ def test_polynomial_residual_is_linear_map_of_powers(n, m, alpha, seed):
     spec = BasisSpec(Interval(0, 1.5), n, m)
     p = Problem(parse("exp(x-t)+x*t"), parse("sin(t)"), Derivative(order=1), spec)
     U = CoeffVector(spec, np.random.default_rng(seed).uniform(-1.5, 1.5, spec.dim))
-    kt, qa = kernel_matrix(p.kernel, spec).a.T, integration_matrix(spec).a
+    kt, qa = kernel_matrix(p.kernel, spec).T, integration_matrix(spec)
     F = project(lambda t: np.sin(t), spec).c
     terms = []
     for r, a in enumerate(alpha):
         power = constant_coeffs(spec, 1.0) if r == 0 else power_vector(U, r)
-        hat = hat_vector(OpMatrix(spec, kt @ product_matrix(power).a @ qa))
+        hat = hat_vector(spec, kt @ product_matrix(power) @ qa)
         terms.append(a * hat)
     expected = sum(terms) - F
     scale = sum(np.max(np.abs(t)) for t in terms) + np.max(np.abs(F))
