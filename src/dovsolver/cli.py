@@ -2,7 +2,10 @@
 example registry, and CSV/JSON table output.
 
 Config files are INI-style ([section] headers, key = value lines) with
-expressions in quoted strings; see load_config for the key set.
+expressions in quoted strings.  Each vocabulary is declared once: _KEYS
+holds the sections and their keys; a [nonlinearity] kind's keys are the
+fields of its dataclass in solver.py, lower-cased (_KINDS), each read by
+_READERS; and the expression language is expr.py's.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -70,24 +73,24 @@ def _unquote(raw: str) -> str:
     return raw
 
 
-def _parse_expr(raw: str, where: str) -> Expr:
-    try:
-        return parse(_unquote(raw))
-    except ParseError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _value(sec, key: str, convert, where: str, fallback=None):
+def _value(sec, key: str, convert, where: str, fallback=MISSING, required="required"):
     """sec[key] read by convert.  A missing key gives the fallback; without
-    one it is a ConfigError, as is a value convert rejects."""
+    one it is a ConfigError saying required, as is a value convert rejects
+    (with a ParseError's own message)."""
     if key not in sec:
-        if fallback is None:
-            raise ConfigError(f"{where}: required")
+        if fallback is MISSING:
+            raise ConfigError(f"{where}: {required}")
         return fallback
     try:
         return convert(sec[key])
+    except ParseError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     except (TypeError, ValueError, SyntaxError):
         raise ConfigError(f"{where}: malformed value {sec[key]!r}") from None
+
+
+def _expr(raw: str) -> Expr:
+    return parse(_unquote(raw))
 
 
 def _pair(raw: str) -> tuple[float, float]:
@@ -112,13 +115,14 @@ def _pair_list(raw: str, where: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-# the [nonlinearity] keys each kind reads besides kind
-_KIND_KEYS = {
-    "invertible": ("g", "ginv"),
-    "collocation": ("g", "bracket"),
-    "derivative": ("order",),
-    "polynomial": ("alpha", "scan_range"),
-}
+# the [nonlinearity] kinds; a kind's keys are its fields, lower-cased, and a
+# field without a default is a required key
+_KINDS = {"invertible": Invertible, "collocation": Collocation,
+          "derivative": Derivative, "polynomial": Polynomial}
+
+# the reader of each kind field's value
+_READERS = {"G": _expr, "Ginv": _expr, "bracket": _pair, "order": int,
+            "alpha": _floats, "scan_range": _pair}
 
 
 def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
@@ -128,41 +132,29 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
     if not cfg.has_section("nonlinearity"):
         raise ConfigError("missing [nonlinearity] section")
     sec = cfg["nonlinearity"]
-    kind = sec.get("kind", "").strip().lower()
-    if kind not in _KIND_KEYS:
-        raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {kind!r}; "
-                          f"kinds are {', '.join(_KIND_KEYS)}")
-    reads = _KIND_KEYS[kind]
+    name = sec.get("kind", "").strip().lower()
+    if name not in _KINDS:
+        raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {name!r}; "
+                          f"kinds are {', '.join(_KINDS)}")
+    kind = _KINDS[name]
+    reads = [f.name.lower() for f in fields(kind)]
     for key in sec:
         if key != "kind" and key not in reads:
-            raise ConfigError(f"nonlinearity.{key}: unknown key for kind {kind!r}, "
+            raise ConfigError(f"nonlinearity.{key}: unknown key for kind {name!r}, "
                               f"which reads {', '.join(reads)}")
-
-    def expr_of(key: str) -> Expr:
-        if key not in sec:
-            raise ConfigError(f"nonlinearity.{key}: required for kind {kind!r}")
-        return _parse_expr(sec[key], f"nonlinearity.{key}")
-
+    args = {f.name: _value(sec, f.name.lower(), _READERS[f.name], f"nonlinearity.{f.name.lower()}",
+                           f.default, f"required for kind {name!r}")
+            for f in fields(kind)}
     try:
-        if kind == "invertible":
-            return Invertible(expr_of("g"), expr_of("ginv"))
-        if kind == "collocation":
-            return Collocation(expr_of("g"), _value(sec, "bracket", _pair, "nonlinearity.bracket"))
-        if kind == "derivative":
-            return Derivative(_value(sec, "order", int, "nonlinearity.order"))
-        return Polynomial(_value(sec, "alpha", _floats, "nonlinearity.alpha"),
-                          _value(sec, "scan_range", _pair, "nonlinearity.scan_range",
-                                 Polynomial.scan_range))
-    except ConfigError:
-        raise
+        return kind(**args)
     except (TypeError, ValueError) as exc:  # a value the kind itself rejects
-        raise ConfigError(f"nonlinearity ({kind}): {exc}") from None
+        raise ConfigError(f"nonlinearity ({name}): {exc}") from None
 
 
 # the keys load_config reads, per section; [nonlinearity] holds every kind's
 _KEYS = {
     "problem": ("kernel", "f", "interval", "exact_solution"),
-    "nonlinearity": ("kind", *dict.fromkeys(k for keys in _KIND_KEYS.values() for k in keys)),
+    "nonlinearity": ("kind", *(name.lower() for name in _READERS)),
     "basis": ("n", "m", "sweep"),
 }
 
@@ -202,11 +194,8 @@ def load_config(path: str) -> RunConfig:
     if not cfg.has_section("problem"):
         raise ConfigError("missing [problem] section")
     prob = cfg["problem"]
-    for key in ("kernel", "f", "interval"):
-        if key not in prob:
-            raise ConfigError(f"problem.{key}: required")
-    kernel = _parse_expr(prob["kernel"], "problem.kernel")
-    f_expr = _parse_expr(prob["f"], "problem.f")
+    kernel = _value(prob, "kernel", _expr, "problem.kernel")
+    f_expr = _value(prob, "f", _expr, "problem.f")
     interval = _value(prob, "interval", _pair, "problem.interval")
     try:
         Interval(*interval)
@@ -214,7 +203,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"problem.interval: {exc}") from None
     exact_fn = None
     if "exact_solution" in prob:
-        exact = _parse_expr(prob["exact_solution"], "problem.exact_solution")
+        exact = _value(prob, "exact_solution", _expr, "problem.exact_solution")
         exact_fn = lambda t: evaluate(exact, {"t": t})
 
     nonlinearity = _nonlinearity(cfg)

@@ -2,12 +2,16 @@
 
 Kernels, right-hand sides, nonlinearities and exact solutions are written as
 plain text in configuration files; this module turns them into immutable
-syntax trees that evaluate on scalars and numpy arrays alike.
+syntax trees that evaluate on scalars and numpy arrays alike.  Each part of
+the language is declared once: VARIABLES, CONSTANTS, the unary functions in
+_UNARY (with the values each rejects), FUNCTIONS (the parser's arities,
+derived from _UNARY plus pow) and the operators in _OPERATORS and _BINARY_BP.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -15,17 +19,22 @@ import numpy as np
 
 VARIABLES = ("x", "t", "u")
 
-# name -> arity; everything is unary except pow
-FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "exp": 1,
-    "ln": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "pow": 2,
+# unary function -> (numpy function, None or the comparison with 0 that rejects, why)
+_UNARY = {
+    "sin": (np.sin, None, None),
+    "cos": (np.cos, None, None),
+    "tan": (np.tan, None, None),
+    "exp": (np.exp, None, None),
+    "ln": (np.log, np.less_equal, "ln of a non-positive value"),
+    "sqrt": (np.sqrt, np.less, "sqrt of a negative value"),
+    "abs": (np.abs, None, None),
 }
+
+# name -> arity, the parser's table; pow is the one binary function
+FUNCTIONS = {**dict.fromkeys(_UNARY, 1), "pow": 2}
+
+# binary operators besides ^, which _power evaluates
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -232,43 +241,25 @@ def evaluate(e: Expr, bindings: dict):
     if isinstance(e, Bin):
         lhs = evaluate(e.lhs, bindings)
         rhs = evaluate(e.rhs, bindings)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if e.op == "/":
-            if np.any(np.asarray(rhs) == 0):
-                raise EvalError("division by zero", e)
-            return lhs / rhs
         if e.op == "^":
             return _power(lhs, rhs, e)
-        raise EvalError(f"unknown operator {e.op!r}", e)
+        op = _OPERATORS.get(e.op)
+        if op is None:
+            raise EvalError(f"unknown operator {e.op!r}", e)
+        if op is operator.truediv and np.any(np.asarray(rhs) == 0):
+            raise EvalError("division by zero", e)
+        return op(lhs, rhs)
     if isinstance(e, Call):
         vals = [evaluate(a, bindings) for a in e.args]
-        v = vals[0]
-        if e.fn == "sin":
-            return np.sin(v)
-        if e.fn == "cos":
-            return np.cos(v)
-        if e.fn == "tan":
-            return np.tan(v)
-        if e.fn == "exp":
-            return np.exp(v)
-        if e.fn == "ln":
-            if np.any(np.asarray(v) <= 0):
-                raise EvalError("ln of a non-positive value", e)
-            return np.log(v)
-        if e.fn == "sqrt":
-            if np.any(np.asarray(v) < 0):
-                raise EvalError("sqrt of a negative value", e)
-            return np.sqrt(v)
-        if e.fn == "abs":
-            return np.abs(v)
         if e.fn == "pow":
             return _power(vals[0], vals[1], e)
-        raise EvalError(f"unknown function {e.fn!r}", e)
+        entry = _UNARY.get(e.fn)
+        if entry is None:
+            raise EvalError(f"unknown function {e.fn!r}", e)
+        fn, rejects, reason = entry
+        if rejects is not None and np.any(rejects(vals[0], 0)):
+            raise EvalError(reason, e)
+        return fn(vals[0])
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -210,8 +210,10 @@ class Problem:
     spec: BasisSpec
 
     def __post_init__(self):
+        # a non-finite f is solve()'s to report, by the stage it reaches
         try:
-            f0 = float(evaluate(self.f, {"t": self.spec.interval.t0}))
+            with np.errstate(over="ignore", invalid="ignore"):
+                f0 = float(evaluate(self.f, {"t": self.spec.interval.t0}))
         except EvalError:
             return
         if abs(f0) > CONSISTENCY_TOL:
@@ -561,15 +563,19 @@ def _kink(u: np.ndarray) -> float:
 def _require_finite(stage: str, values: np.ndarray, spec: BasisSpec | None = None) -> None:
     """SolverError naming the stage unless every value is finite; for a
     coefficient vector of spec, also the t-range of its first block with a
-    non-finite value."""
+    non-finite value, and for a kernel projection the x- and t-range of its
+    first such block pair, in row-major order."""
     finite = np.isfinite(values)
     if finite.all():
         return
     where = ""
     if spec is not None:
-        n0 = int(np.argmin(finite.reshape(spec.N, spec.M).all(axis=1)))
-        lo, hi = spec.block_nodes(n0, np.array([-1.0, 1.0]))
-        where = f" on t in [{lo:g}, {hi:g}]"
+        names = "t" if finite.ndim == 1 else "xt"
+        blocks = finite.reshape((spec.N, spec.M) * finite.ndim).all(axis=(1, 3)[:finite.ndim])
+        first = np.unravel_index(np.argmin(blocks), blocks.shape)
+        ranges = [spec.block_nodes(int(n0), np.array([-1.0, 1.0])) for n0 in first]
+        where = " on " + ", ".join(f"{name} in [{lo:g}, {hi:g}]"
+                                   for name, (lo, hi) in zip(names, ranges))
     raise SolverError(f"{stage} holds a non-finite value{where}")
 
 
@@ -589,18 +595,21 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     A solve whose residual cannot be computed at all is reported as not
     converged.  A kernel projection K, projection F of f or solution Z that
     holds a non-finite value raises SolverError naming the stage, and for F
-    and Z the t-range of the first block that holds one.
+    and Z the t-range of the first block that holds one, for K the x- and
+    t-range of the first block pair; numpy's overflow and invalid-value
+    warnings up to there are silenced, since that error reports them.
     """
     nl = problem.nonlinearity
     if not isinstance(nl, Nonlinearity):
         raise SolverError(f"unknown nonlinearity: {type(nl).__name__}")
     spec = problem.spec
-    K = kernel_matrix(problem.kernel, spec)
-    _require_finite("kernel projection K", K)
-    L = assemble_linear_map(K, spec)
-    F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
-    _require_finite("projection F of f", F, spec)
-    z, rank, cond = _march(L, F, spec.M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = kernel_matrix(problem.kernel, spec)
+        _require_finite("kernel projection K", K, spec)
+        L = assemble_linear_map(K, spec)
+        F = project(lambda t: evaluate(problem.f, {"t": t}), spec).c
+        _require_finite("projection F of f", F, spec)
+        z, rank, cond = _march(L, F, spec.M)
     _require_finite("linear-stage solution Z", z, spec)
     if rank < spec.dim:
         warnings.warn(

@@ -5,13 +5,17 @@ import re
 import shlex
 import subprocess
 import sys
+import typing
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import dovsolver
 from dovsolver.cli import (
+    _KINDS,
+    _READERS,
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
@@ -21,7 +25,11 @@ from dovsolver.cli import (
     main,
     run,
 )
+from dovsolver.expr import FUNCTIONS, Expr, parse, unparse
 from dovsolver.registry import EXAMPLES
+from dovsolver.solver import Collocation, Derivative, Invertible, Nonlinearity, Polynomial
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 [problem]
@@ -67,6 +75,63 @@ def test_load_minimal_config_with_defaults(tmp_path):
 def test_load_config_maps_each_kind(tmp_path, text, kind):
     cfg = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text)))
     assert type(cfg.nonlinearity) is getattr(dovsolver, kind)
+
+
+# one config per kind that sets every field, none to its default
+_EVERY_FIELD = {
+    "invertible": ('kind = invertible\nG = "ln(u)"\nGinv = "exp(u)"',
+                   Invertible(parse("ln(u)"), parse("exp(u)"))),
+    "collocation": ('kind = collocation\nG = "u^3 + u"\nbracket = -1, 2.5',
+                    Collocation(parse("u^3 + u"), (-1.0, 2.5))),
+    "derivative": ("kind = derivative\norder = 3", Derivative(3)),
+    "polynomial": ("kind = polynomial\nalpha = 0, -1, 1\nscan_range = 0.5, 2",
+                   Polynomial((0.0, -1.0, 1.0), (0.5, 2.0))),
+}
+
+
+def _fields_of(nonlinearity):
+    """A kind's field values, each expression as its unparsed text."""
+    values = {f.name: getattr(nonlinearity, f.name) for f in fields(nonlinearity)}
+    return {k: unparse(v) if isinstance(v, Expr) else v for k, v in values.items()}
+
+
+@pytest.mark.parametrize("kind", list(_EVERY_FIELD))
+def test_load_config_reads_every_field_of_each_kind(tmp_path, kind):
+    text, want = _EVERY_FIELD[kind]
+    got = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text))).nonlinearity
+    assert type(got) is type(want)
+    assert _fields_of(got) == _fields_of(want)
+    for f in fields(want):  # each field is set, so no default was taken
+        assert f.default is MISSING or getattr(want, f.name) != f.default
+
+
+@pytest.mark.parametrize("kind", list(_EVERY_FIELD))
+def test_each_field_without_a_default_is_a_required_key(tmp_path, kind):
+    text, want = _EVERY_FIELD[kind]
+    for f in fields(want):
+        if f.default is not MISSING:
+            continue
+        lines = [ln for ln in text.splitlines() if not ln.lower().startswith(f.name.lower() + " ")]
+        path = _write(tmp_path, MINIMAL.replace(_INVERTIBLE, "\n".join(lines)))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"nonlinearity.{f.name.lower()}: required for kind {kind!r}"
+
+
+def test_every_kind_is_read_and_every_field_has_a_reader():
+    assert set(_KINDS.values()) == set(typing.get_args(Nonlinearity))
+    assert {name: type(want) for name, (_, want) in _EVERY_FIELD.items()} == _KINDS
+    assert set(_READERS) == {f.name for kind in _KINDS.values() for f in fields(kind)}
+
+
+def test_readme_names_every_function_and_every_kind_key():
+    text = README.read_text(encoding="utf-8")
+    assert re.search(r"functions `([^`]*)`", text).group(1).split() == list(FUNCTIONS)
+    block = re.search(r"^```ini\n(.*?)^```", text, re.MULTILINE | re.DOTALL).group(1)
+    for name, kind in _KINDS.items():
+        assert name in block
+        for f in fields(kind):
+            assert re.search(rf"\b{f.name}\s*=", block, re.IGNORECASE), (name, f.name)
 
 
 def test_invertible_config_needs_ginv_or_bracket(tmp_path):

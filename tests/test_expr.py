@@ -6,6 +6,7 @@ import pytest
 from dovsolver.expr import (
     Bin,
     Call,
+    FUNCTIONS,
     EvalError,
     Neg,
     Num,
@@ -126,6 +127,34 @@ def test_domain_errors(source, bindings):
 def test_domain_error_on_arrays():
     with pytest.raises(EvalError):
         evaluate(parse("ln(t)"), {"t": np.array([1.0, 2.0, -0.5])})
+
+
+# numpy's own function for each name, as an independent reference
+_NUMPY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log,
+          "sqrt": np.sqrt, "abs": np.abs, "pow": np.power}
+
+
+@pytest.mark.parametrize("fn", list(FUNCTIONS))
+def test_every_function_matches_numpy_on_scalars_and_arrays(fn):
+    assert set(FUNCTIONS) == set(_NUMPY)
+    args = ("u", "1.5")[:FUNCTIONS[fn]]
+    e = parse(f"{fn}({','.join(args)})")
+    for u in (0.7, np.array([0.3, 0.7, 1.9])):
+        got = evaluate(e, {"u": u})
+        want = _NUMPY[fn](u, *(1.5,) * (FUNCTIONS[fn] - 1))
+        assert np.array_equal(got, want)
+        assert np.ndim(got) == np.ndim(u)
+        assert isinstance(got, np.ndarray) == isinstance(u, np.ndarray)
+
+
+@pytest.mark.parametrize("node, message", [
+    (Bin("%", Num(1.0), Num(2.0)), "unknown operator '%'"),
+    (Call("cosh", (Num(0.0),)), "unknown function 'cosh'"),
+])
+def test_hand_built_unknown_operator_or_function_is_eval_error(node, message):
+    with pytest.raises(EvalError, match=message) as info:
+        evaluate(node, {})
+    assert info.value.node is node
 
 
 def test_variable_node_restricted():

@@ -268,20 +268,32 @@ def test_solve_with_zero_kernel_takes_the_minimum_norm_z_and_warns():
     assert sol.diagnostics.condition_estimate == math.inf
 
 
-@pytest.mark.parametrize("kernel, f, n, stage", [
+@pytest.mark.parametrize("kernel, f, n, tf, stage", [
     # f overflows on every block, or only on the second, where exp(800 t) does
-    ("exp(t-x)", "t*exp(800)", 1, r"projection F of f holds a non-finite value on t in \[0, 1\]"),
-    ("exp(t-x)", "t*exp(800*t)", 2,
+    ("exp(t-x)", "t*exp(800)", 1, 1,
+     r"projection F of f holds a non-finite value on t in \[0, 1\]"),
+    ("exp(t-x)", "t*exp(800*t)", 2, 1,
      r"projection F of f holds a non-finite value on t in \[0.5, 1\]"),
-    ("exp(t-x)*exp(800)", "t", 1, r"kernel projection K holds a non-finite value$"),
+    ("exp(t-x)*exp(800)", "t", 1, 1,
+     r"kernel projection K holds a non-finite value on x in \[0, 1\], t in \[0, 1\]$"),
     # L and F are finite, but Z = L^-1 F overflows
-    ("1e-300", "t*1e300", 2,
+    ("1e-300", "t*1e300", 2, 1,
      r"linear-stage solution Z holds a non-finite value on t in \[0, 0.5\]"),
-], ids=["F", "F-second-block", "K", "Z"])
-def test_non_finite_stage_raises_naming_it(kernel, f, n, stage):
-    with np.errstate(all="ignore"), pytest.raises(SolverError, match=stage):
-        solve(Problem(parse(kernel), parse(f), Derivative(order=1),
-                      BasisSpec(Interval(0, 1), n, 4)), FAST)
+    # a finite interval too wide for the kernel: exp of a lag of ~1e300
+    ("exp(t-x)", "t", 1, 1e300,
+     r"kernel projection K holds a non-finite value on x in \[0, 1e\+300\], "
+     r"t in \[0, 1e\+300\]$"),
+    # only lags t - x near 1 overflow, so only the pair of x block 0, t block 1
+    ("exp(800*(t-x))", "t", 2, 1,
+     r"kernel projection K holds a non-finite value on x in \[0, 0.5\], t in \[0.5, 1\]$"),
+], ids=["F", "F-second-block", "K", "Z", "K-wide-interval", "K-off-diagonal"])
+def test_non_finite_stage_raises_naming_it(kernel, f, n, tf, stage):
+    # the SolverError is the only report: numpy prints no RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=stage):
+            solve(Problem(parse(kernel), parse(f), Derivative(order=1),
+                          BasisSpec(Interval(0, tf), n, 4)), FAST)
 
 
 # ---------------------------------------------------------------------------
