@@ -8,6 +8,7 @@ c_{1,0} .. c_{1,M-1}, c_{2,0} .. c_{N,M-1}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,15 +50,19 @@ def gauss_chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos((2 * q - 1) * np.pi / (2 * n))
 
 
+@functools.cache
 def gauss_chebyshev_transform(M: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x of the Q-point Gauss-Chebyshev rule and the M x Q analysis
     matrix A = (2/Q) T_m(x_q), row 0 halved: A f(x) are the coefficients on
     T_0 .. T_{M-1} of f on [-1, 1], the weighted L2 projection for Q > M and,
     by discrete orthogonality, interpolation at the nodes for Q = M (Mason &
-    Handscomb, Chebyshev Polynomials, 2003, ch. 4)."""
+    Handscomb, Chebyshev Polynomials, 2003, ch. 4).  Both arrays are cached
+    and shared between callers, and therefore read-only."""
     x = gauss_chebyshev_nodes(Q)
     a = chebyshev_vandermonde(M, x) * (2.0 / Q)
     a[0] *= 0.5
+    x.setflags(write=False)
+    a.setflags(write=False)
     return x, a
 
 

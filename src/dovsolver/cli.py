@@ -16,6 +16,7 @@ import configparser
 import contextlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -23,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .basis import BasisSpec, Interval
-from .expr import Expr, ParseError, evaluate, parse
+from .expr import MAX_NESTING, Expr, ParseError, evaluate, parse
 from .oracle import QuadratureError, max_error_fn, uniform_grid
 from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
@@ -59,9 +60,21 @@ class RunConfig:
     check: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
+# a run of more than MAX_NESTING openers and unary operators, which
+# ast.literal_eval's parser meets with a MemoryError
+_TOO_DEEP = re.compile(r"(?:(?:[-+~(\[{]|\bnot\b)\s*){%d}" % (MAX_NESTING + 1))
+
+
+def _literal_eval(raw: str):
+    """ast.literal_eval of raw, a ValueError when it nests too deep."""
+    if _TOO_DEEP.search(raw):
+        raise ValueError(f"nested deeper than {MAX_NESTING} levels")
+    return ast.literal_eval(raw)
+
+
 def _literal(raw: str, where: str):
     try:
-        return ast.literal_eval(raw)
+        return _literal_eval(raw)
     except (ValueError, SyntaxError) as exc:
         raise ConfigError(f"{where}: cannot parse value {raw!r}: {exc}") from None
 
@@ -94,12 +107,12 @@ def _expr(raw: str) -> Expr:
 
 
 def _pair(raw: str) -> tuple[float, float]:
-    lo, hi = ast.literal_eval(raw)
+    lo, hi = _literal_eval(raw)
     return float(lo), float(hi)
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in ast.literal_eval(f"[{raw}]"))
+    return tuple(float(v) for v in _literal_eval(f"[{raw}]"))
 
 
 def _pair_list(raw: str, where: str) -> tuple[tuple[int, int], ...]:

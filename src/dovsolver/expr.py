@@ -124,6 +124,10 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_BP = 30
 _RIGHT_ASSOC = {"^"}
+# subexpressions a parse may open inside one another (parentheses, unary
+# minus, function arguments, the right side of ^); deeper input is a
+# ParseError instead of a RecursionError
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -131,6 +135,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -147,6 +152,10 @@ class _Parser:
                              self.source, pos)
 
     def expression(self, min_bp: int = 0) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             self.source, self.peek()[2])
         lhs = self._prefix()
         while True:
             kind, text, pos = self.peek()
@@ -158,6 +167,7 @@ class _Parser:
             self.advance()
             rhs = self.expression(bp - 1 if text in _RIGHT_ASSOC else bp)
             lhs = Bin(text, lhs, rhs, pos)
+        self.depth -= 1
         return lhs
 
     def _prefix(self) -> Expr:

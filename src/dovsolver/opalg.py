@@ -7,9 +7,11 @@ hat transform, which turns the quadratic form H(t)^T B H(t) into a plain
 series, is not a function here: it lives in the contraction that builds the
 solver's linear map L, and the one-by-one versions of the paper's matrices
 and vectors are the test references in tests/paper_matrices.py.  The product
-matrix, the polynomial P(U) with its Jacobian, and L are all contractions of
-one cached tensor, the truncated Chebyshev product of product_tensor.  Every
-matrix function returns a fresh dense (NM, NM) array, block-major.
+matrix, the polynomial P(U) with its Jacobian, and L are all built from one
+cached tensor, the truncated Chebyshev product of product_tensor; P(U) and
+dP/dU take it as a matrix, so that their recurrence runs on matrix products
+alone.  Every matrix function returns a fresh dense (NM, NM) array,
+block-major.
 """
 
 from __future__ import annotations
@@ -124,19 +126,30 @@ def polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     stack of coefficient blocks, and dP/du as the (..., M, M) stack of its
     diagonal blocks: disjoint supports make each block of P read only its own
     block of u.  u^r = W_u^T u^(r-1) and d(u^r)/du = D_r with D_1 = I,
-    D_r = W_{u^(r-1)}^T + W_u^T D_(r-1), contracted from the product tensor."""
+    D_r = W_{u^(r-1)}^T + W_u^T D_(r-1).
+
+    Each W_v, W_v[p, d] = sum_q v_q C[p, q, d] with C the product tensor, is
+    one matrix product: C is symmetric in p and q (T_p T_q = T_q T_p), so
+    with C read as the (M, M M) matrix C[q, (p, d)], v @ C is W_v flattened
+    row by row.  Every step of the recurrence is thus a (batched) matrix
+    product."""
     u = np.asarray(u, dtype=float)
     M = u.shape[-1]
-    C = product_tensor(M)
-    w_t = np.einsum("...q,pqd->...dp", u, C)
+    C = product_tensor(M).reshape(M, M * M)
+
+    def w_t(v: np.ndarray) -> np.ndarray:
+        return (v @ C).reshape(v.shape + (M,)).swapaxes(-1, -2)
+
+    w_u = w_t(u)
     power, d_power = u, np.eye(M)
     p, jac = np.zeros(u.shape), np.zeros(u.shape + (M,))
     for r, a in enumerate(alpha[1:], start=1):
         if r > 1:
-            d_power = np.einsum("...q,sqd->...ds", power, C) + w_t @ d_power
-            power = np.einsum("...dp,...p->...d", w_t, power)
-        p += a * power
-        jac += a * d_power
+            d_power = w_t(power) + w_u @ d_power
+            power = (w_u @ power[..., None])[..., 0]
+        if a:  # a zero coefficient would add zeros
+            p += a * power
+            jac += a * d_power
     p[..., 0] += alpha[0]
     return p, jac
 

@@ -349,6 +349,35 @@ def _block_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (y[..., None, :] @ vt)[..., 0, :]
 
 
+def _block_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x = b for each block of an (..., m, m) stack, as _block_lstsq gives
+    it, by LU where that is safe.
+
+    The stack is inverted by LU and x = a^-1 b.  A block whose 1-norm
+    condition ||a||_1 ||a^-1||_1 reaches 1/(eps m^2), or whose x is not
+    finite, takes _block_lstsq's x instead, and the whole stack does when
+    the inversion raises (an exactly singular block).  Since the 1-norm
+    condition is at least the 2-norm one over m, every block at or below
+    lstsq's cut (2-norm condition 1/(eps m) or more) takes _block_lstsq;
+    below the threshold a block has full rank, and its x is lstsq's up to
+    roundoff.
+    """
+    m = a.shape[-1]
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return _block_lstsq(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (inv @ b[..., None])[..., 0]
+        # the 1-norms as column sums: np.linalg.norm's checks cost more than
+        # the sums at these sizes
+        cond = abs(a).sum(axis=-2).max(axis=-1) * abs(inv).sum(axis=-2).max(axis=-1)
+    cut = ~(cond < 1.0 / (np.finfo(float).eps * m * m)) | ~np.isfinite(x).all(axis=-1)
+    if cut.any():
+        x[cut] = _block_lstsq(a[cut], b[cut])
+    return x
+
+
 @dataclass(frozen=True)
 class NewtonResult:
     x: np.ndarray
@@ -362,8 +391,10 @@ def newton_solve(system, u0) -> NewtonResult:
     systems; a plain vector is one block.
 
     system(u) returns the residual R, shaped like u, and the (..., m, m)
-    stack of its Jacobian blocks.  Each block steps by its minimum-norm
-    least-squares solution, and one Armijo backtracking line search on
+    stack of its Jacobian blocks.  Each block steps by J^-1 (-R) from one LU
+    inversion of the stack (_block_solve); a block at or near lstsq's cut,
+    whose 1-norm condition reaches 1/(eps m^2), steps by its minimum-norm
+    least-squares solution instead.  One Armijo backtracking line search on
     ||R||_inf of the whole stack (factor 1/2, at most 30 halvings) guards
     each update; the Jacobian of an accepted trial point serves the next
     step.  Convergence: ||R||_inf <= NEWTON_TOL or step norm <= 1e-14 within
@@ -376,22 +407,22 @@ def newton_solve(system, u0) -> NewtonResult:
     if np.shape(r) != u.shape:
         raise ValueError(f"residual shape {np.shape(r)} differs from the shape "
                          f"{u.shape} of u")
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = float(abs(r).max())
     if rnorm <= NEWTON_TOL:
         return NewtonResult(u, 0, True, rnorm)
     for it in range(1, NEWTON_MAX_ITER + 1):
-        step = _block_lstsq(jac, -r)
+        step = _block_solve(jac, -r)
         lam = 1.0
         for _ in range(31):
             u_new = u + lam * step
             r_new, jac_new = system(u_new)
-            rn_new = float(np.max(np.abs(r_new)))
+            rn_new = float(abs(r_new).max())
             if rn_new <= (1.0 - 1e-4 * lam) * rnorm:
                 break
             lam *= 0.5
         else:
             return NewtonResult(u, it, False, rnorm)
-        step_norm = float(np.max(np.abs(lam * step)))
+        step_norm = float(abs(lam * step).max())
         u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
         if rnorm <= NEWTON_TOL or step_norm <= 1e-14:
             return NewtonResult(u, it, True, rnorm)

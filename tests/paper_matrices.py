@@ -2,8 +2,9 @@
 
 The solver fuses them: the hat transform lives in the contraction that
 builds the linear map L (solver.assemble_linear_map), and the powers of U in
-opalg.polynomial.  These plain versions are the references the tests compare
-the fused contractions against; no path in the package calls them.
+opalg.polynomial, which takes the product tensor as a matrix.  These plain
+versions, einsum_polynomial among them, are the references the tests
+compare the fused forms against; no path in the package calls them.
 """
 
 from __future__ import annotations
@@ -87,6 +88,27 @@ def power_vector(U: CoeffVector, r: int) -> CoeffVector:
         raise ValueError(f"power must be >= 1: {r}")
     u = U.c.reshape(U.spec.N, U.spec.M)
     return CoeffVector(U.spec, polynomial(u, (0.0,) * r + (1.0,))[0].ravel())
+
+
+def einsum_polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """P(u) and the stack of dP/du blocks as opalg.polynomial defines them,
+    each product W_v^T of the recurrence an einsum over the product tensor:
+    W_u^T[d, p] = sum_q u_q C[p, q, d], u^r = W_u^T u^(r-1), D_1 = I and
+    D_r = W_{u^(r-1)}^T + W_u^T D_(r-1)."""
+    u = np.asarray(u, dtype=float)
+    M = u.shape[-1]
+    C = product_tensor(M)
+    w_t = np.einsum("...q,pqd->...dp", u, C)
+    power, d_power = u, np.eye(M)
+    p, jac = np.zeros(u.shape), np.zeros(u.shape + (M,))
+    for r, a in enumerate(alpha[1:], start=1):
+        if r > 1:
+            d_power = np.einsum("...q,sqd->...ds", power, C) + w_t @ d_power
+            power = np.einsum("...dp,...p->...d", w_t, power)
+        p += a * power
+        jac += a * d_power
+    p[..., 0] += alpha[0]
+    return p, jac
 
 
 def per_pair_kernel_matrix(k, spec: BasisSpec) -> np.ndarray:

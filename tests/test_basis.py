@@ -11,8 +11,10 @@ from dovsolver.basis import (
     CoeffVector,
     Interval,
     chebyshev_eval,
+    chebyshev_vandermonde,
     eval_series,
     gauss_chebyshev_nodes,
+    gauss_chebyshev_transform,
     hcp_eval,
     project,
     projection_rule_size,
@@ -283,3 +285,15 @@ def test_gauss_chebyshev_rule_is_interior():
     assert np.all(np.abs(x) < 1.0)
     # integrates x^2 / sqrt(1-x^2) to pi/2
     assert np.pi / 64 * np.sum(x**2) == pytest.approx(np.pi / 2, abs=1e-13)
+
+
+@pytest.mark.parametrize("M, Q", [(1, 64), (10, 10), (24, 96)])
+def test_gauss_chebyshev_transform_is_cached_read_only_and_unchanged(M, Q):
+    # one shared pair per (M, Q), bitwise the (2/Q) T_m(x_q) it is built from
+    x, a = gauss_chebyshev_transform(M, Q)
+    again = gauss_chebyshev_transform(M, Q)
+    assert again[0] is x and again[1] is a
+    assert not x.flags.writeable and not a.flags.writeable
+    fresh = chebyshev_vandermonde(M, gauss_chebyshev_nodes(Q)) * (2.0 / Q)
+    fresh[0] *= 0.5
+    assert np.array_equal(x, gauss_chebyshev_nodes(Q)) and np.array_equal(a, fresh)

@@ -181,6 +181,20 @@ def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("old, new, key", [
+    # each used to crash with a RecursionError from the expression parser
+    # and a MemoryError from ast.literal_eval
+    ('kernel = "1"', 'kernel = "' + "(" * 5000 + '1"', "problem.kernel"),
+    (_INVERTIBLE, "kind = polynomial\nalpha = " + "-" * 100000 + "1", "nonlinearity.alpha"),
+], ids=["kernel-parentheses", "alpha-minuses"])
+def test_deeply_nested_value_is_config_error(tmp_path, capsys, old, new, key):
+    path = _write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {key}: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("max_iter", "-5"), ("max_iter", "0"), ("residual_grid", "0"), ("residual_grid", "1"),
     ("newton_tol", "-1"), ("newton_tol", "nan"), ("newton_tol", "inf"),

@@ -7,6 +7,7 @@ from dovsolver.expr import (
     Bin,
     Call,
     FUNCTIONS,
+    MAX_NESTING,
     EvalError,
     Neg,
     Num,
@@ -104,6 +105,20 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse("sin(x,t)")
     assert info.value.pos == 0
+
+
+@pytest.mark.parametrize("opener", ["(", "-", "sin(", "1^"])
+def test_nesting_limit(opener):
+    # the top level and each opener take one level: MAX_NESTING - 1 openers
+    # parse, one more is a ParseError at the offending token, not a
+    # RecursionError
+    def nested(k):
+        return opener * k + "1" + ")" * (k * opener.count("("))
+
+    assert evaluate(parse(nested(MAX_NESTING - 1)), {}) is not None
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        parse(nested(MAX_NESTING))
+    assert info.value.pos == len(opener) * MAX_NESTING
 
 
 def test_unbound_variable():

@@ -18,6 +18,7 @@ from paper_matrices import (
     basis_matrix,
     block_index,
     constant_coeffs,
+    einsum_polynomial,
     hat_truncation_bound,
     hat_vector,
     local_coord,
@@ -261,6 +262,21 @@ def test_polynomial_jacobian_matches_central_differences(n, m, alpha, seed):
                               - polynomial(u - e, alpha)[0]) / (2.0 * h)
     scale = 1.0 + np.max(np.abs(P)) + np.max(np.abs(J))
     assert np.max(np.abs(full - fd)) <= 1e-7 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), m=st.integers(1, 8),
+       alpha=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_polynomial_matches_the_einsum_reference(shape, m, alpha, seed):
+    # the matrix-product recurrence against the einsum contraction of the
+    # product tensor, on (..., N, M) stacks of one to three leading axes
+    u = np.random.default_rng(seed).uniform(-1.5, 1.5, (*shape, m))
+    P, J = polynomial(u, alpha)
+    P_ref, J_ref = einsum_polynomial(u, alpha)
+    assert P.shape == P_ref.shape and J.shape == J_ref.shape
+    assert np.all(np.abs(P - P_ref) <= 1e-13 * (1.0 + np.abs(P_ref)))
+    assert np.all(np.abs(J - J_ref) <= 1e-13 * (1.0 + np.abs(J_ref)))
 
 
 @settings(max_examples=40, deadline=None)

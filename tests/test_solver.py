@@ -38,7 +38,14 @@ from dovsolver.solver import (
     scalar_invert,
     solve,
 )
-from dovsolver.solver import _block_lstsq, _march, _polynomial_system, _scan_constant
+from dovsolver import solver
+from dovsolver.solver import (
+    _block_lstsq,
+    _block_solve,
+    _march,
+    _polynomial_system,
+    _scan_constant,
+)
 from paper_matrices import constant_coeffs, hat_vector, per_pair_kernel_matrix, power_vector
 
 FAST = SolveOptions(compute_residual=False)
@@ -70,10 +77,11 @@ def test_newton_circle_line_system():
     assert np.allclose(res.x, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-10)
 
 
+@pytest.mark.parametrize("solve_blocks", [_block_lstsq, _block_solve])
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 6), ranks=st.lists(st.integers(0, 6), min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
-def test_newton_step_matches_dense_block_diagonal_lstsq(m, ranks, seed):
+def test_newton_step_matches_dense_block_diagonal_lstsq(solve_blocks, m, ranks, seed):
     # each block X Y has rank min(k, m) exactly (small integer factors); the
     # stacked step is lstsq's minimum-norm solution of the block-diagonal
     # system, rank-deficient blocks included
@@ -81,10 +89,28 @@ def test_newton_step_matches_dense_block_diagonal_lstsq(m, ranks, seed):
     blocks = np.array([rng.integers(-3, 4, (m, min(k, m))) @ rng.integers(-3, 4, (min(k, m), m))
                        for k in ranks], dtype=float)
     r = rng.uniform(-1.0, 1.0, (len(ranks), m))
-    step = _block_lstsq(blocks, r)
+    step = solve_blocks(blocks, r)
     ref = np.linalg.lstsq(scipy.linalg.block_diag(*blocks), r.ravel(), rcond=None)[0]
     assert step.shape == r.shape
     assert np.max(np.abs(step.ravel() - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+
+
+def test_newton_step_takes_lstsq_at_its_cut(monkeypatch):
+    # diag(1, 1e-13) sits above lstsq's cut (singular values up to eps m
+    # times the largest count as zero) and steps by LU, diag(1, 1e-17) below
+    # it and steps by _block_lstsq, which drops its zero singular value
+    seen = []
+
+    def recording_lstsq(a, b):
+        seen.append(a.copy())
+        return _block_lstsq(a, b)
+
+    monkeypatch.setattr(solver, "_block_lstsq", recording_lstsq)
+    blocks = np.array([np.diag([1.0, 1e-13]), np.diag([1.0, 1e-17])])
+    b = np.array([[1.0, 1e-13], [1.0, 1e-17]])
+    step = _block_solve(blocks, b)
+    assert len(seen) == 1 and np.array_equal(seen[0], blocks[1:])
+    assert np.allclose(step, [[1.0, 1.0], [1.0, 0.0]], rtol=1e-15, atol=0.0)
 
 
 def test_newton_returns_best_iterate_on_failure():
