@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .basis import BasisSpec, Interval
-from .expr import MAX_NESTING, Expr, ParseError, evaluate, parse
+from .expr import MAX_NESTING, Expr, ParseError, evaluate, excerpt, parse
 from .oracle import QuadratureError, max_error_fn, uniform_grid
 from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
@@ -76,7 +76,7 @@ def _literal(raw: str, where: str):
     try:
         return _literal_eval(raw)
     except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"{where}: cannot parse value {raw!r}: {exc}") from None
+        raise ConfigError(f"{where}: cannot parse value {excerpt(raw)}: {exc}") from None
 
 
 def _unquote(raw: str) -> str:
@@ -99,7 +99,7 @@ def _value(sec, key: str, convert, where: str, fallback=MISSING, required="requi
     except ParseError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     except (TypeError, ValueError, SyntaxError):
-        raise ConfigError(f"{where}: malformed value {sec[key]!r}") from None
+        raise ConfigError(f"{where}: malformed value {excerpt(sec[key])}") from None
 
 
 def _expr(raw: str) -> Expr:

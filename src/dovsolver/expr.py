@@ -39,13 +39,22 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": oper
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
+def excerpt(text: str, limit: int = 60) -> str:
+    """repr of text for an error message; text longer than limit is cut to
+    its first limit characters, followed by its length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 class ParseError(ValueError):
-    """Syntax error; carries the byte offset of the offending token."""
+    """Syntax error; carries the whole source and the byte offset of the
+    offending token."""
 
     def __init__(self, message: str, source: str, pos: int):
         self.source = source
         self.pos = pos
-        super().__init__(f"{message} at offset {pos}: {source!r}")
+        super().__init__(f"{message} at offset {pos}: {excerpt(source)}")
 
 
 class EvalError(ValueError):
@@ -148,7 +157,7 @@ class _Parser:
     def expect(self, text: str):
         kind, got, pos = self.advance()
         if got != text:
-            raise ParseError(f"expected {text!r}, found {got or 'end of input'!r}",
+            raise ParseError(f"expected {text!r}, found {excerpt(got or 'end of input')}",
                              self.source, pos)
 
     def expression(self, min_bp: int = 0) -> Expr:
@@ -181,7 +190,7 @@ class _Parser:
                 return Num(CONSTANTS[text], pos)
             if text in VARIABLES:
                 return Var(text, pos)
-            raise ParseError(f"unknown identifier {text!r}", self.source, pos)
+            raise ParseError(f"unknown identifier {excerpt(text)}", self.source, pos)
         if text == "(":
             inner = self.expression(0)
             self.expect(")")
@@ -216,7 +225,7 @@ def parse(source: str) -> Expr:
     e = p.expression(0)
     kind, text, pos = p.peek()
     if kind != "end":
-        raise ParseError(f"trailing input {text!r}", source, pos)
+        raise ParseError(f"trailing input {excerpt(text)}", source, pos)
     return e
 
 

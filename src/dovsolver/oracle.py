@@ -158,14 +158,9 @@ def _quad_blockwise(g, spec: BasisSpec, lo: float, hi: float, tol: float) -> flo
     return sum(quad_adaptive(g, a, b, tol) for a, b in zip(pts[:-1], pts[1:]))
 
 
-def _residual(problem, g, grid: Grid | None, quad_tol: float,
-              stop_above: float = math.inf) -> float:
+def _residual(problem, g, grid: Grid | None, quad_tol: float) -> float:
     """Max over the grid of |f(t) - int_{t0}^t K(x,t) g(x) dx| with the
-    inner integral computed by quad_adaptive, split at block boundaries.
-
-    Grid points are visited from the right end; once the running maximum
-    exceeds stop_above it is returned without visiting the rest.
-    """
+    inner integral computed by quad_adaptive, split at block boundaries."""
     if grid is None:
         grid = uniform_grid(problem.spec.interval, RESIDUAL_GRID)
     kern = problem.kernel
@@ -180,7 +175,7 @@ def _residual(problem, g, grid: Grid | None, quad_tol: float,
     f_values = np.broadcast_to(np.asarray(evaluate(problem.f, {"t": grid.points}),
                                           dtype=float), grid.points.shape)
     worst = 0.0
-    for t, ft in zip(grid.points[::-1].tolist(), f_values[::-1].tolist()):
+    for t, ft in zip(grid.points.tolist(), f_values.tolist()):
         if t == t0:
             worst = max(worst, abs(ft))
         else:
@@ -188,22 +183,14 @@ def _residual(problem, g, grid: Grid | None, quad_tol: float,
                 return np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float) * g(x)
 
             worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, t, quad_tol)))
-        if worst > stop_above:
-            break
     return worst
 
 
 def equation_residual(problem, U: CoeffVector, grid: Grid | None = None,
-                      quad_tol: float = 1e-12, stop_above: float = math.inf) -> float:
+                      quad_tol: float = 1e-12) -> float:
     """Residual of the integral equation with G(u(x)) composed pointwise
-    from the series U.
-
-    The result is the exact maximum over the grid whenever that maximum is
-    at most stop_above; otherwise it is some grid residual above stop_above,
-    which is enough to tell that the series loses against a cap.
-    """
-    return _residual(problem, problem.nonlinearity.g_from_coeffs(U), grid, quad_tol,
-                     stop_above)
+    from the series U."""
+    return _residual(problem, problem.nonlinearity.g_from_coeffs(U), grid, quad_tol)
 
 
 def residual_linf(problem: "Problem", solution: "Solution",

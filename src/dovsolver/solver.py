@@ -133,22 +133,19 @@ class Polynomial:
         Runs the degree-continuation ladder (rung m solves P(U) = Z with
         each block cut to its first m coefficients) from three starts, the
         best scanned constant and the two slopes around it, then keeps the
-        converged root with the smallest oracle residual of the integral
-        equation itself.  The oracle check is what discards exact roots of
-        the truncated algebra that do not solve the equation.  Among the
-        roots within a factor 10 of the smallest residual, only the
-        smoothest stay: those whose kink, the jumps of u and h u' summed
-        over the interior block edges, is within 10 times the smallest kink
-        plus 1e-8.  Of these, the one whose average value sits nearest the
-        middle of the scan range wins (the kind's branch hint).  A kinked
-        root such as ex7's u = 1/2 + |t - 1/2| solves the equation too
-        (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.
-
-        A candidate is scored only as far as it can still win: its residual
-        stops as soon as one grid point exceeds 10 times the best complete
-        residual so far, an unconverged root is not scored at all when a
-        converged one exists, and a single remaining root is not scored.
-        The winner is the same as with full scoring.
+        converged root whose G(u) comes nearest z: the smallest max |G(u(t))
+        - z(t)| over 33 uniform points.  For a kernel with K(t, t) != 0 the
+        first-kind operator is injective, so u solves the equation exactly
+        where G(u) = z pointwise; this check, which needs no quadrature, is
+        what discards exact roots of the truncated algebra that do not solve
+        the equation.  Among the roots within a factor 10 of the smallest
+        score, only the smoothest stay: those whose kink, the jumps of u and
+        h u' summed over the interior block edges, is within 10 times the
+        smallest kink plus 1e-8.  Of these, the one whose average value sits
+        nearest the middle of the scan range wins (the kind's branch hint).
+        A kinked root such as ex7's u = 1/2 + |t - 1/2| solves the equation
+        too (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.  An
+        unconverged root competes only when no root converged.
         """
         spec = problem.spec
         system = _polynomial_system(Z, self.alpha)
@@ -156,16 +153,16 @@ class Polynomial:
 
         finals = [_run_ladder(system, cand, spec.M) for cand in candidates]
 
-        # dedupe identical roots before paying for oracle residuals
+        # one root of each group of near-identical ones, the first found:
+        # near-twins differ at roundoff, and either could win the selection
         distinct: list[NewtonResult] = []
         for result, _ in finals:
             if not any(np.allclose(result.x, other.x, rtol=1e-7, atol=1e-9)
                        for other in distinct):
                 distinct.append(result)
 
-        # only the class that can win is scored: converged roots, if any
         pool = [result for result in distinct if result.converged] or distinct
-        result = pool[0] if len(pool) == 1 else _select_root(pool, problem, self.scan_range)
+        result = _select_root(pool, self, Z)
         total_iters = sum(iters for _, iters in finals)
         # the 2-norm condition of the block-diagonal dP/dU
         sv = np.linalg.svd(system(result.x)[1], compute_uv=False)
@@ -514,8 +511,8 @@ def _initial_candidates(system, spec: BasisSpec,
     Truncated algebra can hold spurious roots next to the wanted one, and a
     constant alone can sit in the wrong basin; the slopes reach branches a
     constant cannot (ex7's u = t comes from the rising one), and the
-    oracle-residual selection afterwards keeps only a root that actually
-    satisfies the integral equation.
+    selection afterwards keeps only a root whose G(u) matches z pointwise,
+    that is, one that actually satisfies the integral equation.
     """
     best = _scan_constant(system, spec, scan_range)
     c_star = float(best[0, 0])
@@ -548,32 +545,23 @@ def _run_ladder(system, u_start: np.ndarray, M: int) -> tuple[NewtonResult, int]
     return result, total_iters
 
 
-def _select_root(pool: list[NewtonResult], problem: Problem,
-                 scan_range: tuple[float, float]) -> NewtonResult:
-    """The root of the pool that wins on the oracle residual and the branch
-    hint, each scored only as far as it can still win."""
-    spec = problem.spec
-    grid = oracle.Grid(np.linspace(spec.interval.t0, spec.interval.tf, 33))
-    best = math.inf
-    scored = []
-    for result in pool:
-        U = CoeffVector(spec, result.x.ravel())
-        try:
-            res = oracle.equation_residual(problem, U, grid, 1e-9,
-                                           stop_above=10.0 * best + 1e-300)
-        except (EvalError, oracle.QuadratureError):
-            res = math.inf
-        best = min(best, res)
-        scored.append((res, U))
-    # within a factor 10 of the best oracle residual only the smoothest roots
-    # stay, kink within 10 times the smallest plus 1e-8; among those the
-    # branch hint decides, then the residual, then the order of the candidates
-    kinks = {i: _kink(pool[i].x) for i, (res, _) in enumerate(scored)
-             if res <= 10.0 * best + 1e-300}
+def _select_root(pool: list[NewtonResult], kind: Polynomial, Z: CoeffVector) -> NewtonResult:
+    """The root of the pool that wins on max |G(u) - z| over 33 uniform
+    points, the kink and the branch hint (Polynomial.recover)."""
+    spec = Z.spec
+    t = np.linspace(spec.interval.t0, spec.interval.tf, 33)
+    z = eval_series(Z, t)
+    Us = [CoeffVector(spec, result.x.ravel()) for result in pool]
+    scores = [float(np.max(np.abs(kind.g_from_coeffs(U)(t) - z))) for U in Us]
+    best = min(scores)
+    # within a factor 10 of the best score only the smoothest roots stay,
+    # kink within 10 times the smallest plus 1e-8; among those the branch
+    # hint decides, then the score, then the order of the candidates
+    kinks = {i: _kink(pool[i].x) for i, res in enumerate(scores) if res <= 10.0 * best + 1e-300}
     smooth = 10.0 * min(kinks.values()) + 1e-8
-    mid = 0.5 * (scan_range[0] + scan_range[1])
-    top = [(abs(float(np.mean(eval_series(U, grid.points))) - mid), res, i)
-           for i, (res, U) in enumerate(scored) if kinks.get(i, math.inf) <= smooth]
+    mid = 0.5 * (kind.scan_range[0] + kind.scan_range[1])
+    top = [(abs(float(np.mean(eval_series(Us[i], t))) - mid), scores[i], i)
+           for i, kink in kinks.items() if kink <= smooth]
     return pool[min(top)[2]]
 
 

@@ -29,8 +29,8 @@ def test_every_traced_name_resolves():
 
 
 def test_traced_solve_matches_untraced():
-    # the tracer's wrappers pass every keyword through (the selection calls
-    # equation_residual with stop_above) and uninstall puts back each name;
+    # the tracer's wrappers pass every argument through (solve calls
+    # equation_residual with its grid) and uninstall puts back each name;
     # ex5 at (2, 4) runs Newton on a two-block stack, whose iteration count
     # and convergence flag the tracer sums as scalars
     tracer_mod = _load_tracer()

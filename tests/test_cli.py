@@ -195,6 +195,20 @@ def test_deeply_nested_value_is_config_error(tmp_path, capsys, old, new, key):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("old, new, key", [
+    # each used to echo the whole value: 100,054, 5,090 and 50,068 bytes
+    (_INVERTIBLE, "kind = polynomial\nalpha = " + "-" * 100000 + "1", "nonlinearity.alpha"),
+    ('kernel = "1"', 'kernel = "' + "(" * 5000 + '1"', "problem.kernel"),
+    ('kernel = "1"', 'kernel = "' + "1+" * 25000 + '$"', "problem.kernel"),
+], ids=["alpha-minuses", "kernel-parentheses", "kernel-long-bad-token"])
+def test_config_error_quotes_a_long_value_in_excerpt(tmp_path, capsys, old, new, key):
+    path = _write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("key, value", [
     ("max_iter", "-5"), ("max_iter", "0"), ("residual_grid", "0"), ("residual_grid", "1"),
     ("newton_tol", "-1"), ("newton_tol", "nan"), ("newton_tol", "inf"),

@@ -26,7 +26,7 @@ from dovsolver.oracle import (
     weighted_l2_error,
 )
 from dovsolver.registry import EXAMPLES
-from dovsolver.solver import Polynomial, Problem, SolveOptions, solve
+from dovsolver.solver import SolveOptions, solve
 
 
 def test_quad_constant():
@@ -121,30 +121,9 @@ def test_residual_rejects_points_outside_the_interval():
             equation_residual(p, U, Grid(np.array(points)))
 
 
-def test_residual_cap():
-    # the zero series leaves |sin 3t| as the residual, largest at t = 0.5
-    # and not at the right end, where the scan starts
-    p = Problem(parse("1"), parse("sin(3*t)"), Polynomial(alpha=(0.0, 1.0)),
-                BasisSpec(Interval(0, 2), 1, 3))
-    U = CoeffVector(p.spec, np.zeros(3))
-    grid = uniform_grid(p.spec.interval, 9)
-    per_point = [equation_residual(p, U, Grid(np.array([t]))) for t in grid.points]
-    full = equation_residual(p, U, grid)
-    assert full == max(per_point) == per_point[2]
-    # at or above the maximum the cap changes nothing
-    for cap in (full, 2.0 * full, math.inf):
-        assert equation_residual(p, U, grid, stop_above=cap) == full
-    # below it the result is the first grid residual above the cap, counted
-    # from the right end
-    for cap in (0.0, 0.5, 0.9, 0.999 * full):
-        expected = next(r for r in reversed(per_point) if r > cap)
-        assert equation_residual(p, U, grid, stop_above=cap) == expected
-    assert equation_residual(p, U, grid, stop_above=0.5) < full
-
-
 def _per_point_residual(problem, U, grid, quad_tol=1e-12):
     # the oracle's residual as a plain loop: f evaluated at each grid point
-    # on its own, no cap
+    # on its own
     g = problem.nonlinearity.g_from_coeffs(U)
     t0 = problem.spec.interval.t0
     worst = 0.0
@@ -164,8 +143,7 @@ def _per_point_residual(problem, U, grid, quad_tol=1e-12):
 
 @pytest.mark.parametrize("key", sorted(EXAMPLES))
 def test_residual_matches_per_point_reference(key):
-    # f evaluated once on the whole grid gives the per-point loop's residual,
-    # and a cap below it still returns a value above the cap
+    # f evaluated once on the whole grid gives the per-point loop's residual
     e = EXAMPLES[key]
     p = e.problem()
     U = solve(p, replace(e.options, compute_residual=False)).U
@@ -173,7 +151,6 @@ def test_residual_matches_per_point_reference(key):
     want = _per_point_residual(p, U, grid)
     assert abs(equation_residual(p, U, grid) - want) <= 1e-13
     assert want > 0.0
-    assert equation_residual(p, U, grid, stop_above=0.5 * want) > 0.5 * want
 
 
 def test_residual_of_planted_exact_solution():
