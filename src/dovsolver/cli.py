@@ -79,6 +79,13 @@ def _literal(raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse value {excerpt(raw)}: {exc}") from None
 
 
+def _name(text: str) -> str:
+    """A section or key name for a message: as it is, or excerpt's cut of it
+    where excerpt would cut it."""
+    cut = excerpt(text)
+    return text if cut == repr(text) else cut
+
+
 def _unquote(raw: str) -> str:
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
@@ -147,7 +154,7 @@ def _nonlinearity(cfg: configparser.ConfigParser) -> Nonlinearity:
     sec = cfg["nonlinearity"]
     name = sec.get("kind", "").strip().lower()
     if name not in _KINDS:
-        raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {name!r}; "
+        raise ConfigError(f"nonlinearity.kind: unknown nonlinearity kind {excerpt(name)}; "
                           f"kinds are {', '.join(_KINDS)}")
     kind = _KINDS[name]
     reads = [f.name.lower() for f in fields(kind)]
@@ -177,18 +184,25 @@ def _check_keys(cfg: configparser.ConfigParser) -> None:
     naming it, so a misspelt or retired one is not silently ignored."""
     sections = ", ".join(_KEYS)
     for key in cfg.defaults():  # [DEFAULT] would hand its keys to every section
-        raise ConfigError(f"{cfg.default_section}.{key}: unknown section "
+        raise ConfigError(f"{cfg.default_section}.{_name(key)}: unknown section "
                           f"[{cfg.default_section}]; sections are {sections}")
     for section in cfg.sections():
         known = _KEYS.get(section)
         keys = list(cfg[section])
         if known is None:
-            where = f"{section}.{keys[0]}" if keys else section
-            raise ConfigError(f"{where}: unknown section [{section}]; sections are {sections}")
+            name = _name(section)
+            where = f"{name}.{_name(keys[0])}" if keys else name
+            raise ConfigError(f"{where}: unknown section [{name}]; sections are {sections}")
         for key in keys:
             if key not in known:
-                raise ConfigError(f"{section}.{key}: unknown key; "
+                raise ConfigError(f"{section}.{_name(key)}: unknown key; "
                                   f"[{section}] reads {', '.join(known)}")
+
+
+# what a configparser error says of the line it stops at
+_MALFORMED = {configparser.MissingSectionHeaderError: "comes before any [section]",
+              configparser.DuplicateSectionError: "repeats a section",
+              configparser.DuplicateOptionError: "repeats a key of its section"}
 
 
 def load_config(path: str) -> RunConfig:
@@ -197,11 +211,18 @@ def load_config(path: str) -> RunConfig:
     cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path, encoding="utf-8") as handle:
-            cfg.read_file(handle, source=path)
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    try:
+        cfg.read_string(text, source=path)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
+        # configparser's message quotes the whole line, or every bad line;
+        # this names the first by its number and an excerpt
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        what = _MALFORMED.get(type(exc), "is not [section], key = value or a comment")
+        line = text.split("\n")[lineno - 1]
+        raise ConfigError(f"malformed config: line {lineno} {what}: {excerpt(line)}") from None
     _check_keys(cfg)
 
     if not cfg.has_section("problem"):

@@ -3,7 +3,7 @@
 Every kind of nonlinearity takes the same two steps in solve(): solve the
 linear system L Z = F for the coefficients Z of G(u), with L the map
 Z -> hat(K^T W_Z Q) and F the projection of f, then recover u from Z by the
-kind's own recover(Z, problem), which reads no setting but the kind's.  L is
+kind's own recover(Z), which reads no setting but the kind's.  L is
 block lower triangular (Volterra causality), so Z is marched block by block
 with one refinement step; a rank-deficient L takes the minimum-norm
 least-squares Z.  Invertible recovers pointwise by Ginv, Derivative (G(u) =
@@ -38,7 +38,7 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity kinds: each carries recover(Z, problem), the step from the
+# nonlinearity kinds: each carries recover(Z), the step from the
 # solution Z of L Z = F to u, returning (U, step condition, Newton
 # iterations, converged)
 
@@ -65,7 +65,7 @@ class Invertible(_ExprKind):
 
     Ginv: Expr
 
-    def recover(self, Z: CoeffVector, problem: Problem):
+    def recover(self, Z: CoeffVector):
         """u = Ginv(z) pointwise, projected onto the basis."""
         U = project(lambda t: evaluate(self.Ginv, {"u": eval_series(Z, t)}), Z.spec)
         return U, 0.0, 0, True
@@ -85,7 +85,7 @@ class Derivative:
         dz = series_derivative(U, self.order)
         return lambda x: eval_series(dz, x)
 
-    def recover(self, Z: CoeffVector, problem: Problem):
+    def recover(self, Z: CoeffVector):
         """n integrations of z.
 
         Valid because the problem class fixes u and its first n-1
@@ -127,7 +127,7 @@ class Polynomial:
 
         return g
 
-    def recover(self, Z: CoeffVector, problem: Problem):
+    def recover(self, Z: CoeffVector):
         """Globalized solve of P(U) = Z.
 
         Runs the degree-continuation ladder (rung m solves P(U) = Z with
@@ -147,7 +147,7 @@ class Polynomial:
         too (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.  An
         unconverged root competes only when no root converged.
         """
-        spec = problem.spec
+        spec = Z.spec
         system = _polynomial_system(Z, self.alpha)
         candidates = _initial_candidates(system, spec, self.scan_range)
 
@@ -179,7 +179,7 @@ class Collocation(_ExprKind):
     def __post_init__(self):
         _check_range("bracket", self.bracket)
 
-    def recover(self, Z: CoeffVector, problem: Problem):
+    def recover(self, Z: CoeffVector):
         """u interpolated at each block's M Chebyshev-Gauss points, which
         avoid block endpoints, by project's transform; the values there come
         from one bracketed inversion of G at all points at once."""
@@ -248,12 +248,12 @@ def scalar_invert(G: Expr, target, bracket: tuple[float, float]):
 
     One scan of G at 65 points across the bracket, shared by every target,
     finds each target's leftmost sign change of G - target; a zero at a scan
-    point is the root.  Illinois regula falsi (Dowell & Jarratt, BIT 11,
-    1971) then narrows all the pieces at once, with a bisection step
-    wherever a piece has not halved over the last three steps, until each
-    is within 1e-15 + 8.9e-16 |w|.  A target without a sign change raises
-    SolverError; its ``index`` attribute is the target's position in the
-    flattened array.
+    point is the root.  Chandrupatla's method (Adv. Eng. Software 28(3),
+    1997) then narrows all the pieces at once, by inverse quadratic steps
+    where his test passes and by halving otherwise, until each is within
+    1e-15 + 8.9e-16 |w|, w its end of smaller |G - target|.  A target
+    without a sign change raises SolverError; its ``index`` attribute is
+    the target's position in the flattened array.
     """
     t = np.asarray(target, dtype=float)
     flat = t.ravel()
@@ -278,31 +278,31 @@ def scalar_invert(G: Expr, target, bracket: tuple[float, float]):
     w = pts[k]
     active = np.flatnonzero(sign[np.arange(flat.size), k] != 0)
     ka = k[active]
-    lo, hi, glo, ghi = pts[ka], pts[ka + 1], scan[active, ka], scan[active, ka + 1]
-    tt = flat[active]
-    moved = np.zeros(active.size)           # +1: last step moved lo, -1: hi
-    width1 = width2 = width3 = np.full(active.size, np.inf)
+    # x1 the newest point, x2 the other end of the bracket, x3 the end dropped last
+    x1, x2, f1, f2 = pts[ka], pts[ka + 1], scan[active, ka], scan[active, ka + 1]
+    tt, step = flat[active], np.full(active.size, 0.5)
     while active.size:
-        width = hi - lo
-        tol = 1e-15 + 8.9e-16 * np.maximum(np.abs(lo), np.abs(hi))
-        x = hi - ghi * width / (ghi - glo)
-        x = np.where(~np.isfinite(x) | (width > 0.5 * width3), 0.5 * (lo + hi), x)
+        x = x1 + step * (x2 - x1)
+        fx = g(x, tt)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+        xm = np.where(abs(f1) < abs(f2), x1, x2)
+        tol = 1e-15 + 8.9e-16 * abs(xm)
+        done = (f1 == 0) | (abs(x2 - x1) <= tol)
+        w[active[done]] = xm[done]
+        active, tt, x1, x2, x3, f1, f2, f3, tol = (
+            a[~done] for a in (active, tt, x1, x2, x3, f1, f2, f3, tol))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - (
+                (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+            step = np.where((1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi)), iqi, 0.5)
         # a step of at least tol/2 off each end lets the far end close in
         # once the near one sits on the root
-        x = np.clip(x, lo + 0.5 * tol, hi - 0.5 * tol)
-        gx = g(x, tt)
-        move_lo = np.sign(gx) == np.sign(glo)
-        # Illinois: an endpoint kept twice running has its value halved
-        glo = np.where(move_lo, gx, np.where(moved < 0, 0.5 * glo, glo))
-        ghi = np.where(move_lo, np.where(moved > 0, 0.5 * ghi, ghi), gx)
-        lo, hi = np.where(move_lo, x, lo), np.where(move_lo, hi, x)
-        moved = np.where(move_lo, 1.0, -1.0)
-        width1, width2, width3 = width, width1, width2
-        done = (gx == 0) | (hi - lo <= tol)
-        w[active[done]] = x[done]
-        keep = ~done
-        active, lo, hi, tt, glo, ghi, moved, width1, width2, width3 = (
-            a[keep] for a in (active, lo, hi, tt, glo, ghi, moved, width1, width2, width3))
+        tl = 0.5 * tol / abs(x2 - x1)
+        step = np.clip(step, tl, 1 - tl)
     return float(w[0]) if t.ndim == 0 else w.reshape(t.shape)
 
 
@@ -635,7 +635,7 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
             f"rank-deficient linear stage: rank {rank} of {spec.dim}, "
             f"condition estimate {cond:.3g}", stacklevel=2)
     Z = CoeffVector(spec, z)
-    U, step_cond, iters, converged = nl.recover(Z, problem)
+    U, step_cond, iters, converged = nl.recover(Z)
     res = math.nan
     if opts.compute_residual:
         grid = oracle.uniform_grid(spec.interval, oracle.RESIDUAL_GRID)

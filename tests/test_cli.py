@@ -200,13 +200,42 @@ def test_deeply_nested_value_is_config_error(tmp_path, capsys, old, new, key):
     (_INVERTIBLE, "kind = polynomial\nalpha = " + "-" * 100000 + "1", "nonlinearity.alpha"),
     ('kernel = "1"', 'kernel = "' + "(" * 5000 + '1"', "problem.kernel"),
     ('kernel = "1"', 'kernel = "' + "1+" * 25000 + '$"', "problem.kernel"),
-], ids=["alpha-minuses", "kernel-parentheses", "kernel-long-bad-token"])
+    # each used to echo the whole line or name: over 50,000 bytes on two
+    # lines, 50,121, 50,061 and 100,080 (the section name twice)
+    ("M = 4", "M = 4\n" + "x" * 50000, "malformed config"),
+    (_INVERTIBLE, "kind = " + "q" * 50000, "nonlinearity.kind"),
+    ("M = 4", "M = 4\n" + "k" * 50000 + " = 1",
+     "basis.'" + "k" * 60 + "'... (50000 characters)"),
+    ("M = 4", "M = 4\n\n[" + "s" * 50000 + "]", "'" + "s" * 60 + "'... (50000 characters)"),
+], ids=["alpha-minuses", "kernel-parentheses", "kernel-long-bad-token", "line-without-equals",
+        "long-kind", "long-unknown-key", "long-unknown-section"])
 def test_config_error_quotes_a_long_value_in_excerpt(tmp_path, capsys, old, new, key):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("old, new, said", [
+    ("M = 4", "M = 4\nM = 5", "line 14 repeats a key of its section: 'M = 5'"),
+    ("M = 4", "M = 4\n\n[basis]", "line 15 repeats a section: '[basis]'"),
+    ("[problem]", "M = 5\n[problem]", "line 2 comes before any [section]: 'M = 5'"),
+], ids=["repeated-key", "repeated-section", "no-section"])
+def test_malformed_config_names_the_line(tmp_path, capsys, old, new, said):
+    path = _write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["solve", path]) == 1
+    assert capsys.readouterr().err == f"config error: malformed config: {said}\n"
+
+
+def test_config_not_in_utf8_is_config_error(tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback
+    path = tmp_path / "run.ini"
+    path.write_bytes(MINIMAL.replace('"1"', '"1\u00e9"').encode("latin-1"))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {str(path)!r}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [

@@ -146,6 +146,23 @@ def test_scalar_invert_no_sign_change():
         scalar_invert(parse("u^2"), -1.0, (-2, 2))
 
 
+def test_scalar_invert_converges_fast_at_a_flat_end(monkeypatch):
+    # cos'(0) = 0 at the root's end of the bracket; regula falsi used to
+    # take 37 evaluations after the scan here.  No numpy warning either
+    calls = []
+
+    def counting(expr, env):
+        calls.append(1)
+        return evaluate(expr, env)
+
+    monkeypatch.setattr(solver, "evaluate", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = scalar_invert(parse("cos(u)"), math.cos(1e-4), (0.0, 3.0))
+    assert len(calls) - 1 <= 16  # the first call is the scan
+    assert abs(w - 1e-4) <= 1e-10
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from([("exp(u)+u", (-5.0, 5.0)), ("u^3", (-1.0, 1.0)),
                              ("ln(u)", (0.1, 10.0))]),
