@@ -5,13 +5,13 @@ Config files are INI-style ([section] headers, key = value lines) with
 expressions in quoted strings.  Each vocabulary is declared once: _KEYS
 holds the sections and their keys; a [nonlinearity] kind's keys are the
 fields of its dataclass in solver.py, lower-cased (_KINDS), each read by
-_READERS; and the expression language is expr.py's.
+_READERS; and the expression language is expr.py's.  Numbers are read by
+float() and int(), never as Python source.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import configparser
 import contextlib
 import json
@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .basis import BasisSpec, Interval
-from .expr import MAX_NESTING, Expr, ParseError, evaluate, excerpt, parse
+from .expr import Expr, ParseError, evaluate, excerpt, parse
 from .oracle import QuadratureError, max_error_fn, uniform_grid
 from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
@@ -60,25 +60,6 @@ class RunConfig:
     check: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
-# a run of more than MAX_NESTING openers and unary operators, which
-# ast.literal_eval's parser meets with a MemoryError
-_TOO_DEEP = re.compile(r"(?:(?:[-+~(\[{]|\bnot\b)\s*){%d}" % (MAX_NESTING + 1))
-
-
-def _literal_eval(raw: str):
-    """ast.literal_eval of raw, a ValueError when it nests too deep."""
-    if _TOO_DEEP.search(raw):
-        raise ValueError(f"nested deeper than {MAX_NESTING} levels")
-    return ast.literal_eval(raw)
-
-
-def _literal(raw: str, where: str):
-    try:
-        return _literal_eval(raw)
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"{where}: cannot parse value {excerpt(raw)}: {exc}") from None
-
-
 def _name(text: str) -> str:
     """A section or key name for a message: as it is, or excerpt's cut of it
     where excerpt would cut it."""
@@ -105,7 +86,7 @@ def _value(sec, key: str, convert, where: str, fallback=MISSING, required="requi
         return convert(sec[key])
     except ParseError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    except (TypeError, ValueError, SyntaxError):
+    except ValueError:
         raise ConfigError(f"{where}: malformed value {excerpt(sec[key])}") from None
 
 
@@ -113,26 +94,44 @@ def _expr(raw: str) -> Expr:
     return parse(_unquote(raw))
 
 
-def _pair(raw: str) -> tuple[float, float]:
-    lo, hi = _literal_eval(raw)
-    return float(lo), float(hi)
-
-
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in _literal_eval(f"[{raw}]"))
+    """Comma-separated numbers, each read by float()."""
+    return tuple(float(v) for v in raw.split(","))
 
 
-def _pair_list(raw: str, where: str) -> tuple[tuple[int, int], ...]:
-    value = _literal(f"[{raw}]", where)
+def _pair(raw: str) -> tuple[float, float]:
+    lo, hi = _floats(raw)
+    return lo, hi
+
+
+def _sweep(raw: str) -> tuple[tuple[int, int], ...]:
+    """Comma-separated (N, M) pairs of integers, each read by int()."""
+    raw = raw.strip()
+    if not (raw.startswith("(") and raw.endswith(")")):
+        raise ValueError(raw)
     pairs = []
-    for item in value:
-        if (not isinstance(item, tuple) or len(item) != 2
-                or not all(isinstance(v, int) and v >= 1 for v in item)):
-            raise ConfigError(f"{where}: expected (N, M) pairs of positive integers")
-        pairs.append((item[0], item[1]))
-    if not pairs:
-        raise ConfigError(f"{where}: empty sweep")
+    for item in re.split(r"\)\s*,\s*\(", raw[1:-1]):
+        n, m = item.split(",")
+        pairs.append((int(n), int(m)))
     return tuple(pairs)
+
+
+# the largest dense arrays of a solve are L, (N*M)^2 doubles, and the
+# Chebyshev product tensor, M^3; a size whose larger one exceeds this budget
+# is a ConfigError before anything is allocated.  It admits (64, 16) and
+# every M up to 256 at N = 1.
+MAX_DOUBLES = 2 ** 24
+
+
+def _size(n: int, m: int, where: str) -> tuple[int, int]:
+    """(n, m) if both are positive and the solve's dense arrays fit
+    MAX_DOUBLES, else a ConfigError naming where."""
+    if n < 1 or m < 1:
+        raise ConfigError(f"{where}: N={n} M={m}: N and M must be positive")
+    if max((n * m) ** 2, m ** 3) > MAX_DOUBLES:
+        raise ConfigError(f"{where}: N={n} M={m}: exceeds the budget of {MAX_DOUBLES} "
+                          "doubles in one array, max((N*M)^2, M^3)")
+    return n, m
 
 
 # the [nonlinearity] kinds; a kind's keys are its fields, lower-cased, and a
@@ -249,15 +248,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("basis: exactly one of 'M' (single run) or 'sweep' is required")
     if has_single:
         n = _value(basis, "n", int, "basis.N", 1)
-        m = _value(basis, "m", int, "basis.M")
-        if n < 1 or m < 1:
-            raise ConfigError("basis.N/basis.M: must be positive")
-        bases = ((n, m),)
+        bases = (_size(n, _value(basis, "m", int, "basis.M"), "basis.N/basis.M"),)
     elif "n" in basis:
         raise ConfigError("basis.N: not read with 'sweep'; each sweep pair (N, M) "
                           "carries its own N")
     else:
-        bases = _pair_list(basis["sweep"], "basis.sweep")
+        bases = tuple(_size(n, m, "basis.sweep")
+                      for n, m in _value(basis, "sweep", _sweep, "basis.sweep"))
 
     return RunConfig(kernel=kernel, f=f_expr, nonlinearity=nonlinearity,
                      interval=interval, bases=bases, exact_fn=exact_fn)
@@ -269,6 +266,7 @@ def config_from_example(entry: ExampleEntry, N: int | None = None,
     default.  With check, the size must have a published reference error."""
     n = N if N is not None else entry.recommended[0]
     m = M if M is not None else entry.recommended[1]
+    _size(n, m, "--N/--M")
     if check and (n, m) not in entry.reference_errors:
         sizes = ", ".join(f"N={a} M={b}" for a, b in sorted(entry.reference_errors))
         raise ConfigError(
@@ -411,10 +409,6 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        for flag in ("N", "M"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{flag}: must be positive, got {value}")
         if args.command == "run-example":
             try:
                 entry = get_example(args.key)

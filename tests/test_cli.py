@@ -5,12 +5,16 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import typing
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dovsolver
 from dovsolver.cli import (
@@ -170,9 +174,17 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
      "nonlinearity (polynomial): scan_range must be finite with lo < hi"),
     # a non-finite end used to crash the solve with a ZeroDivisionError
     ("interval = 0, 1", "interval = 0, 1e999", "problem.interval"),
+    # a set literal used to be sorted, so a reversed range passed lo < hi
+    ("interval = 0, 1", "interval = {1, 0}", "problem.interval"),
+    (_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = {3, 0}', "nonlinearity.bracket"),
+    # True used to be read as N = 1, and RunConfig.bases held ((True, 4),)
+    ("M = 4", "sweep = (True, 4)", "basis.sweep"),
+    # every element of every pair is checked, not only the smallest pair's
+    ("M = 4", "sweep = (2,0), (1,4)", "basis.sweep"),
 ], ids=["order", "kind", "N", "M", "scan_range", "newton_tol", "max_iter",
         "residual_grid", "grid", "bracket-reversed", "bracket-infinite", "alpha-infinite",
-        "scan_range-empty", "scan_range-reversed", "interval-infinite"])
+        "scan_range-empty", "scan_range-reversed", "interval-infinite", "interval-set",
+        "bracket-set", "sweep-true", "sweep-zero-m"])
 def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
@@ -182,8 +194,9 @@ def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
 
 
 @pytest.mark.parametrize("old, new, key", [
-    # each used to crash with a RecursionError from the expression parser
-    # and a MemoryError from ast.literal_eval
+    # the first used to crash with a RecursionError from the expression
+    # parser, the second with a MemoryError from the Python-literal reader
+    # that number values once went through; float() now rejects it
     ('kernel = "1"', 'kernel = "' + "(" * 5000 + '1"', "problem.kernel"),
     (_INVERTIBLE, "kind = polynomial\nalpha = " + "-" * 100000 + "1", "nonlinearity.alpha"),
 ], ids=["kernel-parentheses", "alpha-minuses"])
@@ -215,6 +228,55 @@ def test_config_error_quotes_a_long_value_in_excerpt(tmp_path, capsys, old, new,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+def test_sweep_error_quotes_only_the_value(tmp_path, capsys):
+    # used to quote '[(1,4) (1,6)]', a value never written, and an
+    # "<ast.Call object at 0x...>" that changed from run to run
+    path = _write(tmp_path, MINIMAL.replace("M = 4", "sweep = (1,4) (1,6)"))
+    assert main(["solve", path]) == 1
+    assert capsys.readouterr().err == "config error: basis.sweep: malformed value '(1,4) (1,6)'\n"
+
+
+def test_malformed_number_warns_nothing(tmp_path):
+    # used to emit "SyntaxWarning: invalid decimal literal", a second stderr
+    # line outside pytest, before the config error
+    path = _write(tmp_path, MINIMAL.replace(_INVERTIBLE, "kind = polynomial\nalpha = 0, 0, 1if"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="^nonlinearity.alpha: malformed value"):
+            load_config(path)
+    assert [str(w.message) for w in caught] == []
+
+
+# sizes inside the budget: the size ladder, (64, 16) of the N ladder, and
+# each edge, (N*M)^2 = 2^24 and M^3 <= 2^24
+_ADMITTED = [(1, 10), (2, 16), (4, 16), (8, 16), (8, 24), (64, 16), (16, 256), (1, 256)]
+# just past an edge, and a size that asks for gigabytes
+_OVER_BUDGET = [(4097, 1), (1, 257), (1, 1000)]
+
+
+@pytest.mark.parametrize("n, m", _ADMITTED)
+def test_size_within_budget_is_admitted(tmp_path, n, m):
+    # neither function allocates or solves, so these only build a RunConfig
+    path = _write(tmp_path, MINIMAL.replace("M = 4", f"N = {n}\nM = {m}"))
+    assert load_config(path).bases == ((n, m),)
+    path = _write(tmp_path, MINIMAL.replace("M = 4", f"sweep = (1,4), ({n},{m})"))
+    assert load_config(path).bases == ((1, 4), (n, m))
+    assert config_from_example(EXAMPLES["ex2"], N=n, M=m).bases == ((n, m),)
+
+
+@pytest.mark.parametrize("n, m", _OVER_BUDGET)
+def test_size_over_budget_is_config_error(tmp_path, n, m):
+    budget = rf"N={n} M={m}: exceeds the budget of 16777216 doubles"
+    path = _write(tmp_path, MINIMAL.replace("M = 4", f"N = {n}\nM = {m}"))
+    with pytest.raises(ConfigError, match=rf"^basis\.N/basis\.M: {budget}"):
+        load_config(path)
+    path = _write(tmp_path, MINIMAL.replace("M = 4", f"sweep = (1,4), ({n},{m})"))
+    with pytest.raises(ConfigError, match=rf"^basis\.sweep: {budget}"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=rf"^--N/--M: {budget}"):
+        config_from_example(EXAMPLES["ex2"], N=n, M=m)
 
 
 @pytest.mark.parametrize("old, new, said", [
@@ -342,6 +404,74 @@ def test_readme_config_block_loads(tmp_path):
     assert len(blocks) == 1
     cfg = load_config(_write(tmp_path, blocks[0]))
     assert cfg.bases == ((1, 10),)
+
+
+# the configs the property test edits, each cut before its [basis] section:
+# README's block and MINIMAL with each kind's every-field text
+_BODIES = [text[:text.index("[basis]")] for text in (
+    re.search(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"),
+              re.MULTILINE | re.DOTALL).group(1),
+    *(MINIMAL.replace(_INVERTIBLE, text) for text, _ in _EVERY_FIELD.values()))]
+
+
+@st.composite
+def _edited(draw, text):
+    """text with up to two characters inserted, deleted or replaced."""
+    chars = st.one_of(st.sampled_from("0123456789()[]{},.-+_eExTF'\"=#;:\n \t"), st.characters())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = "" if op == "delete" else draw(chars)
+        text = text[:at] + new + text[at + (op != "insert"):]
+    return text
+
+
+# a [basis] section with N <= 4 and M <= 16, so that no case solves a large
+# size; each size strategy is listed twice, so two thirds of the tokens are
+# sizes, and the others are there to be rejected
+_N = st.one_of(st.integers(1, 4).map(str), st.integers(1, 4).map(str),
+               st.sampled_from(["0", "-1", "True", "2.0", "", "0x2", "'2'"]))
+_M = st.one_of(st.integers(1, 16).map(str), st.integers(1, 16).map(str),
+               st.sampled_from(["0", "True", "4.0", "", "1e1", "(4)"]))
+_BASIS = st.one_of(
+    st.builds("M = {}".format, _M),
+    st.builds("N = {}\nM = {}".format, _N, _M),
+    st.builds(lambda pairs, sep: "sweep = " + sep.join(f"({n},{m})" for n, m in pairs),
+              st.lists(st.tuples(_N, _M), min_size=1, max_size=3),
+              st.sampled_from([", ", ",", " ", ",,"])))
+
+_CONFIGS = st.one_of(
+    st.builds(lambda body, basis: f"{body}[basis]\n{basis}\n".encode(),
+              st.sampled_from(_BODIES).flatmap(_edited), _BASIS),
+    st.binary(max_size=200))
+
+
+@settings(max_examples=200, deadline=None)
+@example(MINIMAL.replace("interval = 0, 1", "interval = {1, 0}").encode())
+@example(MINIMAL.replace(_INVERTIBLE, 'kind = collocation\nG = "u"\nbracket = {3, 0}').encode())
+@example(MINIMAL.replace("M = 4", "sweep = (True, 4)").encode())
+@example(MINIMAL.replace("M = 4", "sweep = (1,4) (1,6)").encode())
+@example(MINIMAL.replace(_INVERTIBLE, "kind = polynomial\nalpha = 0, 0, 1if").encode())
+@given(_CONFIGS)
+def test_any_config_exits_0_1_or_2_with_one_line_config_errors(data):
+    # a warning counts as stderr output: outside pytest it prints there
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(["solve", str(path), "--no-timing"])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        text = err.getvalue()
+        assert text.startswith("config error: ") and text.count("\n") == 1
+        assert text.endswith("\n") and len(text.encode()) < 300
+        assert [str(w.message) for w in caught] == []
 
 
 def test_unknown_nonlinearity_kind(tmp_path):
