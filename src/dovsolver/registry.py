@@ -49,8 +49,8 @@ class ExampleEntry:
     reference_errors: dict[tuple[int, int], float] = field(default_factory=dict)
     notes: str = ""
     # not a field, since every example solves with the defaults; a class
-    # attribute because perfbench/worker.py and tests/test_bench_contract.py
-    # pass entry.options to solve()
+    # attribute because perfbench/worker.py, its only reader, passes
+    # entry.options to solve()
     options = SolveOptions()
 
     def problem(self, N: int | None = None, M: int | None = None) -> Problem:

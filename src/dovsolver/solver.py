@@ -6,11 +6,12 @@ Z -> hat(K^T W_Z Q) and F the projection of f, then recover u from Z by the
 kind's own recover(Z), which reads no setting but the kind's.  L is
 block lower triangular (Volterra causality), so Z is marched block by block
 with one refinement step; a rank-deficient L takes the minimum-norm
-least-squares Z.  Invertible recovers pointwise by Ginv, Derivative (G(u) =
-u^(n), zero initial data) by n integrations, Collocation by root finding in
-its bracket at each block's M Chebyshev-Gauss points, and Polynomial by
-damped Newton on P(U) = sum_r alpha_r U^r = Z in truncated Chebyshev
-algebra, on a degree-continuation ladder started from its scan range.  The
+least-squares Z.  Invertible and Collocation share one pointwise step:
+u interpolated at each block's M Chebyshev-Gauss points, where G(u) = z is
+inverted by Ginv or by root finding in a bracket.  Derivative (G(u) = u^(n),
+zero initial data) recovers by n integrations, and Polynomial by damped
+Newton on P(U) = sum_r alpha_r U^r = Z in truncated Chebyshev algebra, on a
+degree-continuation ladder started from its scan range.  The
 condition is the larger of cond L and the recover step's; Solution carries Z.
 """
 
@@ -51,12 +52,19 @@ def _check_range(name: str, value: tuple[float, float]) -> None:
 
 @dataclass(frozen=True)
 class _ExprKind:
-    """A kind that carries G as an expression in u."""
+    """A kind that carries G as an expression in u and recovers u pointwise."""
 
     G: Expr
 
     def g_from_coeffs(self, U: CoeffVector):
         return lambda x: evaluate(self.G, {"u": eval_series(U, x)})
+
+    def recover(self, Z: CoeffVector):
+        """u interpolated at each block's M Chebyshev-Gauss points, which
+        avoid block endpoints, by project's transform; the values there are
+        the kind's invert(t, z) of all points at once."""
+        return project(lambda t: self.invert(t, eval_series(Z, t)), Z.spec,
+                       rule=Z.spec.M), 0.0, 0, True
 
 
 @dataclass(frozen=True)
@@ -65,10 +73,8 @@ class Invertible(_ExprKind):
 
     Ginv: Expr
 
-    def recover(self, Z: CoeffVector):
-        """u = Ginv(z) pointwise, projected onto the basis."""
-        U = project(lambda t: evaluate(self.Ginv, {"u": eval_series(Z, t)}), Z.spec)
-        return U, 0.0, 0, True
+    def invert(self, t, z):
+        return evaluate(self.Ginv, {"u": z})
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,12 @@ class Derivative:
 
         Valid because the problem class fixes u and its first n-1
         derivatives to zero at the left endpoint, which is exactly what the
-        integration matrix produces.
+        integration matrix produces.  An order above M raises SolverError:
+        series_derivative stops after M differentiations, so no residual
+        would see the further integrations.
         """
+        if self.order > Z.spec.M:
+            raise SolverError(f"derivative order {self.order} exceeds M = {Z.spec.M}")
         qt = integration_matrix(Z.spec).T
         u = Z.c
         for _ in range(self.order):
@@ -179,18 +189,12 @@ class Collocation(_ExprKind):
     def __post_init__(self):
         _check_range("bracket", self.bracket)
 
-    def recover(self, Z: CoeffVector):
-        """u interpolated at each block's M Chebyshev-Gauss points, which
-        avoid block endpoints, by project's transform; the values there come
-        from one bracketed inversion of G at all points at once."""
-        def invert(t):
-            try:
-                return scalar_invert(self.G, eval_series(Z, t), self.bracket)
-            except SolverError as exc:
-                raise SolverError(
-                    f"{exc} at collocation point t = {np.ravel(t)[exc.index]:g}") from exc
-
-        return project(invert, Z.spec, rule=Z.spec.M), 0.0, 0, True
+    def invert(self, t, z):
+        try:
+            return scalar_invert(self.G, z, self.bracket)
+        except SolverError as exc:
+            raise SolverError(
+                f"{exc} at collocation point t = {np.ravel(t)[exc.index]:g}") from exc
 
 
 Nonlinearity = Invertible | Derivative | Polynomial | Collocation

@@ -43,7 +43,7 @@ def _solution(key: str, N: int, M: int):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             start = time.perf_counter()
-            sol = solve(problem, entry.options)
+            sol = solve(problem)
             _TIMING[tag] = time.perf_counter() - start
         _CACHE[tag] = sol
     return _CACHE[tag]

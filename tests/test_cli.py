@@ -635,6 +635,16 @@ def test_failed_csv_row_says_why_on_stderr(capsys):
     assert json.loads(captured.out)[0]["error"].startswith("SolverError: no sign change")
 
 
+def test_derivative_order_above_m_fails_its_row_at_once(tmp_path, capsys):
+    # the order is checked against M before the integration loop, so a huge
+    # order fails its row at once instead of integrating that many times
+    text = MINIMAL.replace(_INVERTIBLE, "kind = derivative\norder = 200000")
+    assert main(["solve", _write(tmp_path, text), "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ",".join(CSV_COLUMNS) + "\n1,4,4,,nan,0,nan,0\n"
+    assert captured.err == "dov: row N=1 M=4: SolverError: derivative order 200000 exceeds M = 4\n"
+
+
 def test_sweep_rows_in_config_order(tmp_path):
     text = MINIMAL.replace("M = 4", "sweep = (1,6), (1,2), (1,4)")
     cfg = load_config(_write(tmp_path, text))

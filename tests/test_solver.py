@@ -448,7 +448,7 @@ def test_single_root_is_not_scored(monkeypatch):
     # only oracle residual left is the solve's final one, on the full grid
     e5 = EXAMPLES["ex5"]
     p = e5.problem(2, 4)
-    plain = solve(p, e5.options)
+    plain = solve(p)
     scored = oracle.equation_residual
     grids = []
 
@@ -457,7 +457,7 @@ def test_single_root_is_not_scored(monkeypatch):
         return scored(problem, U, grid, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "equation_residual", counting)
-    counted = solve(p, e5.options)
+    counted = solve(p)
     assert grids == [oracle.RESIDUAL_GRID]
     assert counted.U.c.tobytes() == plain.U.c.tobytes()
     assert counted.diagnostics == plain.diagnostics
@@ -470,7 +470,7 @@ def test_ex7_picks_the_exact_branch(n, m):
     # the recover step has to land on u = t in every block
     e7 = EXAMPLES["ex7"]
     p = e7.problem(n, m)
-    sol = solve(p, replace(e7.options, compute_residual=False))
+    sol = solve(p, FAST)
     assert max_error_fn(sol, lambda t: t, uniform_grid(p.spec.interval, 1000)) <= 1e-10
 
 
@@ -487,10 +487,10 @@ def _case_error(key, n, m):
     """E_inf of a registry example's recover step at (N, M) with the oracle
     off, on 1000 points."""
     e = EXAMPLES[key]
-    p, opts, exact = e.problem(n, m), e.options, e.exact_fn()
+    p, exact = e.problem(n, m), e.exact_fn()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve(p, replace(opts, compute_residual=False))
+        sol = solve(p, FAST)
     return max_error_fn(sol, exact, uniform_grid(p.spec.interval, 1000))
 
 
@@ -592,6 +592,36 @@ def test_collocation_unbracketed_root_reports_point():
     assert str(caught.value).count("(-1, 1)") == 1
 
 
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 8), (4, 16), (8, 24)])
+def test_pointwise_kinds_agree(n, m):
+    # ex8's data with G = exp(u) inverted by Ginv = ln(u) and by root finding
+    # in a bracket: both kinds interpolate at the same Chebyshev-Gauss
+    # points, so their U differ only by the root finder's tolerance
+    spec = BasisSpec(Interval(1, 2), n, m)
+    kernel, f, G = parse("1"), parse("cos(1)-cos(t)"), parse("exp(u)")
+    by_ginv = solve(Problem(kernel, f, Invertible(G=G, Ginv=parse("ln(u)")), spec), FAST)
+    by_root = solve(Problem(kernel, f, Collocation(G=G, bracket=(-4, 1)), spec), FAST)
+    assert np.max(np.abs(by_ginv.U.c - by_root.U.c)) <= 1e-14
+
+
+def test_derivative_order_above_m_raises():
+    # series_derivative stops after M differentiations, so a larger order
+    # would change no residual and only add integrations
+    p = Problem(parse("1"), parse("t^2/2"), Derivative(order=5),
+                BasisSpec(Interval(0, 1), 1, 4))
+    with pytest.raises(SolverError, match="derivative order 5 exceeds M = 4"):
+        solve(p, FAST)
+
+
+def test_derivative_order_equal_to_m_solves():
+    # ex1 is G(u) = u'' at (1, 2), order = M = 2
+    e1 = EXAMPLES["ex1"]
+    assert e1.nonlinearity == Derivative(order=2)
+    sol = solve(e1.problem(1, 2))
+    assert sol.diagnostics.converged
+    assert math.isfinite(sol.diagnostics.residual_linf)
+
+
 @pytest.mark.parametrize("field, value", [
     ("newton_tol", -1.0), ("newton_tol", math.nan), ("newton_tol", math.inf),
     ("newton_max_iter", 0), ("residual_grid", 1),
@@ -689,7 +719,7 @@ def test_polynomial_condition_estimate_at_the_root():
     # the winning path starts on a root and takes no Newton step; the
     # condition is max(cond L, cond dP/dU) at the returned root all the same
     e7 = EXAMPLES["ex7"]
-    sol = solve(e7.problem(1, 10), replace(e7.options, compute_residual=False))
+    sol = solve(e7.problem(1, 10), FAST)
     assert np.isfinite(sol.diagnostics.condition_estimate)
     assert sol.diagnostics.condition_estimate >= 1.0
 
@@ -710,13 +740,14 @@ def test_residual_coupled_to_truncation_for_constant_kernels():
 
 
 def test_residual_falls_back_to_g_of_u_equals_z():
-    # ex10 at (1, 10): the series of U dips below 0 where sqrt is applied, so
+    # ex10 at (1, 12): the series of U dips below 0 where sqrt is applied, so
     # the oracle cannot evaluate G(series(U)) and the residual is taken with
-    # G(u) = z instead, with one warning; the solve still counts as converged
+    # G(u) = z instead, with one warning; the solve still counts as converged.
+    # At (1, 10) the U interpolated at the Chebyshev-Gauss points stays >= 0
     e10 = EXAMPLES["ex10"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sol = solve(e10.problem(1, 10), e10.options)
+        sol = solve(e10.problem(1, 12))
     fallback = [w for w in caught if "residual evaluated through G(u) = z" in str(w.message)]
     assert len(fallback) == 1
     d = sol.diagnostics
