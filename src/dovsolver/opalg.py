@@ -29,23 +29,20 @@ def _integration_rows(M: int) -> np.ndarray:
 
     Row m holds the Chebyshev coefficients of int_{-1}^x T_m; the first two
     rows come from direct integration, higher rows from the degree-shift
-    recurrence.  The T_M term of the last row falls outside the basis and is
-    dropped (inherent truncation).
+    recurrence.  The rows are built on M + 1 columns, and the last column,
+    the T_M term of the last row, falls outside the basis and is dropped
+    (inherent truncation).
     """
-    p = np.zeros((M, M))
-    p[0, 0] = 1.0
-    if M > 1:
-        p[0, 1] = 1.0
+    p = np.zeros((M, M + 1))
+    p[0, 0] = p[0, 1] = 1.0
     if M > 1:
         p[1, 0] = -0.25
-        if M > 2:
-            p[1, 2] = 0.25
+        p[1, 2] = 0.25
     for m in range(2, M):
         p[m, 0] = (-1.0) ** (m + 1) / (m * m - 1.0)
         p[m, m - 1] = -0.5 / (m - 1.0)
-        if m + 1 < M:
-            p[m, m + 1] = 0.5 / (m + 1.0)
-    return p
+        p[m, m + 1] = 0.5 / (m + 1.0)
+    return p[:, :M]
 
 
 def _block_average_column(M: int) -> np.ndarray:
@@ -114,11 +111,10 @@ def product_matrix(cv: CoeffVector) -> np.ndarray:
 
 def unit_product_matrix(spec: BasisSpec, r: int) -> np.ndarray:
     """Product matrix of the r-th basis function (1-based)."""
-    n0, m = spec.split(r)
-    a = np.zeros((spec.dim, spec.dim))
-    sl = slice(n0 * spec.M, (n0 + 1) * spec.M)
-    a[sl, sl] = product_tensor(spec.M)[:, m, :]
-    return a
+    spec.split(r)  # an index off the basis raises IndexError
+    c = np.zeros(spec.dim)
+    c[r - 1] = 1.0
+    return product_matrix(CoeffVector(spec, c))
 
 
 def polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +162,10 @@ def kernel_matrix(k: Expr, spec: BasisSpec) -> np.ndarray:
 
     A difference kernel k(t - x) (expr.is_difference_kernel) makes the causal
     part block Toeplitz on the N equal blocks: the pair (ns, ns + d) samples
-    the lags t - x of the pair (0, d), up to roundoff.  Then only the N
-    blocks K_0d are projected, each on block_nodes(d) - block_nodes(0) with
-    x bound to 0.0, which are the (0, d) pair's own lags bit for bit, and
-    K_0d is copied to every pair (ns, ns + d); so N = 1 and the first block
-    row are bitwise the per-pair projection.  Any other kernel is projected
-    pair by pair.
+    the lags t - x of the pair (0, d), up to roundoff.  Then only block row 0
+    is projected, and each block diagonal is copied down from it whole; so
+    N = 1 and the first block row are bitwise the per-pair projection.  Any
+    other kernel is projected pair by pair.
 
     Each block pair is sampled whole, so a diagonal block samples x > t too.
     A kernel undefined there raises an EvalError that names the kernel.
@@ -179,29 +173,23 @@ def kernel_matrix(k: Expr, spec: BasisSpec) -> np.ndarray:
     x, proj = gauss_chebyshev_transform(spec.M, projection_rule_size(spec.M))
     N, M = spec.N, spec.M
     a = np.zeros((N, M, N, M))
-
-    def transform(s, t):
-        try:
-            vals = evaluate(k, {"x": s, "t": t})
-        except EvalError as exc:
-            raise EvalError(
-                f"kernel {unparse(k)!r} is undefined where it is sampled: each whole "
-                "diagonal block is sampled, x > t included, so the kernel must be "
-                "defined there (a smooth extension will do; weakly singular (Abel) "
-                f"kernels are out of scope): {exc.reason}", exc.node) from exc
-        # a kernel without x or t evaluates to a lower-dimensional array
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), (x.size, x.size))
-        return proj @ vals @ proj.T
-
-    if is_difference_kernel(k):
-        s0 = spec.block_nodes(0, x)[:, None]
-        for d in range(N):
-            block = transform(0.0, spec.block_nodes(d, x)[None, :] - s0)
-            for ns in range(N - d):
-                a[ns, :, ns + d, :] = block
-    else:
-        for nt in range(N):
-            t_pts = spec.block_nodes(nt, x)[None, :]
-            for ns in range(nt + 1):
-                a[ns, :, nt, :] = transform(spec.block_nodes(ns, x)[:, None], t_pts)
+    toeplitz = is_difference_kernel(k)
+    for nt in range(N):
+        t_pts = spec.block_nodes(nt, x)[None, :]
+        for ns in range(1 if toeplitz else nt + 1):
+            s_pts = spec.block_nodes(ns, x)[:, None]
+            try:
+                vals = evaluate(k, {"x": s_pts, "t": t_pts})
+            except EvalError as exc:
+                raise EvalError(
+                    f"kernel {unparse(k)!r} is undefined where it is sampled: each whole "
+                    "diagonal block is sampled, x > t included, so the kernel must be "
+                    "defined there (a smooth extension will do; weakly singular (Abel) "
+                    f"kernels are out of scope): {exc.reason}", exc.node) from exc
+            # a kernel without x or t evaluates to a lower-dimensional array
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), (x.size, x.size))
+            a[ns, :, nt, :] = proj @ vals @ proj.T
+    if toeplitz:
+        for ns in range(1, N):
+            a[ns, :, ns:, :] = a[0, :, :N - ns, :]
     return a.reshape(spec.dim, spec.dim)

@@ -56,6 +56,8 @@ class Grid:
 
 # grid size of the residual a solve reports, and of a residual given no grid
 RESIDUAL_GRID = 200
+# quad_adaptive's tolerance for the inner integral of every residual
+QUAD_TOL = 1e-12
 
 
 def uniform_grid(interval: Interval, n: int = 1000) -> Grid:
@@ -158,7 +160,7 @@ def _quad_blockwise(g, spec: BasisSpec, lo: float, hi: float, tol: float) -> flo
     return sum(quad_adaptive(g, a, b, tol) for a, b in zip(pts[:-1], pts[1:]))
 
 
-def _residual(problem, g, grid: Grid | None, quad_tol: float) -> float:
+def _residual(problem, g, grid: Grid | None) -> float:
     """Max over the grid of |f(t) - int_{t0}^t K(x,t) g(x) dx| with the
     inner integral computed by quad_adaptive, split at block boundaries."""
     if grid is None:
@@ -176,34 +178,29 @@ def _residual(problem, g, grid: Grid | None, quad_tol: float) -> float:
                                           dtype=float), grid.points.shape)
     worst = 0.0
     for t, ft in zip(grid.points.tolist(), f_values.tolist()):
-        if t == t0:
-            worst = max(worst, abs(ft))
-        else:
-            def integrand(x, _t=t):
-                return np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float) * g(x)
+        def integrand(x, _t=t):
+            return np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float) * g(x)
 
-            worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, t, quad_tol)))
+        worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, t, QUAD_TOL)))
     return worst
 
 
-def equation_residual(problem, U: CoeffVector, grid: Grid | None = None,
-                      quad_tol: float = 1e-12) -> float:
+def equation_residual(problem, U: CoeffVector, grid: Grid | None = None) -> float:
     """Residual of the integral equation with G(u(x)) composed pointwise
     from the series U."""
-    return _residual(problem, problem.nonlinearity.g_from_coeffs(U), grid, quad_tol)
+    return _residual(problem, problem.nonlinearity.g_from_coeffs(U), grid)
 
 
 def residual_linf(problem: "Problem", solution: "Solution",
-                  grid: Grid | None = None, quad_tol: float = 1e-12) -> float:
+                  grid: Grid | None = None) -> float:
     """Oracle residual of the integral equation for a computed solution."""
-    return equation_residual(problem, solution.U, grid, quad_tol)
+    return equation_residual(problem, solution.U, grid)
 
 
-def composite_residual(problem, Z: CoeffVector, grid: Grid | None = None,
-                       quad_tol: float = 1e-12) -> float:
+def composite_residual(problem, Z: CoeffVector, grid: Grid | None = None) -> float:
     """Residual with G(u(x)) taken as the series Z produced by a linear
     stage, bypassing the pointwise composition through U."""
-    return _residual(problem, lambda x: eval_series(Z, x), grid, quad_tol)
+    return _residual(problem, lambda x: eval_series(Z, x), grid)
 
 
 def max_error_fn(solution_or_cv, exact: Callable, grid: Grid) -> float:

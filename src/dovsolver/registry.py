@@ -68,12 +68,11 @@ class ExampleEntry:
 
         def fn(t):
             ta = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.empty_like(ta)
+            out = np.full_like(ta, np.nan)  # NaN off the pieces
             for i, (lo, hi, e) in enumerate(pieces):
                 mask = (ta >= lo) & (ta < hi) if i + 1 < len(pieces) else \
                     (ta >= lo) & (ta <= hi)
-                if np.any(mask):
-                    out[mask] = evaluate(e, {"t": ta[mask]})
+                out[mask] = evaluate(e, {"t": ta[mask]})
             return out if np.ndim(t) else float(out[0])
 
         return fn

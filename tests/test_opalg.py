@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, project
-from dovsolver.expr import EvalError, is_difference_kernel, parse, unparse
+from dovsolver import opalg
+from dovsolver.expr import EvalError, evaluate, is_difference_kernel, parse, unparse
 from dovsolver.opalg import (
     integration_matrix,
     kernel_matrix,
@@ -317,12 +318,18 @@ def test_polynomial_on_a_stack_equals_separate_calls(s, n, m, alpha, seed):
 
 
 def test_unit_product_matrix_matches_generic():
-    spec = BasisSpec(Interval(0, 1), 2, 3)
-    for r in range(1, spec.dim + 1):
-        c = np.zeros(spec.dim)
-        c[r - 1] = 1.0
-        assert np.allclose(unit_product_matrix(spec, r),
-                           product_matrix(CoeffVector(spec, c)))
+    # the r-th unit vector's product matrix is the slice C[:, m, :] of the
+    # product tensor in its own diagonal block, bit for bit
+    for n, m in [(1, 1), (2, 3), (3, 8), (2, 24)]:
+        spec = BasisSpec(Interval(0, 1), n, m)
+        for r in range(1, spec.dim + 1):
+            n0, deg = (r - 1) // m, (r - 1) % m
+            ref = np.zeros((spec.dim, spec.dim))
+            ref[n0 * m:(n0 + 1) * m, n0 * m:(n0 + 1) * m] = product_tensor(m)[:, deg, :]
+            assert np.array_equal(unit_product_matrix(spec, r), ref)
+        for r in (0, spec.dim + 1):
+            with pytest.raises(IndexError, match="basis index out of range"):
+                unit_product_matrix(spec, r)
 
 
 _DIFFERENCE_KERNELS = ("exp(t-x)", "cos(t-x)", "sin(t-x)+1", "pow(t-x,2)", "1")
@@ -334,10 +341,11 @@ _OTHER_KERNELS = ("t*x", "exp(t+x)", "exp(x-t)+x*t", "cos(t)-x")
        source=st.sampled_from(_DIFFERENCE_KERNELS + _OTHER_KERNELS),
        interval=st.sampled_from([(0.0, 1.0), (0.0, 2.0), (-0.5, 1.0), (-1.0, 1.0)]))
 def test_kernel_matrix_matches_per_pair_projection(n, m, source, interval):
-    # a difference kernel is projected once per block diagonal: the copies
-    # agree with the per-pair projection to roundoff, and the first block
-    # row, projected on the (0, d) pairs' own lags, bit for bit; any other
-    # kernel is projected pair by pair, bit for bit
+    # a difference kernel projects block row 0 through the per-pair loop, so
+    # that row is the per-pair projection bit for bit, and every other
+    # block is a copy along its block diagonal that agrees with the per-pair
+    # projection to roundoff; any other kernel is projected pair by pair,
+    # bit for bit
     spec = BasisSpec(Interval(*interval), n, m)
     k = parse(source)
     K = kernel_matrix(k, spec).reshape(n, m, n, m)
@@ -353,6 +361,23 @@ def test_kernel_matrix_matches_per_pair_projection(n, m, source, interval):
                 assert np.array_equal(K[ns, :, ns + d], K[0, :, d])
     else:
         assert np.array_equal(K, ref)
+
+
+@pytest.mark.parametrize("N", [1, 3, 8])
+@pytest.mark.parametrize("source, projections", [
+    ("exp(t-x)", lambda N: N), ("t*x", lambda N: N * (N + 1) // 2)])
+def test_kernel_matrix_projection_count(monkeypatch, N, source, projections):
+    # a difference kernel is evaluated once per block of row 0 and copied
+    # down its diagonals; any other kernel once per causal block pair
+    calls = []
+
+    def counted(e, env):
+        calls.append(e)
+        return evaluate(e, env)
+
+    monkeypatch.setattr(opalg, "evaluate", counted)
+    kernel_matrix(parse(source), BasisSpec(Interval(0, 1), N, 4))
+    assert len(calls) == projections(N)
 
 
 def test_kernel_matrix_constant():

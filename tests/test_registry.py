@@ -74,3 +74,20 @@ def test_paper_reference_errors_present():
     assert EXAMPLES["ex1"].reference_errors[(1, 10)] == pytest.approx(1.24e-11)
     assert EXAMPLES["ex10"].reference_errors[(3, 12)] == pytest.approx(9.74e-11)
     assert EXAMPLES["ex6"].reference_errors[(1, 8)] == pytest.approx(1.29e-8)
+
+
+def test_piecewise_exact_solution_is_nan_off_its_pieces():
+    # each piece's own expression on its half-open range (the last closed),
+    # bit for bit; off the interval there is no piece, so NaN, not whatever
+    # an uninitialised array held
+    entry = EXAMPLES["ex10"]
+    exact = entry.exact_fn()
+    t = np.array([-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0])
+    want = np.array([float(evaluate(parse(text), {"t": ti}))
+                     for ti in t for lo, hi, text in entry.exact
+                     if lo <= ti < hi or (hi == entry.interval[1] and ti == hi)])
+    assert np.array_equal(exact(t), want)
+    assert [exact(float(ti)) for ti in t] == want.tolist()
+    assert np.isnan(exact(2.0)) and np.isnan(exact(-1.0))
+    got = exact(np.array([-1.0, 0.25, 2.0]))
+    assert np.isnan(got[[0, 2]]).all() and got[1] == 0.0625
