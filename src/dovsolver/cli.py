@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .basis import BasisSpec, Interval
-from .expr import Expr, ParseError, evaluate, excerpt, parse
+from .expr import Expr, ParseError, evaluate, excerpt, parse, unbound_variable
 from .oracle import QuadratureError, max_error_fn, uniform_grid
 from .registry import EXAMPLES, ExampleEntry, get as get_example
 from .solver import (
@@ -90,8 +90,19 @@ def _value(sec, key: str, convert, where: str, fallback=MISSING, required="requi
         raise ConfigError(f"{where}: malformed value {excerpt(sec[key])}") from None
 
 
-def _expr(raw: str) -> Expr:
-    return parse(_unquote(raw))
+def _expr(*names: str):
+    """The reader of an expression in the variables names alone; any other
+    variable is a ParseError at its offset."""
+    def read(raw: str) -> Expr:
+        source = _unquote(raw)
+        e = parse(source)
+        var = unbound_variable(e, names)
+        if var is not None:
+            raise ParseError(f"reads {' and '.join(names)} only, not {var.name!r},",
+                             source, var.pos)
+        return e
+
+    return read
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -140,7 +151,7 @@ _KINDS = {"invertible": Invertible, "collocation": Collocation,
           "derivative": Derivative, "polynomial": Polynomial}
 
 # the reader of each kind field's value
-_READERS = {"G": _expr, "Ginv": _expr, "bracket": _pair, "order": int,
+_READERS = {"G": _expr("u"), "Ginv": _expr("u"), "bracket": _pair, "order": int,
             "alpha": _floats, "scan_range": _pair}
 
 
@@ -227,8 +238,8 @@ def load_config(path: str) -> RunConfig:
     if not cfg.has_section("problem"):
         raise ConfigError("missing [problem] section")
     prob = cfg["problem"]
-    kernel = _value(prob, "kernel", _expr, "problem.kernel")
-    f_expr = _value(prob, "f", _expr, "problem.f")
+    kernel = _value(prob, "kernel", _expr("x", "t"), "problem.kernel")
+    f_expr = _value(prob, "f", _expr("t"), "problem.f")
     interval = _value(prob, "interval", _pair, "problem.interval")
     try:
         Interval(*interval)
@@ -236,7 +247,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"problem.interval: {exc}") from None
     exact_fn = None
     if "exact_solution" in prob:
-        exact = _value(prob, "exact_solution", _expr, "problem.exact_solution")
+        exact = _value(prob, "exact_solution", _expr("t"), "problem.exact_solution")
         exact_fn = lambda t: evaluate(exact, {"t": t})
 
     nonlinearity = _nonlinearity(cfg)

@@ -303,6 +303,21 @@ def is_difference_kernel(e: Expr) -> bool:
     return isinstance(e, Num)
 
 
+def unbound_variable(e: Expr, names) -> Var | None:
+    """The first variable of ``e``, in source order, whose name is not in
+    ``names``, or None when ``e`` reads only those.  A walk with its own
+    stack, so a long chain such as 1+1+...+1 is no RecursionError."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var) and node.name not in names:
+            return node
+        stack.extend(reversed((node.operand,) if isinstance(node, Neg) else
+                              (node.lhs, node.rhs) if isinstance(node, Bin) else
+                              node.args if isinstance(node, Call) else ()))
+    return None
+
+
 def unparse(e: Expr) -> str:
     """Emit fully parenthesized text that parses back to an equivalent tree."""
     if isinstance(e, Num):

@@ -10,8 +10,8 @@ and vectors are the test references in tests/paper_matrices.py.  The product
 matrix, the polynomial P(U) with its Jacobian, and L are all built from one
 cached tensor, the truncated Chebyshev product of product_tensor; P(U) and
 dP/dU take it as a matrix, so that their recurrence runs on matrix products
-alone.  Every matrix function returns a fresh dense (NM, NM) array,
-block-major.
+alone.  The integration matrix Q has two distinct blocks, which
+integration_blocks returns; L is built from them, not from Q.
 """
 
 from __future__ import annotations
@@ -54,25 +54,30 @@ def _block_average_column(M: int) -> np.ndarray:
     return e
 
 
+def integration_blocks(spec: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two distinct blocks of the integration matrix Q: P, every
+    diagonal block, which integrates within a block, and e, column 0 of
+    every block right of the diagonal, which carries a block's average
+    forward; every other entry of Q is 0."""
+    scale = 1.0 / (spec.interval.A * spec.N)
+    return _integration_rows(spec.M) * scale, _block_average_column(spec.M) * scale
+
+
 def integration_matrix(spec: BasisSpec) -> np.ndarray:
     """Matrix Q with int_{t0}^t H(s) ds ~= Q H(t).
 
-    Block upper triangular: diagonal blocks integrate within a block,
-    off-diagonal blocks carry the accumulated block averages forward.  For a
+    Block upper triangular, built from integration_blocks: P on each
+    diagonal block, e in column 0 of each block to its right.  For a
     function g with coefficients C, the coefficients of its running integral
     are C^T Q (equivalently Q^T C as a column vector).
     """
     N, M = spec.N, spec.M
-    scale = 1.0 / (spec.interval.A * N)
-    p = _integration_rows(M) * scale
-    e = np.zeros((M, M))
-    e[:, 0] = _block_average_column(M) * scale
-    a = np.zeros((spec.dim, spec.dim))
-    for nr in range(N):
-        a[nr * M:(nr + 1) * M, nr * M:(nr + 1) * M] = p
-        for nc in range(nr + 1, N):
-            a[nr * M:(nr + 1) * M, nc * M:(nc + 1) * M] = e
-    return a
+    p, e = integration_blocks(spec)
+    a = np.zeros((N, M, N, M))
+    for n in range(N):
+        a[n, :, n, :] = p
+        a[n, :, n + 1:, 0] = e[:, None]
+    return a.reshape(spec.dim, spec.dim)
 
 
 @functools.cache

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import BasisSpec, CoeffVector, eval_series, project, series_derivative
 from .expr import EvalError, Expr, evaluate
-from .opalg import integration_matrix, kernel_matrix, polynomial, product_tensor
+from .opalg import integration_blocks, integration_matrix, kernel_matrix, polynomial, product_tensor
 from . import oracle
 
 CONSISTENCY_TOL = 1e-8
@@ -439,42 +439,32 @@ def assemble_linear_map(K: np.ndarray, spec: BasisSpec) -> np.ndarray:
     W_Z is the product matrix of the series Z and Q the integration matrix.
     With C the truncated-product tensor, block (n, j) of L is
     L[n d, j q] = sum K[j i, n p] C[i q k] Q[j k, n s] C[p s d], which
-    vanishes for j > n because Q is block upper triangular; it reads only
-    the causal blocks K_jn, j <= n, that kernel_matrix projects.  Every
+    vanishes for j > n because Q is block upper triangular; it depends only
+    on the causal blocks K_jn, j <= n, that kernel_matrix projects.  Every
     route's equation becomes L Z = F.
 
-    The diagonal blocks (n, n) take that contraction as it stands.  Below
-    the diagonal, Q_jn (j < n) holds the block averages e in column 0 and
-    zeros elsewhere, Q[j k, n s] = e_k delta_s0, and C[p 0 d] = delta_pd
-    (T_p T_0 = T_p), so the sums over s and p collapse:
-    L[n d, j q] = sum_i K[j i, n d] (C e)[i q], that is L_nj = K_jn^T (C e)
-    with (C e)[i q] = sum_k C[i q k] e_k, one M x M product per block.
-
-    So L_nj reads only K_jn, and L_nn only K_nn, since every diagonal block
-    of Q is the same.  Each distinct block is built once: a block whose K
-    block is bitwise equal to its up-left neighbour's, K_jn = K_(j-1)(n-1),
-    copies that neighbour's L block.  For the block-Toeplitz K of a
-    difference kernel (kernel_matrix) that leaves N blocks to build instead
-    of N(N+1)/2, among them one diagonal contraction instead of N; the
-    result is bitwise the block-by-block one.
+    Q has two distinct blocks (opalg.integration_blocks).  Each diagonal
+    block is P, so L_nn takes the contraction above with Q_nn = P, and a
+    K_nn bitwise equal to K_(n-1)(n-1) copies the L block before it: a
+    difference kernel makes one diagonal contraction instead of N.  Below
+    the diagonal, Q_jn (j < n) holds e in column 0 and zeros elsewhere,
+    Q[j k, n s] = e_k delta_s0, and C[p 0 d] = delta_pd (T_p T_0 = T_p), so
+    the sums over s and p collapse: L_nj = K_jn^T (C e), with
+    (C e)[i q] = sum_k C[i q k] e_k.  One batched product of M x M slices
+    makes every block pair so, and the blocks above the diagonal are zeroed.
     """
     N, M = spec.N, spec.M
     C = product_tensor(M)
+    P, e = integration_blocks(spec)
     k4 = K.reshape(N, M, N, M)
-    q4 = integration_matrix(spec).reshape(N, M, N, M)
-    L = np.zeros((N, M, N, M))
-    if N > 1:
-        ce = C @ q4[0, :, 1, 0]  # C e, e column 0 of an off-diagonal block of Q
+    L = (k4.transpose(0, 2, 3, 1) @ (C @ e)).transpose(1, 2, 0, 3)
     for n in range(N):
-        for j in range(n + 1):
-            kb = k4[j, :, n, :]
-            if j > 0 and np.array_equal(kb, k4[j - 1, :, n - 1, :]):
-                L[n, :, j, :] = L[n - 1, :, j - 1, :]
-            elif j < n:
-                L[n, :, j, :] = kb.T @ ce
-            else:
-                kcq = np.tensordot(kb, C, (0, 0)) @ q4[n, :, n, :]  # [p, q, s]
-                L[n, :, n, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
+        L[n, :, n + 1:, :] = 0.0
+        if n and np.array_equal(k4[n, :, n, :], k4[n - 1, :, n - 1, :]):
+            L[n, :, n, :] = L[n - 1, :, n - 1, :]
+        else:
+            kcq = np.tensordot(k4[n, :, n, :], C, (0, 0)) @ P  # [p, q, s]
+            L[n, :, n, :] = np.tensordot(C, kcq, ([0, 1], [0, 2]))
     return L.reshape(spec.dim, spec.dim)
 
 

@@ -3,8 +3,9 @@
 The solver fuses them: the hat transform lives in the contraction that
 builds the linear map L (solver.assemble_linear_map), and the powers of U in
 opalg.polynomial, which takes the product tensor as a matrix.  These plain
-versions, einsum_polynomial among them, are the references the tests
-compare the fused forms against; no path in the package calls them.
+versions, einsum_polynomial and the block-pair integration matrix among
+them, are the references the tests compare the fused forms against; no path
+in the package calls them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dovsolver.basis import (
     projection_rule_size,
 )
 from dovsolver.expr import evaluate
-from dovsolver.opalg import polynomial, product_tensor
+from dovsolver.opalg import _block_average_column, _integration_rows, polynomial, product_tensor
 
 
 def block_index(spec: BasisSpec, t):
@@ -118,3 +119,20 @@ def per_pair_kernel_matrix(k, spec: BasisSpec) -> np.ndarray:
     return np.block([[a @ np.broadcast_to(np.asarray(evaluate(k, {
         "x": spec.block_nodes(ns, x)[:, None], "t": spec.block_nodes(nt, x)[None, :]}),
         dtype=float), (x.size, x.size)) @ a.T for nt in range(spec.N)] for ns in range(spec.N)])
+
+
+def pairwise_integration_matrix(spec: BasisSpec) -> np.ndarray:
+    """Q written block pair by block pair: the scaled integration rows on each
+    diagonal block, the scaled block averages in column 0 of each block to
+    its right."""
+    N, M = spec.N, spec.M
+    scale = 1.0 / (spec.interval.A * N)
+    p = _integration_rows(M) * scale
+    e = np.zeros((M, M))
+    e[:, 0] = _block_average_column(M) * scale
+    a = np.zeros((spec.dim, spec.dim))
+    for nr in range(N):
+        a[nr * M:(nr + 1) * M, nr * M:(nr + 1) * M] = p
+        for nc in range(nr + 1, N):
+            a[nr * M:(nr + 1) * M, nc * M:(nc + 1) * M] = e
+    return a

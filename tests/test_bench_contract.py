@@ -73,6 +73,10 @@ def test_traced_solve_matches_untraced():
         # recover step
         assert totals["spans"]["solver.newton_solve"]["calls"] == 3 * (problem.spec.M - 1)
         assert totals["spans"]["opalg.kernel_matrix"]["calls"] == 1
+        # L is built from Q's two distinct blocks, so no polynomial solve
+        # builds the dense Q; only the derivative recover step integrates
+        # with it
+        assert totals["spans"]["opalg.integration_matrix"]["calls"] == 0
         assert traced.U.c.tobytes() == plain.U.c.tobytes()
         assert traced.diagnostics == plain.diagnostics
         after = {(m.__name__, a): getattr(m, a) for m in modules for a in names

@@ -502,6 +502,26 @@ def test_sweep_with_basis_n_is_config_error(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("config error: basis.N: ")
 
 
+@pytest.mark.parametrize("old, new, said", [
+    # used to exit 0 with a normal-looking row and only a UserWarning that
+    # the residual fell back to G(u) = z
+    ('G = "u"', 'G = "ln(t)"', "nonlinearity.g: reads u only, not 't', at offset 3"),
+    # used to fail every row with a message about sampling x > t
+    ('kernel = "1"', 'kernel = "exp(t-x)*u"',
+     "problem.kernel: reads x and t only, not 'u', at offset 9"),
+    # used to fail each row only after its solve
+    ("interval = 0, 1", 'interval = 0, 1\nexact_solution = "exp(x)"',
+     "problem.exact_solution: reads t only, not 'x', at offset 4"),
+], ids=["G-reads-t", "kernel-reads-u", "exact-reads-x"])
+def test_expression_with_a_variable_its_key_does_not_bind_is_config_error(
+        tmp_path, capsys, old, new, said):
+    path = _write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["solve", path, "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {said}: ")
+    assert captured.out == ""
+
+
 def test_expression_error_reports_key(tmp_path):
     text = MINIMAL.replace('f = "t^2/2"', 'f = "t^/2"')
     with pytest.raises(ConfigError, match="problem.f"):

@@ -16,6 +16,7 @@ from dovsolver.expr import (
     evaluate,
     is_difference_kernel,
     parse,
+    unbound_variable,
     unparse,
 )
 
@@ -218,3 +219,17 @@ def test_difference_kernel_query_accepts_lag_only(source):
 def test_difference_kernel_query_rejects_other_kernels(source):
     # syntactic: exp(t)*exp(-x) is a function of t - x in value only
     assert not is_difference_kernel(parse(source))
+
+
+@pytest.mark.parametrize("source, names, found", [
+    ("exp(t-x)*u", ("x", "t"), ("u", 9)),
+    ("-pow(t, x) + u", ("t",), ("x", 8)),
+    ("sin(t)*2 + pi", ("t",), None),
+    ("u^2 - u", ("u",), None),
+    ("1", (), None),
+    ("+".join(["t"] * 5000) + "+x", ("t",), ("x", 10000)),
+])
+def test_unbound_variable_is_the_first_in_source_order(source, names, found):
+    # the long chain parses flat, but builds a tree 5000 nodes deep
+    var = unbound_variable(parse(source), names)
+    assert (var and (var.name, var.pos)) == found

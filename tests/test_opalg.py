@@ -8,6 +8,7 @@ from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, proje
 from dovsolver import opalg
 from dovsolver.expr import EvalError, evaluate, is_difference_kernel, parse, unparse
 from dovsolver.opalg import (
+    integration_blocks,
     integration_matrix,
     kernel_matrix,
     polynomial,
@@ -23,6 +24,7 @@ from paper_matrices import (
     hat_truncation_bound,
     hat_vector,
     local_coord,
+    pairwise_integration_matrix,
     per_pair_kernel_matrix,
     power_vector,
 )
@@ -50,6 +52,22 @@ def test_hybrid_integration_block_structure():
     # diagonal blocks are the one-block matrix scaled into the half-width block
     assert np.allclose(q[0:2, 0:2], [[0.25, 0.25], [-0.0625, 0.0]])
     assert np.allclose(q[2:4, 0:2], 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 24),
+       t0=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3))
+def test_integration_matrix_is_the_pairwise_reference_bitwise(n, m, t0, width):
+    # Q placed from its two distinct blocks is bitwise the block-pair loop,
+    # and those blocks are Q's diagonal block and column 0 of block (0, 1)
+    spec = BasisSpec(Interval(t0, t0 + width), n, m)
+    Q = integration_matrix(spec)
+    assert Q.tobytes() == pairwise_integration_matrix(spec).tobytes()
+    P, e = integration_blocks(spec)
+    q4 = Q.reshape(n, m, n, m)
+    assert P.tobytes() == np.ascontiguousarray(q4[0, :, 0, :]).tobytes()
+    if n > 1:
+        assert e.tobytes() == np.ascontiguousarray(q4[0, :, 1, 0]).tobytes()
 
 
 def _analytic_running_integral(cv):

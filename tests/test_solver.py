@@ -248,14 +248,33 @@ def block_by_block_linear_map(K: np.ndarray, spec: BasisSpec) -> np.ndarray:
 
 
 @pytest.mark.parametrize("source", ["exp(t-x)", "1", "sin(t-x)+1", "exp(x-t)+x*t", "t*x"])
-@pytest.mark.parametrize("N, M", [(1, 10), (2, 16), (3, 5), (8, 16), (8, 24)])
+@pytest.mark.parametrize("N, M", [(1, 10), (2, 16), (3, 5), (3, 19), (8, 16), (8, 24),
+                                  (32, 16)])
 def test_assemble_linear_map_block_reuse_is_bitwise(source, N, M):
-    # a block whose K block equals its up-left neighbour's copies that
-    # neighbour's L block; that must give L bit for bit, on the block-Toeplitz
-    # K of a difference kernel and on any other K
+    # the blocks below the diagonal come from one batched product of M x M
+    # slices, and a diagonal block whose K block equals the one before it
+    # copies that L block; both must give L bit for bit, on the block-Toeplitz
+    # K of a difference kernel and on any other K.  At M = 19 a product of
+    # (N, M) by (M, M) slices would be 1 ulp off
     spec = BasisSpec(Interval(0, 1.5), N, M)
     K = kernel_matrix(parse(source), spec)
     assert np.array_equal(assemble_linear_map(K, spec), block_by_block_linear_map(K, spec))
+
+
+@pytest.mark.parametrize("N, M", [(1, 7), (3, 19), (6, 12)])
+def test_assemble_linear_map_never_reads_the_non_causal_blocks(N, M):
+    # K with random blocks below its block diagonal gives bitwise the L of its
+    # causal part, the blocks on and above that diagonal
+    rng = np.random.default_rng(N * 100 + M)
+    spec = BasisSpec(Interval(-0.5, 2.0), N, M)
+    K = rng.uniform(-1.0, 1.0, (spec.dim, spec.dim))
+    causal = np.zeros((N, M, N, M))
+    for j in range(N):
+        causal[j, :, j:, :] = K.reshape(N, M, N, M)[j, :, j:, :]
+    causal = causal.reshape(spec.dim, spec.dim)
+    L = assemble_linear_map(K, spec)
+    assert L.tobytes() == assemble_linear_map(causal, spec).tobytes()
+    assert L.tobytes() == block_by_block_linear_map(K, spec).tobytes()
 
 
 # ---------------------------------------------------------------------------
