@@ -137,6 +137,13 @@ _RIGHT_ASSOC = {"^"}
 # minus, function arguments, the right side of ^); deeper input is a
 # ParseError instead of a RecursionError
 MAX_NESTING = 100
+# height of the tree a parse may build, in the frames that evaluate, unparse
+# and is_difference_kernel recurse through: one per node, three per call
+# (a walker's own frame, the generator over the arguments and the builtin
+# that drives it).  A flat chain such as 1+1+...+1 nests nothing but builds
+# a tree one level per operator; of the interpreter's default limit of 1000
+# frames, the rest is left to the callers of those walkers
+MAX_DEPTH = 900
 
 
 class _Parser:
@@ -160,12 +167,14 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {excerpt(got or 'end of input')}",
                              self.source, pos)
 
-    def expression(self, min_bp: int = 0) -> Expr:
+    def expression(self, min_bp: int = 0) -> tuple[Expr, int]:
+        """The next subexpression binding tighter than min_bp, and the
+        height of its tree."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
                              self.source, self.peek()[2])
-        lhs = self._prefix()
+        lhs, height = self._prefix()
         while True:
             kind, text, pos = self.peek()
             if kind != "op" or text not in _BINARY_BP:
@@ -174,32 +183,40 @@ class _Parser:
             if bp <= min_bp:
                 break
             self.advance()
-            rhs = self.expression(bp - 1 if text in _RIGHT_ASSOC else bp)
+            rhs, rhs_height = self.expression(bp - 1 if text in _RIGHT_ASSOC else bp)
+            height = self._height(1 + max(height, rhs_height), pos)
             lhs = Bin(text, lhs, rhs, pos)
         self.depth -= 1
-        return lhs
+        return lhs, height
 
-    def _prefix(self) -> Expr:
+    def _height(self, height: int, pos: int) -> int:
+        if height > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels",
+                             self.source, pos)
+        return height
+
+    def _prefix(self) -> tuple[Expr, int]:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text), pos)
+            return Num(float(text), pos), 1
         if kind == "name":
             if text in FUNCTIONS:
                 return self._call(text, pos)
             if text in CONSTANTS:
-                return Num(CONSTANTS[text], pos)
+                return Num(CONSTANTS[text], pos), 1
             if text in VARIABLES:
-                return Var(text, pos)
+                return Var(text, pos), 1
             raise ParseError(f"unknown identifier {excerpt(text)}", self.source, pos)
         if text == "(":
             inner = self.expression(0)
             self.expect(")")
             return inner
         if text == "-":
-            return Neg(self.expression(_UNARY_BP), pos)
+            operand, height = self.expression(_UNARY_BP)
+            return Neg(operand, pos), self._height(1 + height, pos)
         raise ParseError(f"unexpected {text or 'end of input'!r}", self.source, pos)
 
-    def _call(self, fn: str, pos: int) -> Call:
+    def _call(self, fn: str, pos: int) -> tuple[Call, int]:
         self.expect("(")
         args = [self.expression(0)]
         while self.peek()[1] == ",":
@@ -210,19 +227,21 @@ class _Parser:
             raise ParseError(
                 f"{fn} takes {FUNCTIONS[fn]} argument(s), got {len(args)}",
                 self.source, pos)
-        return Call(fn, tuple(args), pos)
+        return (Call(fn, tuple(a for a, _ in args), pos),
+                self._height(3 + max(h for _, h in args), pos))
 
 
 def parse(source: str) -> Expr:
     """Parse text into an expression tree.
 
     Precedence, tightest first: ^ (right associative), unary minus, * /, + -.
-    Raises ParseError with a byte offset on malformed input.
+    Raises ParseError with a byte offset on malformed input, and on input
+    nested deeper than MAX_NESTING or building a tree deeper than MAX_DEPTH.
     """
     if not source or not source.strip():
         raise ParseError("empty expression", source, 0)
     p = _Parser(source)
-    e = p.expression(0)
+    e, _ = p.expression(0)
     kind, text, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {excerpt(text)}", source, pos)

@@ -109,7 +109,7 @@ def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
 
     The rule is open: a discontinuity hiding in the outer ~1% of a
     subinterval, next to an endpoint, can evade every node and corrupt the
-    estimate.  Split the range at known discontinuities (see _split_points)
+    estimate.  Split the range at known discontinuities (see _blockwise_integrals)
     instead of relying on adaptivity to find them.
     """
     if a > b:
@@ -142,47 +142,81 @@ def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
     return total
 
 
-def _split_points(spec: BasisSpec, lo: float, hi: float) -> list[float]:
-    """Integration breakpoints: interior block boundaries, where piecewise
-    series (and hence residual integrands) may jump."""
-    pts = [lo]
-    width = spec.block_width
-    for n in range(1, spec.N):
-        edge = spec.interval.t0 + n * width
-        if lo < edge < hi:
-            pts.append(edge)
-    pts.append(hi)
-    return pts
+# panels per batched GK15 evaluation: bounds the (panels, 15) node arrays and
+# what an integrand builds from them, whatever the grid and the basis size
+_PANEL_CHUNK = 256
 
 
-def _quad_blockwise(g, spec: BasisSpec, lo: float, hi: float, tol: float) -> float:
-    pts = _split_points(spec, lo, hi)
-    return sum(quad_adaptive(g, a, b, tol) for a, b in zip(pts[:-1], pts[1:]))
+def _blockwise_integrals(integrand, spec: BasisSpec, lo: np.ndarray, hi: np.ndarray,
+                         param: np.ndarray, tol: float) -> np.ndarray:
+    """Integral of integrand(x, param[i]) over each range [lo[i], hi[i]],
+    split at the interior block boundaries inside it, where piecewise series
+    (and hence residual integrands) may jump.
+
+    Piece n of range i is [max(lo[i], e_n), min(hi[i], e_{n+1})], e_n the
+    block edges with e_0 = -inf and e_N = inf; the pieces of positive width
+    are the panels.  integrand takes nodes x of shape (P, 15) with param of
+    shape (P, 1), or x of shape (15,) with one float.  One GK15 rule runs on
+    every panel, a chunk of panels per call.  A panel whose error estimate
+    passes quad_adaptive's own first test keeps the rule's value; any other
+    panel is integrated whole by quad_adaptive, so that refinement, its
+    limits and its QuadratureError are the scalar routine's.
+    """
+    edges = spec.interval.t0 + np.arange(1, spec.N) * spec.block_width
+    left = np.maximum(lo[:, None], np.concatenate(([-np.inf], edges)))
+    right = np.minimum(hi[:, None], np.concatenate((edges, [np.inf])))
+    live = right > left
+    lo, hi = left[live], right[live]
+    param = np.broadcast_to(param[:, None], live.shape)[live]
+    panels = np.empty(lo.size)
+    for s in range(0, lo.size, _PANEL_CHUNK):
+        a, b, p = lo[s:s + _PANEL_CHUNK], hi[s:s + _PANEL_CHUNK], param[s:s + _PANEL_CHUNK]
+        half = 0.5 * (b - a)
+        mid = 0.5 * (b + a)
+        fx = np.asarray(integrand(mid[:, None] + half[:, None] * _XGK, p[:, None]),
+                        dtype=float)
+        fx = np.broadcast_to(fx, (a.size, _XGK.size))
+        kron = half * (fx @ _WGK)
+        err = np.abs(kron - half * (fx[:, 1::2] @ _WG))
+        magnitude = np.where(np.isfinite(kron), np.abs(kron), 0.0)
+        scale = tol * (1.0 + magnitude)
+        floor = 64.0 * np.finfo(float).eps * (1.0 + magnitude)
+        panels[s:s + a.size] = kron
+        for i in np.flatnonzero(~(err <= np.maximum(scale, floor))).tolist():
+            pi = float(p[i])
+            panels[s + i] = quad_adaptive(lambda x: integrand(x, pi),
+                                          float(a[i]), float(b[i]), tol)
+    pieces = np.zeros(live.shape)
+    pieces[live] = panels
+    return pieces.sum(axis=1)
 
 
 def _residual(problem, g, grid: Grid | None) -> float:
     """Max over the grid of |f(t) - int_{t0}^t K(x,t) g(x) dx| with the
-    inner integral computed by quad_adaptive, split at block boundaries."""
+    inner integrals of all grid points taken at once by _blockwise_integrals.
+    A NaN anywhere gives NaN."""
     if grid is None:
         grid = uniform_grid(problem.spec.interval, RESIDUAL_GRID)
     kern = problem.kernel
     spec = problem.spec
     t0, tf = spec.interval.t0, spec.interval.tf
-    outside = grid.points[(grid.points < t0) | (grid.points > tf)]
+    points = grid.points
+    outside = points[(points < t0) | (points > tf)]
     if outside.size:
         raise ValueError(
             f"grid point t = {float(outside[0])} lies outside the problem interval "
             f"[{t0}, {tf}]")
     # f once on the whole grid (a constant f evaluates to one number)
-    f_values = np.broadcast_to(np.asarray(evaluate(problem.f, {"t": grid.points}),
-                                          dtype=float), grid.points.shape)
-    worst = 0.0
-    for t, ft in zip(grid.points.tolist(), f_values.tolist()):
-        def integrand(x, _t=t):
-            return np.asarray(evaluate(kern, {"x": x, "t": _t}), dtype=float) * g(x)
+    f_values = np.broadcast_to(np.asarray(evaluate(problem.f, {"t": points}),
+                                          dtype=float), points.shape)
 
-        worst = max(worst, abs(ft - _quad_blockwise(integrand, spec, t0, t, QUAD_TOL)))
-    return worst
+    def integrand(x, t):
+        return np.asarray(evaluate(kern, {"x": x, "t": t}), dtype=float) * g(x)
+
+    # [t0, t0] has no panel: the integral at t = t0 is 0 without a node
+    inner = _blockwise_integrals(integrand, spec, np.full(points.size, t0), points, points,
+                                 QUAD_TOL)
+    return float(np.max(np.abs(f_values - inner)))
 
 
 def equation_residual(problem, U: CoeffVector, grid: Grid | None = None) -> float:
@@ -236,18 +270,16 @@ class IntegrationMatrixReport:
 
 
 def _cumulative_values(g, spec: BasisSpec, nodes: np.ndarray, tol: float) -> np.ndarray:
-    """Integrals of g from t0 to each node, by quad_adaptive over the sorted
-    gaps, splitting at block edges where g may jump (errors add up across at
+    """Integrals of g from t0 to each node: the gaps between the sorted
+    nodes, split at block edges where g may jump, by one
+    _blockwise_integrals pass, summed in node order (errors add up across at
     most len(nodes) + N short segments)."""
-    t0 = spec.interval.t0
     order = np.argsort(nodes)
+    ends = nodes[order]
+    starts = np.concatenate(([spec.interval.t0], ends[:-1]))
+    gaps = _blockwise_integrals(lambda x, _: g(x), spec, starts, ends, ends, tol)
     out = np.empty(nodes.size)
-    acc = 0.0
-    prev = t0
-    for j in order:
-        acc += _quad_blockwise(g, spec, prev, float(nodes[j]), tol)
-        prev = float(nodes[j])
-        out[j] = acc
+    out[order] = np.cumsum(gaps)
     return out
 
 

@@ -199,13 +199,27 @@ def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     # that number values once went through; float() now rejects it
     ('kernel = "1"', 'kernel = "' + "(" * 5000 + '1"', "problem.kernel"),
     (_INVERTIBLE, "kind = polynomial\nalpha = " + "-" * 100000 + "1", "nonlinearity.alpha"),
-], ids=["kernel-parentheses", "alpha-minuses"])
+    # nests nothing, but used to build a tree 5000 levels deep that the
+    # solve's first walk over the kernel crashed on
+    ('kernel = "1"', 'kernel = "' + "+".join(["1"] * 5000) + '"', "problem.kernel"),
+], ids=["kernel-parentheses", "alpha-minuses", "kernel-long-chain"])
 def test_deeply_nested_value_is_config_error(tmp_path, capsys, old, new, key):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {key}: ")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_long_chain_within_the_depth_limit_solves(tmp_path, capsys):
+    # a 900-term kernel is a tree MAX_DEPTH deep, which every walker of a
+    # solve takes: K = 900 with f = 900 t^2/2 gives u = t
+    text = MINIMAL.replace('kernel = "1"', 'kernel = "' + "+".join(["1"] * 900) + '"')
+    path = _write(tmp_path, text.replace('f = "t^2/2"', 'f = "900*t^2/2"'))
+    assert main(["solve", path]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert row[:3] == ["1", "4", "4"] and float(row[4]) < 1e-9
 
 
 @pytest.mark.parametrize("old, new, key", [

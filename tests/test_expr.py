@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dovsolver import expr
 from dovsolver.expr import (
     Bin,
     Call,
     FUNCTIONS,
+    MAX_DEPTH,
     MAX_NESTING,
     EvalError,
     Neg,
@@ -122,6 +124,25 @@ def test_nesting_limit(opener):
     assert info.value.pos == len(opener) * MAX_NESTING
 
 
+@pytest.mark.parametrize("wrap, at", [(0, 2 * MAX_DEPTH - 1), (MAX_NESTING - 2, 0)],
+                         ids=["chain", "calls"])
+def test_depth_limit(wrap, at):
+    # a flat chain of k terms builds a tree k levels deep and each call adds
+    # three: a tree MAX_DEPTH deep parses and every walker takes it, one
+    # level more is a ParseError at the node that passes the limit (the last
+    # operator of the chain, the outermost of the calls)
+    def source(height):
+        return "sin(" * wrap + "+".join(["t"] * (height - 3 * wrap)) + ")" * wrap
+
+    e = parse(source(MAX_DEPTH))
+    assert evaluate(e, {"t": 0.0}) == 0.0
+    assert is_difference_kernel(e) is False
+    assert unparse(e).count("t") == MAX_DEPTH - 3 * wrap
+    with pytest.raises(ParseError, match="tree deeper than") as info:
+        parse(source(MAX_DEPTH + 1))
+    assert info.value.pos == at
+
+
 def test_unbound_variable():
     with pytest.raises(EvalError, match="unbound"):
         evaluate(parse("t+x"), {"t": 1.0})
@@ -229,7 +250,9 @@ def test_difference_kernel_query_rejects_other_kernels(source):
     ("1", (), None),
     ("+".join(["t"] * 5000) + "+x", ("t",), ("x", 10000)),
 ])
-def test_unbound_variable_is_the_first_in_source_order(source, names, found):
-    # the long chain parses flat, but builds a tree 5000 nodes deep
+def test_unbound_variable_is_the_first_in_source_order(monkeypatch, source, names, found):
+    # the long chain parses flat, but builds a tree 5000 nodes deep: past
+    # MAX_DEPTH, raised here so that parse builds the tree the walk is given
+    monkeypatch.setattr(expr, "MAX_DEPTH", 10**5)
     var = unbound_variable(parse(source), names)
     assert (var and (var.name, var.pos)) == found

@@ -1,18 +1,20 @@
 import ast
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dovsolver import oracle
-from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, project
+from dovsolver.basis import BasisSpec, CoeffVector, Interval, eval_series, hcp_eval, project
 from dovsolver.expr import evaluate, parse
 from dovsolver.oracle import (
     Grid,
-    _quad_blockwise,
     IntegrationMatrixReport,
     QuadratureError,
     composite_residual,
@@ -25,7 +27,15 @@ from dovsolver.oracle import (
     weighted_l2_error,
 )
 from dovsolver.registry import EXAMPLES
-from dovsolver.solver import SolveOptions, solve
+from dovsolver.solver import (
+    Collocation,
+    Derivative,
+    Invertible,
+    Polynomial,
+    Problem,
+    SolveOptions,
+    solve,
+)
 
 
 def test_quad_constant():
@@ -120,6 +130,15 @@ def test_residual_rejects_points_outside_the_interval():
             equation_residual(p, U, Grid(np.array(points)))
 
 
+def _quad_blockwise(g, spec, lo, hi, tol):
+    # quad_adaptive over [lo, hi] split at the block edges inside it, one
+    # scalar call per piece: the oracle's inner integral before its first
+    # GK15 pass was batched over all panels
+    edges = [spec.interval.t0 + n * spec.block_width for n in range(1, spec.N)]
+    pts = [lo, *(e for e in edges if lo < e < hi), hi]
+    return sum(quad_adaptive(g, a, b, tol) for a, b in zip(pts[:-1], pts[1:]))
+
+
 def _per_point_residual(problem, U, grid, quad_tol=1e-12):
     # the oracle's residual as a plain loop: f evaluated at each grid point
     # on its own
@@ -150,6 +169,95 @@ def test_residual_matches_per_point_reference(key):
     want = _per_point_residual(p, U, grid)
     assert abs(equation_residual(p, U, grid) - want) <= 1e-13
     assert want > 0.0
+
+
+_KINDS = {
+    "derivative": Derivative(2),
+    "invertible": Invertible(G=parse("exp(u)"), Ginv=parse("ln(u)")),
+    "collocation": Collocation(G=parse("u^3 + u"), bracket=(-2.0, 2.0)),
+    "polynomial": Polynomial((0.5, -1.0, 2.0)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 4), M=st.integers(2, 8), kind=st.sampled_from(sorted(_KINDS)),
+       kernel=st.sampled_from(["exp(t-x)", "1", "cos(t*x) + x", "t - x"]),
+       interval=st.sampled_from([(0.0, 1.0), (-1.0, 2.0)]),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+       inner=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_batched_residual_matches_per_point_reference(N, M, kind, kernel, interval, coeffs,
+                                                      inner):
+    # grids holding t0, tf and every block edge, where segments start,
+    # end or vanish, besides points in between
+    spec = BasisSpec(Interval(*interval), N, M)
+    t0, width = spec.interval.t0, spec.interval.width
+    edges = [t0 + n * spec.block_width for n in range(1, N)]
+    grid = Grid(np.unique([t0, spec.interval.tf, *edges, *(t0 + width * a for a in inner)]))
+    p = Problem(parse(kernel), parse("t - t"), _KINDS[kind], spec)
+    U = CoeffVector(spec, np.array(coeffs[:spec.dim]) / np.arange(1, spec.dim + 1))
+    assert abs(equation_residual(p, U, grid) - _per_point_residual(p, U, grid)) <= 1e-13
+
+
+def _unit_problem(kernel, f, N, M, interval=(0.0, 1.0)):
+    # G(u) = u with U = 1 on every block, so the inner integral is that of K
+    spec = BasisSpec(Interval(*interval), N, M)
+    p = Problem(parse(kernel), parse(f), Invertible(G=parse("u"), Ginv=parse("u")), spec)
+    return p, CoeffVector(spec, np.tile(np.eye(1, M)[0], N))
+
+
+def test_residual_skips_the_empty_panel_at_t0():
+    # ln(x) is undefined at x = t0 = 0, where the panel [t0, t0] has width 0:
+    # it is 0 without a node being evaluated, and |t ln t| peaks at 1/e
+    p, U = _unit_problem("ln(x) + 2", "t", 2, 4)
+    grid = uniform_grid(p.spec.interval, 41)
+    got = equation_residual(p, U, grid)
+    assert got == pytest.approx(1 / math.e, abs=1e-4)
+    assert abs(got - _per_point_residual(p, U, grid)) <= 1e-13
+
+
+def test_residual_is_nan_where_f_is_nan():
+    # exp(1000 t)*0 is NaN past t = 0.71, at 58 of the 200 grid points; the
+    # grid max once kept the finite values only
+    p, U = _unit_problem("1", "t + exp(1000*t)*0", 1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(equation_residual(p, U))
+
+
+def test_nan_integrand_raises_quadrature_error_through_the_refinement():
+    # a panel whose first GK15 value is NaN fails the first test, and the
+    # scalar refinement reaches its subdivision limit
+    p, U = _unit_problem("exp(1000*x)*0 + 1", "t", 1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="subdivision"):
+            equation_residual(p, U)
+
+
+def test_residual_memory_is_bounded_by_the_panel_chunk():
+    # 200 grid points over 256 blocks are 25,600 panels; their GK15 nodes
+    # against 16 degrees in eval_series would be 49 MB per temporary at once
+    p, U = _unit_problem("exp(t-x)", "exp(t) - 1", 256, 16)
+    tracemalloc.start()
+    try:
+        got = equation_residual(p, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got <= 1e-12
+    assert peak < 64 * 2**20
+
+
+def test_cumulative_values_match_per_gap_reference():
+    # every gap between sorted nodes, split at block edges, by scalar calls
+    spec = BasisSpec(Interval(0.0, 1.0), 3, 4)
+    nodes = np.array([0.9, 0.1, 1 / 3, 0.5, 0.0, 2 / 3, 1.0])
+    for r in (1, 6, 12):
+        g = lambda x, r=r: hcp_eval(spec, r, x)  # noqa: E731
+        got = oracle._cumulative_values(g, spec, nodes, 1e-13)
+        order = np.argsort(nodes)
+        starts = np.concatenate(([0.0], nodes[order][:-1]))
+        want = np.cumsum([_quad_blockwise(g, spec, float(a), float(b), 1e-13)
+                          for a, b in zip(starts, nodes[order])])
+        assert np.max(np.abs(got[order] - want)) <= 1e-14
 
 
 def test_residual_of_planted_exact_solution():

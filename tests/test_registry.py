@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dovsolver.expr import evaluate, parse
-from dovsolver.oracle import _quad_blockwise
 from dovsolver.registry import EXAMPLES
+
+from test_oracle import _quad_blockwise
 
 # G(u_exact(x)) written out by hand, independently of the registry entries
 _G_OF_EXACT = {
