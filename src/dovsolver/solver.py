@@ -11,8 +11,10 @@ u interpolated at each block's M Chebyshev-Gauss points, where G(u) = z is
 inverted by Ginv or by root finding in a bracket.  Derivative (G(u) = u^(n),
 zero initial data) recovers by n integrations, and Polynomial by damped
 Newton on P(U) = sum_r alpha_r U^r = Z in truncated Chebyshev algebra, on a
-degree-continuation ladder started from its scan range.  The
-condition is the larger of cond L and the recover step's; Solution carries Z.
+degree-continuation ladder started from its scan range: newton_solve runs
+the three starts of each rung as one stack of independent paths, each with
+its own line search.  The condition is the larger of cond L and the recover
+step's; Solution carries Z.
 """
 
 from __future__ import annotations
@@ -142,9 +144,12 @@ class Polynomial:
 
         Runs the degree-continuation ladder (rung m solves P(U) = Z with
         each block cut to its first m coefficients) from three starts, the
-        best scanned constant and the two slopes around it, then keeps the
-        converged root whose G(u) comes nearest z: the smallest max |G(u(t))
-        - z(t)| over 33 uniform points.  For a kernel with K(t, t) != 0 the
+        best scanned constant and the two slopes around it, stacked as
+        three Newton paths: one newton_solve call per rung, each start with
+        its own line search, stop test and iteration count, and the same
+        iterates as it would take alone.  Then it keeps the converged root
+        whose G(u) comes nearest z: the smallest max |G(u(t)) - z(t)| over
+        33 uniform points.  For a kernel with K(t, t) != 0 the
         first-kind operator is injective, so u solves the equation exactly
         where G(u) = z pointwise; this check, which needs no quadrature, is
         what discards exact roots of the truncated algebra that do not solve
@@ -159,25 +164,23 @@ class Polynomial:
         """
         spec = Z.spec
         system = _polynomial_system(Z, self.alpha)
-        candidates = _initial_candidates(system, spec, self.scan_range)
-
-        finals = [_run_ladder(system, cand, spec.M) for cand in candidates]
+        X, iters, converged = _run_ladder(
+            system, _initial_candidates(system, spec, self.scan_range), spec.M)
 
         # one root of each group of near-identical ones, the first found:
         # near-twins differ at roundoff, and either could win the selection
-        distinct: list[NewtonResult] = []
-        for result, _ in finals:
-            if not any(np.allclose(result.x, other.x, rtol=1e-7, atol=1e-9)
-                       for other in distinct):
-                distinct.append(result)
+        distinct: list[int] = []
+        for s in range(len(X)):
+            if not any(np.allclose(X[s], X[o], rtol=1e-7, atol=1e-9) for o in distinct):
+                distinct.append(s)
 
-        pool = [result for result in distinct if result.converged] or distinct
-        result = _select_root(pool, self, Z)
-        total_iters = sum(iters for _, iters in finals)
+        pool = [s for s in distinct if converged[s]] or distinct
+        best = pool[_select_root(X[pool], self, Z)]
         # the 2-norm condition of the block-diagonal dP/dU
-        sv = np.linalg.svd(system(result.x)[1], compute_uv=False)
+        sv = np.linalg.svd(system(X[best])[1], compute_uv=False)
         cond = float(sv.max() / sv.min()) if sv.min() > 0 else math.inf
-        return CoeffVector(spec, result.x.ravel()), cond, total_iters, result.converged
+        return (CoeffVector(spec, X[best].ravel()), cond, int(iters.sum()),
+                bool(converged[best]))
 
 
 @dataclass(frozen=True)
@@ -356,18 +359,25 @@ def _block_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The stack is inverted by LU and x = a^-1 b.  A block whose 1-norm
     condition ||a||_1 ||a^-1||_1 reaches 1/(eps m^2), or whose x is not
-    finite, takes _block_lstsq's x instead, and the whole stack does when
-    the inversion raises (an exactly singular block).  Since the 1-norm
-    condition is at least the 2-norm one over m, every block at or below
-    lstsq's cut (2-norm condition 1/(eps m) or more) takes _block_lstsq;
-    below the threshold a block has full rank, and its x is lstsq's up to
-    roundoff.
+    finite, takes _block_lstsq's x instead.  When the inversion raises (an
+    exactly singular block), the blocks are inverted one by one and only
+    those that raise take _block_lstsq, so one singular block leaves every
+    other block's x as it is.  Since the 1-norm condition is at least the
+    2-norm one over m, every block at or below lstsq's cut (2-norm
+    condition 1/(eps m) or more) takes _block_lstsq; below the threshold a
+    block has full rank, and its x is lstsq's up to roundoff.
     """
     m = a.shape[-1]
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        return _block_lstsq(a, b)
+        # a NaN inverse fails the tests below and sends its block to lstsq
+        inv = np.full_like(a, np.nan)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                inv[i] = np.linalg.inv(a[i])
+            except np.linalg.LinAlgError:
+                pass
     with np.errstate(over="ignore", invalid="ignore"):
         x = (inv @ b[..., None])[..., 0]
         # the 1-norms as column sums: np.linalg.norm's checks cost more than
@@ -381,53 +391,110 @@ def _block_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonResult:
+    """What newton_solve returns.  x is shaped like u0; iterations is the
+    sum over the paths, converged true only if every path converged and
+    residual_norm the largest final ||R||_inf.  path_iterations and
+    path_converged hold each path's own, shaped like the path axes of u0
+    (0-d for one path)."""
+
     x: np.ndarray
     iterations: int
     converged: bool
     residual_norm: float
+    path_iterations: np.ndarray
+    path_converged: np.ndarray
 
 
 def newton_solve(system, u0) -> NewtonResult:
-    """Damped Newton iteration on an (..., m) stack of uncoupled square
-    systems; a plain vector is one block.
+    """Damped Newton iteration on independent paths, each an (..., m) stack
+    of uncoupled square systems.
 
-    system(u) returns the residual R, shaped like u, and the (..., m, m)
-    stack of its Jacobian blocks.  Each block steps by J^-1 (-R) from one LU
-    inversion of the stack (_block_solve); a block at or near lstsq's cut,
-    whose 1-norm condition reaches 1/(eps m^2), steps by its minimum-norm
-    least-squares solution instead.  One Armijo backtracking line search on
-    ||R||_inf of the whole stack (factor 1/2, at most 30 halvings) guards
-    each update; the Jacobian of an accepted trial point serves the next
-    step.  Convergence: ||R||_inf <= NEWTON_TOL or step norm <= 1e-14 within
-    NEWTON_MAX_ITER steps; on failure the last iterate, which every accepted
-    step makes the best, is returned with converged=False.  A residual not
-    shaped like u raises ValueError.
+    Every axis of u0 before its last two indexes a path: an (S, N, m) stack
+    is S paths of N blocks, while a plain vector (one block) or an (N, m)
+    stack is one path.  system(u) takes the stack of the paths still running
+    (one path: u itself) and returns the residual R, shaped like u, and the
+    (..., m, m) stack of its Jacobian blocks.  Each block steps by J^-1 (-R)
+    from one LU inversion of the stack (_block_solve); a block at or near
+    lstsq's cut, whose 1-norm condition reaches 1/(eps m^2), steps by its
+    minimum-norm least-squares solution instead.  Each path runs its own
+    Armijo backtracking line search on ||R||_inf over its blocks (factor
+    1/2, at most 30 halvings), its own stop test and its own iteration
+    count; the Jacobian of an accepted trial point serves the next step.
+    Convergence: ||R||_inf <= NEWTON_TOL or step norm <= 1e-14 within
+    NEWTON_MAX_ITER steps; on failure the path keeps its last iterate, which
+    every accepted step makes the best, and converged=False.  A path that
+    converges or fails drops out and the rest step on together, so each
+    path's iterates are bitwise those it takes alone.  A residual not shaped
+    like u raises ValueError.
     """
     u = np.array(u0, dtype=float)
     r, jac = system(u)
     if np.shape(r) != u.shape:
         raise ValueError(f"residual shape {np.shape(r)} differs from the shape "
                          f"{u.shape} of u")
-    rnorm = float(abs(r).max())
-    if rnorm <= NEWTON_TOL:
-        return NewtonResult(u, 0, True, rnorm)
+    paths = u.shape[:-2]
+    # one row per path; a lone path gets a leading axis that system never sees
+    u, r, jac = (a.reshape((-1,) + a.shape[len(paths):]) for a in (u, r, jac))
+    run = system if paths else (lambda v: tuple(a[None] for a in system(v[0])))
+    axes = tuple(range(1, u.ndim))
+
+    # the per-path scalars are Python lists: a ladder runs a handful of paths
+    def norms(a: np.ndarray) -> list[float]:  # ||.||_inf of each row of a u-shaped a
+        return abs(a).max(axis=axes).tolist()
+
+    def scaled(lam: list[float], a: np.ndarray) -> np.ndarray:  # each row times its lam
+        return np.array(lam).reshape((-1,) + (1,) * (a.ndim - 1)) * a
+
+    n = len(u)
+    x, x_norm, iters = u.copy(), norms(r), [0] * n  # each path's final state
+    converged = [rn <= NEWTON_TOL for rn in x_norm]
+    # u, r, jac and rnorm hold the paths still running, live their rows in x
+    live = [i for i in range(n) if not converged[i]]
+    u, r, jac, rnorm = u[live], r[live], jac[live], [x_norm[i] for i in live]
     for it in range(1, NEWTON_MAX_ITER + 1):
+        if not live:
+            break
         step = _block_solve(jac, -r)
-        lam = 1.0
+        lam = [1.0] * len(live)
+        search = list(range(len(live)))  # the rows still searching
+        nxt = None
+        # each trial evaluates every running path; one that has taken its
+        # step keeps its accepted trial point
         for _ in range(31):
-            u_new = u + lam * step
-            r_new, jac_new = system(u_new)
-            rn_new = float(abs(r_new).max())
-            if rn_new <= (1.0 - 1e-4 * lam) * rnorm:
+            u_new = u + scaled(lam, step)
+            r_new, jac_new = run(u_new)
+            rn_new = norms(r_new)
+            took = [k for k in search if rn_new[k] <= (1.0 - 1e-4 * lam[k]) * rnorm[k]]
+            if len(took) == len(live):  # every path takes its full step
+                nxt = [u_new, r_new, jac_new, rn_new]
+            elif took:
+                nxt = nxt or [u.copy(), r.copy(), jac.copy(), list(rnorm)]
+                for a, b in zip(nxt, (u_new, r_new, jac_new)):
+                    a[took] = b[took]
+                for k in took:
+                    nxt[3][k] = rn_new[k]
+            search = [k for k in search if k not in took]
+            if not search:
                 break
-            lam *= 0.5
-        else:
-            return NewtonResult(u, it, False, rnorm)
-        step_norm = float(abs(lam * step).max())
-        u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
-        if rnorm <= NEWTON_TOL or step_norm <= 1e-14:
-            return NewtonResult(u, it, True, rnorm)
-    return NewtonResult(u, NEWTON_MAX_ITER, False, rnorm)
+            for k in search:
+                lam[k] *= 0.5
+        # search now holds the rows whose line search ran out; they keep u
+        step_norm = norms(scaled(lam, step))
+        u, r, jac, rnorm = nxt or (u, r, jac, rnorm)
+        out = [k for k in range(len(live))
+               if k in search or rnorm[k] <= NEWTON_TOL or step_norm[k] <= 1e-14]
+        if out:
+            for k in out:
+                i = live[k]
+                x[i], x_norm[i], iters[i], converged[i] = u[k], rnorm[k], it, k not in search
+            keep = [k for k in range(len(live)) if k not in out]
+            live, rnorm = [live[k] for k in keep], [rnorm[k] for k in keep]
+            u, r, jac = u[keep], r[keep], jac[keep]
+    for k, i in enumerate(live):
+        x[i], x_norm[i], iters[i] = u[k], rnorm[k], NEWTON_MAX_ITER
+    return NewtonResult(x.reshape(paths + x.shape[1:]), sum(iters), all(converged),
+                        max(x_norm), np.array(iters).reshape(paths),
+                        np.array(converged).reshape(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +564,10 @@ def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float]) -> 
 
 
 def _initial_candidates(system, spec: BasisSpec,
-                        scan_range: tuple[float, float]) -> list[np.ndarray]:
-    """The three starts of the ladder: the best constant c* from the scan on
-    the degree-1 rung, an (N, 1) start, and the (N, M) slopes
-    c* +- width (t - mid) / halfw, with width that of the scan range.
+                        scan_range: tuple[float, float]) -> np.ndarray:
+    """The three starts of the ladder as a (3, N, M) stack: the best
+    constant c* from the scan on the degree-1 rung, zero-padded, and the
+    slopes c* +- width (t - mid) / halfw, with width that of the scan range.
 
     Truncated algebra can hold spurious roots next to the wanted one, and a
     constant alone can sit in the wrong basin; the slopes reach branches a
@@ -508,55 +575,58 @@ def _initial_candidates(system, spec: BasisSpec,
     selection afterwards keeps only a root whose G(u) matches z pointwise,
     that is, one that actually satisfies the integral equation.
     """
-    best = _scan_constant(system, spec, scan_range)
-    c_star = float(best[0, 0])
+    starts = np.zeros((3, spec.N, spec.M))
+    starts[0, :, :1] = _scan_constant(system, spec, scan_range)
+    c_star = float(starts[0, 0, 0])
     iv = spec.interval
     mid, halfw = 0.5 * (iv.t0 + iv.tf), 0.5 * iv.width
     width = scan_range[1] - scan_range[0]
-    candidates = [best]
-    for s in (width, -width):
-        slope = project(lambda t, _s=s: c_star + _s * (t - mid) / halfw, spec)
-        candidates.append(slope.c.reshape(spec.N, spec.M))
-    return candidates
+    for start, s in zip(starts[1:], (width, -width)):
+        slope = project(lambda t: c_star + s * (t - mid) / halfw, spec)
+        start[:] = slope.c.reshape(spec.N, spec.M)
+    return starts
 
 
-def _run_ladder(system, u_start: np.ndarray, M: int) -> tuple[NewtonResult, int]:
-    """One degree-continuation path over the rungs m = 2 .. M (per-block
-    degrees; rung 1 alone when M = 1), each rung started from the previous
-    rung's result zero-padded per block, the first from the truncated start.
-    A rung that fails hands its best iterate on; the final rung's result is
-    the path's.
+def _run_ladder(system, starts: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degree-continuation ladder over the rungs m = 2 .. M (per-block
+    degrees; rung 1 alone when M = 1) for an (S, N, M) stack of starts, one
+    newton_solve call per rung on every start as its own path.  Each rung
+    starts from the previous rung's iterates zero-padded per block, the
+    first from the truncated starts; a path that fails a rung hands its best
+    iterate on.  Returns the final rung's (S, N, M) iterates, each path's
+    iterations summed over the rungs and its convergence on the final rung.
     """
-    u_prev = u_start
+    u_prev = starts
     total_iters = 0
     for m_rung in range(min(2, M), M + 1):
         take = min(m_rung, u_prev.shape[-1])
-        u0 = np.zeros((u_prev.shape[0], m_rung))
-        u0[:, :take] = u_prev[:, :take]
+        u0 = np.zeros(u_prev.shape[:-1] + (m_rung,))
+        u0[..., :take] = u_prev[..., :take]
         result = newton_solve(system, u0)
-        total_iters += result.iterations
+        total_iters = total_iters + result.path_iterations
         u_prev = result.x
-    return result, total_iters
+    return result.x, total_iters, result.path_converged
 
 
-def _select_root(pool: list[NewtonResult], kind: Polynomial, Z: CoeffVector) -> NewtonResult:
-    """The root of the pool that wins on max |G(u) - z| over 33 uniform
-    points, the kink and the branch hint (Polynomial.recover)."""
+def _select_root(roots: np.ndarray, kind: Polynomial, Z: CoeffVector) -> int:
+    """The index of the (N, M) root in the stack that wins on max |G(u) - z|
+    over 33 uniform points, the kink and the branch hint
+    (Polynomial.recover)."""
     spec = Z.spec
     t = np.linspace(spec.interval.t0, spec.interval.tf, 33)
     z = eval_series(Z, t)
-    Us = [CoeffVector(spec, result.x.ravel()) for result in pool]
+    Us = [CoeffVector(spec, x.ravel()) for x in roots]
     scores = [float(np.max(np.abs(kind.g_from_coeffs(U)(t) - z))) for U in Us]
     best = min(scores)
     # within a factor 10 of the best score only the smoothest roots stay,
     # kink within 10 times the smallest plus 1e-8; among those the branch
     # hint decides, then the score, then the order of the candidates
-    kinks = {i: _kink(pool[i].x) for i, res in enumerate(scores) if res <= 10.0 * best + 1e-300}
+    kinks = {i: _kink(roots[i]) for i, res in enumerate(scores) if res <= 10.0 * best + 1e-300}
     smooth = 10.0 * min(kinks.values()) + 1e-8
     mid = 0.5 * (kind.scan_range[0] + kind.scan_range[1])
     top = [(abs(float(np.mean(eval_series(Us[i], t))) - mid), scores[i], i)
            for i, kink in kinks.items() if kink <= smooth]
-    return pool[min(top)[2]]
+    return min(top)[2]
 
 
 def _kink(u: np.ndarray) -> float:

@@ -5,7 +5,9 @@ builds the linear map L (solver.assemble_linear_map), and the powers of U in
 opalg.polynomial, which takes the product tensor as a matrix.  These plain
 versions, einsum_polynomial and the block-pair integration matrix among
 them, are the references the tests compare the fused forms against; no path
-in the package calls them.
+in the package calls them.  So is the polynomial recover step's Newton
+ladder run one start at a time, single_path_newton on each rung, which the
+stacked solver.newton_solve must match path by path, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dovsolver.basis import (
 )
 from dovsolver.expr import evaluate
 from dovsolver.opalg import _block_average_column, _integration_rows, polynomial, product_tensor
+from dovsolver.solver import NEWTON_MAX_ITER, NEWTON_TOL, _block_solve
 
 
 def block_index(spec: BasisSpec, t):
@@ -136,3 +139,53 @@ def pairwise_integration_matrix(spec: BasisSpec) -> np.ndarray:
         for nc in range(nr + 1, N):
             a[nr * M:(nr + 1) * M, nc * M:(nc + 1) * M] = e
     return a
+
+
+def single_path_newton(system, u0) -> tuple[np.ndarray, int, bool]:
+    """Damped Newton on one path, an (N, m) stack of uncoupled blocks: the
+    iterate, the iterations and convergence.  One Armijo line search on
+    ||R||_inf of the whole path (factor 1/2, at most 30 halvings); stop at
+    ||R||_inf <= NEWTON_TOL or step norm <= 1e-14 within NEWTON_MAX_ITER
+    steps, and keep the last iterate when the search or the steps run out."""
+    u = np.array(u0, dtype=float)
+    r, jac = system(u)
+    rnorm = float(abs(r).max())
+    if rnorm <= NEWTON_TOL:
+        return u, 0, True
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        step = _block_solve(jac, -r)
+        lam = 1.0
+        for _ in range(31):
+            u_new = u + lam * step
+            r_new, jac_new = system(u_new)
+            rn_new = float(abs(r_new).max())
+            if rn_new <= (1.0 - 1e-4 * lam) * rnorm:
+                break
+            lam *= 0.5
+        else:
+            return u, it, False
+        step_norm = float(abs(lam * step).max())
+        u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
+        if rnorm <= NEWTON_TOL or step_norm <= 1e-14:
+            return u, it, True
+    return u, NEWTON_MAX_ITER, False
+
+
+def per_start_ladder(system, starts: np.ndarray, M: int):
+    """solver._run_ladder one start at a time: each (N, M) start climbs the
+    rungs m = 2 .. M (rung 1 alone when M = 1) by single_path_newton, every
+    rung from the previous rung's iterate zero-padded per block.  Returns
+    the final iterates, each start's iterations over the rungs and its
+    convergence on the final rung, stacked as _run_ladder returns them."""
+    finals = []
+    for u_prev in starts:
+        total_iters = 0
+        for m_rung in range(min(2, M), M + 1):
+            take = min(m_rung, u_prev.shape[-1])
+            u0 = np.zeros((u_prev.shape[0], m_rung))
+            u0[:, :take] = u_prev[:, :take]
+            u_prev, iters, converged = single_path_newton(system, u0)
+            total_iters += iters
+        finals.append((u_prev, total_iters, converged))
+    xs, iters, converged = zip(*finals)
+    return np.array(xs), np.array(iters), np.array(converged)

@@ -68,10 +68,10 @@ def test_traced_solve_matches_untraced():
         assert totals["newton_iters"] == traced.diagnostics.newton_iters
         assert 0 < totals["newton_converged"] <= totals["spans"]["solver.newton_solve"]["calls"]
         assert totals["spans"]["solver.assemble_linear_map"]["calls"] == 1
-        # one ladder per start, three starts, rungs 2 .. M: the newton
-        # workload's solver.newton_solve.calls counts the paths of the
+        # the three starts run as one stack, one call per rung 2 .. M: the
+        # newton workload's solver.newton_solve.calls counts the rungs of the
         # recover step
-        assert totals["spans"]["solver.newton_solve"]["calls"] == 3 * (problem.spec.M - 1)
+        assert totals["spans"]["solver.newton_solve"]["calls"] == problem.spec.M - 1
         assert totals["spans"]["opalg.kernel_matrix"]["calls"] == 1
         # L is built from Q's two distinct blocks, so no polynomial solve
         # builds the dense Q; only the derivative recover step integrates

@@ -46,7 +46,13 @@ from dovsolver.solver import (
     _polynomial_system,
     _scan_constant,
 )
-from paper_matrices import constant_coeffs, hat_vector, per_pair_kernel_matrix, power_vector
+from paper_matrices import (
+    constant_coeffs,
+    hat_vector,
+    per_pair_kernel_matrix,
+    per_start_ladder,
+    power_vector,
+)
 
 FAST = SolveOptions(compute_residual=False)
 
@@ -111,6 +117,64 @@ def test_newton_step_takes_lstsq_at_its_cut(monkeypatch):
     step = _block_solve(blocks, b)
     assert len(seen) == 1 and np.array_equal(seen[0], blocks[1:])
     assert np.allclose(step, [[1.0, 1.0], [1.0, 0.0]], rtol=1e-15, atol=0.0)
+
+
+def test_one_singular_block_leaves_the_others_steps_bitwise():
+    # np.linalg.inv raises on the stack once one block is exactly singular
+    # (a zero row); only that block steps by _block_lstsq
+    rng = np.random.default_rng(5)
+    blocks, b = rng.normal(size=(12, 3, 3)), rng.normal(size=(12, 3))
+    singular = blocks.copy()
+    singular[7, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(singular)
+    step = _block_solve(singular, b)
+    others = np.delete(np.arange(12), 7)
+    assert step[others].tobytes() == _block_solve(blocks[others], b[others]).tobytes()
+    assert step[7].tobytes() == _block_lstsq(singular[7:8], b[7:8])[0].tobytes()
+    # the path axes of a stacked solve leave the blocks as they are
+    assert step.tobytes() == _block_solve(singular.reshape(3, 4, 3, 3),
+                                          b.reshape(3, 4, 3)).reshape(12, 3).tobytes()
+
+
+def _assert_paths_match_separate_calls(system, starts):
+    stacked = newton_solve(system, starts)
+    alone = [newton_solve(system, start) for start in starts]
+    assert stacked.x.shape == starts.shape
+    for s, res in enumerate(alone):
+        assert stacked.x[s].tobytes() == res.x.tobytes()
+        assert stacked.path_iterations[s] == res.iterations == res.path_iterations
+        assert stacked.path_converged[s] == res.converged == res.path_converged
+    assert type(stacked.iterations) is int and type(stacked.converged) is bool
+    assert stacked.iterations == sum(res.iterations for res in alone)
+    assert stacked.converged == all(res.converged for res in alone)
+    assert stacked.residual_norm == max(res.residual_norm for res in alone)
+    return stacked
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2), m=st.integers(1, 4), paths=st.integers(1, 4),
+       alpha=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_paths_match_separate_newton_calls(n, m, paths, alpha, seed):
+    rng = np.random.default_rng(seed)
+    Z = CoeffVector(BasisSpec(Interval(0, 1), n, m), rng.uniform(-2.0, 2.0, n * m))
+    # a trial point far out can overflow P; its path rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_paths_match_separate_calls(_polynomial_system(Z, tuple(alpha)),
+                                           rng.uniform(-2.0, 2.0, (paths, n, m)))
+
+
+def test_rootless_paths_fail_both_ways():
+    # P(u) = 1 + u^2 = 0 has no real root: from these starts one path
+    # exhausts its line search after 32 steps, one after 4, and one runs
+    # NEWTON_MAX_ITER steps, stepping on after the other two drop out
+    system = _polynomial_system(CoeffVector(BasisSpec(Interval(0, 1), 1, 3), np.zeros(3)),
+                                (1.0, 0.0, 1.0))
+    starts = np.array([[[0.5, 0.1, 0.0]], [[0.5, 0.0, 0.0]], [[-0.3, 0.1, 0.0]]])
+    stacked = _assert_paths_match_separate_calls(system, starts)
+    assert stacked.path_iterations.tolist() == [32, 4, solver.NEWTON_MAX_ITER]
+    assert not stacked.path_converged.any()
 
 
 def test_newton_returns_best_iterate_on_failure():
@@ -549,6 +613,23 @@ _SWEEP = {("ex3",) + k: v for k, v in {
 def test_recover_step_sweep(key, n, m):
     err = _case_error(key, n, m)
     assert err <= 2.0 * _SWEEP[key, n, m] or err < 1e-12
+
+
+@pytest.mark.parametrize("key, n, m", sorted(set(_SWEEP) | {("ex3", 8, 24), ("ex5", 8, 24)}))
+def test_stacked_ladder_matches_the_per_start_ladder(monkeypatch, key, n, m):
+    # the three starts climb each rung as one newton_solve call; one start
+    # at a time, each rung its own single-path Newton, gives the same bits
+    p = EXAMPLES[key].problem(n, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stacked = solve(p, FAST)
+        monkeypatch.setattr(solver, "_run_ladder", per_start_ladder)
+        reference = solve(p, FAST)
+    assert stacked.U.c.tobytes() == reference.U.c.tobytes()
+    assert stacked.diagnostics.newton_iters == reference.diagnostics.newton_iters
+    assert stacked.diagnostics.converged == reference.diagnostics.converged
+    assert (stacked.diagnostics.condition_estimate
+            == reference.diagnostics.condition_estimate)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: M = 2 stays open (no real root of "
