@@ -11,7 +11,8 @@ matrix, the polynomial P(U) with its Jacobian, and L are all built from one
 cached tensor, the truncated Chebyshev product of product_tensor; P(U) and
 dP/dU take it as a matrix, so that their recurrence runs on matrix products
 alone.  The integration matrix Q has two distinct blocks, which
-integration_blocks returns; L is built from them, not from Q.
+integration_blocks returns; L and the derivative recover step are built
+from them, and the dense Q serves the oracle's referee and the tests.
 """
 
 from __future__ import annotations

@@ -191,6 +191,17 @@ def _blockwise_integrals(integrand, spec: BasisSpec, lo: np.ndarray, hi: np.ndar
     return pieces.sum(axis=1)
 
 
+def _points_inside(grid: Grid, interval: Interval) -> np.ndarray:
+    """The grid's points; a ValueError naming the first one off the interval."""
+    points = grid.points
+    outside = points[(points < interval.t0) | (points > interval.tf)]
+    if outside.size:
+        raise ValueError(
+            f"grid point t = {float(outside[0])} lies outside the problem interval "
+            f"[{interval.t0}, {interval.tf}]")
+    return points
+
+
 def _residual(problem, g, grid: Grid | None) -> float:
     """Max over the grid of |f(t) - int_{t0}^t K(x,t) g(x) dx| with the
     inner integrals of all grid points taken at once by _blockwise_integrals.
@@ -199,13 +210,7 @@ def _residual(problem, g, grid: Grid | None) -> float:
         grid = uniform_grid(problem.spec.interval, RESIDUAL_GRID)
     kern = problem.kernel
     spec = problem.spec
-    t0, tf = spec.interval.t0, spec.interval.tf
-    points = grid.points
-    outside = points[(points < t0) | (points > tf)]
-    if outside.size:
-        raise ValueError(
-            f"grid point t = {float(outside[0])} lies outside the problem interval "
-            f"[{t0}, {tf}]")
+    points = _points_inside(grid, spec.interval)
     # f once on the whole grid (a constant f evaluates to one number)
     f_values = np.broadcast_to(np.asarray(evaluate(problem.f, {"t": points}),
                                           dtype=float), points.shape)
@@ -214,8 +219,8 @@ def _residual(problem, g, grid: Grid | None) -> float:
         return np.asarray(evaluate(kern, {"x": x, "t": t}), dtype=float) * g(x)
 
     # [t0, t0] has no panel: the integral at t = t0 is 0 without a node
-    inner = _blockwise_integrals(integrand, spec, np.full(points.size, t0), points, points,
-                                 QUAD_TOL)
+    inner = _blockwise_integrals(integrand, spec, np.full(points.size, spec.interval.t0),
+                                 points, points, QUAD_TOL)
     return float(np.max(np.abs(f_values - inner)))
 
 
@@ -238,10 +243,12 @@ def composite_residual(problem, Z: CoeffVector, grid: Grid | None = None) -> flo
 
 
 def max_error_fn(solution_or_cv, exact: Callable, grid: Grid) -> float:
-    """Max absolute pointwise error against a callable reference."""
+    """Max absolute pointwise error against a callable reference; a grid
+    point off the series' interval raises ValueError, as in _residual."""
     cv = getattr(solution_or_cv, "U", solution_or_cv)
-    approx = eval_series(cv, grid.points)
-    target = np.asarray(exact(grid.points), dtype=float)
+    points = _points_inside(grid, cv.spec.interval)
+    approx = eval_series(cv, points)
+    target = np.asarray(exact(points), dtype=float)
     return float(np.max(np.abs(target - approx)))
 
 

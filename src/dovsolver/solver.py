@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisSpec, CoeffVector, eval_series, project, series_derivative
 from .expr import EvalError, Expr, evaluate
-from .opalg import integration_blocks, integration_matrix, kernel_matrix, polynomial, product_tensor
+from .opalg import integration_blocks, kernel_matrix, polynomial, product_tensor
 from . import oracle
 
 CONSISTENCY_TOL = 1e-8
@@ -104,11 +104,15 @@ class Derivative:
         """
         if self.order > Z.spec.M:
             raise SolverError(f"derivative order {self.order} exceeds M = {Z.spec.M}")
-        qt = integration_matrix(Z.spec).T
-        u = Z.c
+        P, e = integration_blocks(Z.spec)
+        u = Z.c.reshape(Z.spec.N, Z.spec.M)
         for _ in range(self.order):
-            u = qt @ u
-        return CoeffVector(Z.spec, u), 0.0, 0, True
+            # within each block by P; then each block's constant term gains
+            # the integrals u e of the blocks before it, as Q's e columns do
+            carry = np.cumsum(u @ e)
+            u = u @ P
+            u[1:, 0] += carry[:-1]
+        return CoeffVector(Z.spec, u.ravel()), 0.0, 0, True
 
 
 @dataclass(frozen=True)
@@ -457,30 +461,23 @@ def newton_solve(system, u0) -> NewtonResult:
         step = _block_solve(jac, -r)
         lam = [1.0] * len(live)
         search = list(range(len(live)))  # the rows still searching
-        nxt = None
         # each trial evaluates every running path; one that has taken its
-        # step keeps its accepted trial point
+        # step keeps its lam, so the last trial holds its accepted point
         for _ in range(31):
             u_new = u + scaled(lam, step)
             r_new, jac_new = run(u_new)
             rn_new = norms(r_new)
-            took = [k for k in search if rn_new[k] <= (1.0 - 1e-4 * lam[k]) * rnorm[k]]
-            if len(took) == len(live):  # every path takes its full step
-                nxt = [u_new, r_new, jac_new, rn_new]
-            elif took:
-                nxt = nxt or [u.copy(), r.copy(), jac.copy(), list(rnorm)]
-                for a, b in zip(nxt, (u_new, r_new, jac_new)):
-                    a[took] = b[took]
-                for k in took:
-                    nxt[3][k] = rn_new[k]
-            search = [k for k in search if k not in took]
+            search = [k for k in search if not rn_new[k] <= (1.0 - 1e-4 * lam[k]) * rnorm[k]]
             if not search:
                 break
             for k in search:
                 lam[k] *= 0.5
         # search now holds the rows whose line search ran out; they keep u
+        # and drop out below, so their rows of r and jac are never read
         step_norm = norms(scaled(lam, step))
-        u, r, jac, rnorm = nxt or (u, r, jac, rnorm)
+        for k in search:
+            u_new[k], rn_new[k] = u[k], rnorm[k]
+        u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
         out = [k for k in range(len(live))
                if k in search or rnorm[k] <= NEWTON_TOL or step_norm[k] <= 1e-14]
         if out:

@@ -73,9 +73,8 @@ def test_traced_solve_matches_untraced():
         # recover step
         assert totals["spans"]["solver.newton_solve"]["calls"] == problem.spec.M - 1
         assert totals["spans"]["opalg.kernel_matrix"]["calls"] == 1
-        # L is built from Q's two distinct blocks, so no polynomial solve
-        # builds the dense Q; only the derivative recover step integrates
-        # with it
+        # L is built from Q's two distinct blocks, so no solve builds the
+        # dense Q (test_traced_derivative_solve_builds_no_dense_q)
         assert totals["spans"]["opalg.integration_matrix"]["calls"] == 0
         assert traced.U.c.tobytes() == plain.U.c.tobytes()
         assert traced.diagnostics == plain.diagnostics
@@ -83,6 +82,21 @@ def test_traced_solve_matches_untraced():
                  if hasattr(m, a)}
         assert after.keys() == before.keys()
         assert all(after[k] is before[k] for k in before)
+
+
+def test_traced_derivative_solve_builds_no_dense_q():
+    # the derivative recover step integrates with Q's two blocks too, so the
+    # dense Q is left to the oracle's referee and the tests
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        with tracer.op():
+            solver.solve(EXAMPLES["ex1"].problem(2, 8))
+    finally:
+        tracer.uninstall()
+    spans = tracer.totals()["spans"]
+    assert spans["solver.assemble_linear_map"]["calls"] == 1
+    assert spans["opalg.integration_matrix"]["calls"] == 0
 
 
 @pytest.mark.parametrize("workload", ["linear-oracle", "newton", "size-ladder"])

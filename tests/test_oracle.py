@@ -313,6 +313,20 @@ def test_max_error_exact_polynomial():
     assert max_error_fn(cv, lambda t: evaluate(parse("t^3"), {"t": t}), g) <= 1e-13
 
 
+def test_max_error_rejects_points_outside_the_interval():
+    # off its interval a series is clamped to its end value, so an error
+    # there measures the grid, not the solution; the residual rejects the
+    # same points with the same message
+    e2 = EXAMPLES["ex2"]
+    p = e2.problem(1, 10)
+    sol = solve(p, SolveOptions(compute_residual=False))
+    grid = Grid(np.array([2.0, 3.0]))
+    for measure in (lambda: max_error_fn(sol, e2.exact_fn(), grid),
+                    lambda: residual_linf(p, sol, grid)):
+        with pytest.raises(ValueError, match=r"t = 2.0 lies outside the problem interval \[0"):
+            measure()
+
+
 def test_weighted_l2_error_of_self_is_zero():
     spec = BasisSpec(Interval(0, 1), 2, 5)
     cv = project(np.exp, spec)

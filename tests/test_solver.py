@@ -177,6 +177,28 @@ def test_rootless_paths_fail_both_ways():
     assert not stacked.path_converged.any()
 
 
+def test_newton_never_writes_into_the_arrays_system_returns():
+    # a system may hand out read-only arrays.  Each path solves v^2 = c with
+    # its own c in u's second entry, which no step moves (R_2 = 0 and
+    # J = [[2v, -1], [0, 1]]): from these starts the first path takes full
+    # steps, the second halves its first, and the third (v^2 + 1 = 0)
+    # exhausts its line search on step 4 while the second steps on
+    def system(u):
+        v, c = u[..., 0], u[..., 1]
+        r = np.stack([v * v - c, np.zeros_like(v)], axis=-1)
+        jac = np.zeros(u.shape + (2,))
+        jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 1] = 2.0 * v, -1.0, 1.0
+        r.setflags(write=False)
+        jac.setflags(write=False)
+        return r, jac
+
+    starts = np.array([[[2.5, 4.0]], [[0.1, 4.0]], [[0.5, -1.0]]])
+    stacked = _assert_paths_match_separate_calls(system, starts)
+    assert stacked.path_iterations.tolist() == [4, 5, 4]
+    assert stacked.path_converged.tolist() == [True, True, False]
+    assert np.allclose(stacked.x[:2, 0], [[2.0, 4.0], [2.0, 4.0]], rtol=0.0, atol=1e-12)
+
+
 def test_newton_returns_best_iterate_on_failure():
     res = newton_solve(lambda u: (np.array([u[0] ** 2 + 1.0]), np.diag(2.0 * u)),
                        np.array([0.5]))
@@ -711,6 +733,22 @@ def test_derivative_order_above_m_raises():
                 BasisSpec(Interval(0, 1), 1, 4))
     with pytest.raises(SolverError, match="derivative order 5 exceeds M = 4"):
         solve(p, FAST)
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (3, 7), (8, 24), (64, 16)])
+def test_derivative_recover_integrates_as_the_dense_q(n, m):
+    # block by block with P and e, against the referee: Q^T applied order
+    # times, Q the dense integration matrix
+    spec = BasisSpec(Interval(-0.5, 1.0), n, m)
+    Z = CoeffVector(spec, np.random.default_rng(n * 100 + m).uniform(-1.0, 1.0, spec.dim))
+    qt = integration_matrix(spec).T
+    for order in (1, 2, m):
+        ref = Z.c
+        for _ in range(order):
+            ref = qt @ ref
+        U = Derivative(order).recover(Z)[0]
+        assert U.spec == spec
+        assert np.max(np.abs(U.c - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_derivative_order_equal_to_m_solves():
