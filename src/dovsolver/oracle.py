@@ -8,7 +8,6 @@ referee that decides disagreements between the algebra and the analysis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -41,6 +40,8 @@ class Grid:
 
     def __post_init__(self):
         p = np.array(self.points, dtype=float)
+        if p.ndim != 1:
+            raise ValueError(f"grid points must be a 1-D array, not of shape {p.shape}")
         if p.size == 0:
             raise ValueError("empty grid")
         if not np.all(np.isfinite(p)):
@@ -90,13 +91,47 @@ _WG = np.array([
 ])
 
 
-def _gk15(g, lo: float, hi: float) -> tuple[float, float]:
+def _gk15(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 values and |Kronrod - Gauss| estimates on the ranges [lo[i], hi[i]],
+    from one call of g on their (P, 15) nodes."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = np.asarray(g(mid + half * _XGK), dtype=float)
-    kron = half * float(_WGK @ fx)
-    gauss = half * float(_WG @ fx[1::2])
-    return kron, abs(kron - gauss)
+    fx = np.broadcast_to(np.asarray(g(mid[:, None] + half[:, None] * _XGK), dtype=float),
+                         (lo.size, _XGK.size))
+    kron = half * (fx @ _WGK)
+    with np.errstate(invalid="ignore"):  # inf - inf where g has a pole on a node
+        return kron, np.abs(kron - half * (fx[:, 1::2] @ _WG))
+
+
+def _budget(whole, tol: float):
+    """The error budget of a range whose GK15 value is whole: the share
+    tol*(1 + |whole|), and a roundoff floor 64*eps*(1 + |whole|), which jump
+    discontinuities need for termination, as their local estimate decays only
+    like the width, exactly as the width-proportional share does."""
+    magnitude = np.where(np.isfinite(whole), np.abs(whole), 0.0)
+    return tol * (1.0 + magnitude), 64.0 * np.finfo(float).eps * (1.0 + magnitude)
+
+
+def _bisect(g, a: float, b: float, whole: float, err: float, tol: float) -> float:
+    """Integral of g over [a, b], whose GK15 value and estimate are whole and
+    err: ranges are bisected, both halves in one call of g, until each
+    estimate fits its width's share of the budget of whole, or the floor."""
+    scale, floor = (float(v) for v in _budget(whole, tol))
+    stack = [(a, b, whole, err, 0)]
+    total = 0.0
+    while stack:
+        lo, hi, val, err, depth = stack.pop()
+        if err <= max(scale * (hi - lo) / (b - a), floor):
+            total += val
+            continue
+        if depth >= 50:
+            raise QuadratureError(
+                f"subdivision limit exceeded on [{lo}, {hi}] (error estimate {err:g})")
+        mid = 0.5 * (lo + hi)
+        vals, errs = _gk15(g, np.array([lo, mid]), np.array([mid, hi]))
+        stack.append((lo, mid, vals[0], errs[0], depth + 1))
+        stack.append((mid, hi, vals[1], errs[1], depth + 1))
+    return total
 
 
 def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
@@ -104,42 +139,19 @@ def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
 
     Intervals are bisected until the local error estimate fits a
     width-proportional share of tol*(1 + |integral|); abscissae are strictly
-    interior, so integrable endpoint behavior is tolerated.  g must accept
-    numpy arrays.
+    interior, so integrable endpoint behavior is tolerated.  g is called on
+    numpy arrays of nodes of shape (P, 15), one row per range: (1, 15) for
+    [a, b], then (2, 15) for the two halves of each split.
 
     The rule is open: a discontinuity hiding in the outer ~1% of a
     subinterval, next to an endpoint, can evade every node and corrupt the
     estimate.  Split the range at known discontinuities (see _blockwise_integrals)
     instead of relying on adaptivity to find them.
     """
-    if a > b:
+    if not a <= b:  # a NaN bound too, which would leave no panel
         raise ValueError(f"reversed integration range: [{a}, {b}]")
-    if a == b:
-        return 0.0
-    whole, err0 = _gk15(g, a, b)
-    magnitude = abs(whole) if math.isfinite(whole) else 0.0
-    scale = tol * (1.0 + magnitude)
-    # jump discontinuities: the local estimate decays only like the width,
-    # exactly as the width-proportional budget does, so a roundoff floor is
-    # needed for termination
-    floor = 64.0 * np.finfo(float).eps * (1.0 + magnitude)
-    total_width = b - a
-    stack = [(a, b, whole, err0, 0)]
-    total = 0.0
-    while stack:
-        lo, hi, val, err, depth = stack.pop()
-        if err <= max(scale * (hi - lo) / total_width, floor):
-            total += val
-            continue
-        if depth >= 50:
-            raise QuadratureError(
-                f"subdivision limit exceeded on [{lo}, {hi}] (error estimate {err:g})")
-        mid = 0.5 * (lo + hi)
-        left = _gk15(g, lo, mid)
-        right = _gk15(g, mid, hi)
-        stack.append((lo, mid, left[0], left[1], depth + 1))
-        stack.append((mid, hi, right[0], right[1], depth + 1))
-    return total
+    return float(_blockwise_integrals(lambda x, _: g(x), np.empty(0), np.array([a], float),
+                                      np.array([b], float), np.zeros(1), tol)[0])
 
 
 # panels per batched GK15 evaluation: bounds the (panels, 15) node arrays and
@@ -147,22 +159,24 @@ def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
 _PANEL_CHUNK = 256
 
 
-def _blockwise_integrals(integrand, spec: BasisSpec, lo: np.ndarray, hi: np.ndarray,
+def _block_edges(spec: BasisSpec) -> np.ndarray:
+    """The interior block edges, where piecewise series (and hence residual
+    integrands) may jump."""
+    return spec.interval.t0 + np.arange(1, spec.N) * spec.block_width
+
+
+def _blockwise_integrals(integrand, edges: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                          param: np.ndarray, tol: float) -> np.ndarray:
     """Integral of integrand(x, param[i]) over each range [lo[i], hi[i]],
-    split at the interior block boundaries inside it, where piecewise series
-    (and hence residual integrands) may jump.
+    split at the increasing edges inside it.
 
     Piece n of range i is [max(lo[i], e_n), min(hi[i], e_{n+1})], e_n the
-    block edges with e_0 = -inf and e_N = inf; the pieces of positive width
-    are the panels.  integrand takes nodes x of shape (P, 15) with param of
-    shape (P, 1), or x of shape (15,) with one float.  One GK15 rule runs on
-    every panel, a chunk of panels per call.  A panel whose error estimate
-    passes quad_adaptive's own first test keeps the rule's value; any other
-    panel is integrated whole by quad_adaptive, so that refinement, its
-    limits and its QuadratureError are the scalar routine's.
+    edges with e_0 = -inf and e_N = inf; the pieces of positive width are
+    the panels.  integrand takes nodes x of shape (P, 15) with param of
+    shape (P, 1) or (1, 1).  One GK15 rule runs on every panel, a chunk of
+    panels per call.  A panel whose estimate fits its budget keeps the
+    rule's value; any other panel is bisected from that value and estimate.
     """
-    edges = spec.interval.t0 + np.arange(1, spec.N) * spec.block_width
     left = np.maximum(lo[:, None], np.concatenate(([-np.inf], edges)))
     right = np.minimum(hi[:, None], np.concatenate((edges, [np.inf])))
     live = right > left
@@ -171,21 +185,12 @@ def _blockwise_integrals(integrand, spec: BasisSpec, lo: np.ndarray, hi: np.ndar
     panels = np.empty(lo.size)
     for s in range(0, lo.size, _PANEL_CHUNK):
         a, b, p = lo[s:s + _PANEL_CHUNK], hi[s:s + _PANEL_CHUNK], param[s:s + _PANEL_CHUNK]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        fx = np.asarray(integrand(mid[:, None] + half[:, None] * _XGK, p[:, None]),
-                        dtype=float)
-        fx = np.broadcast_to(fx, (a.size, _XGK.size))
-        kron = half * (fx @ _WGK)
-        err = np.abs(kron - half * (fx[:, 1::2] @ _WG))
-        magnitude = np.where(np.isfinite(kron), np.abs(kron), 0.0)
-        scale = tol * (1.0 + magnitude)
-        floor = 64.0 * np.finfo(float).eps * (1.0 + magnitude)
+        kron, err = _gk15(lambda x: integrand(x, p[:, None]), a, b)
         panels[s:s + a.size] = kron
-        for i in np.flatnonzero(~(err <= np.maximum(scale, floor))).tolist():
-            pi = float(p[i])
-            panels[s + i] = quad_adaptive(lambda x: integrand(x, pi),
-                                          float(a[i]), float(b[i]), tol)
+        for i in np.flatnonzero(~(err <= np.maximum(*_budget(kron, tol)))).tolist():
+            pi = p[i:i + 1, None]
+            panels[s + i] = _bisect(lambda x: integrand(x, pi), float(a[i]), float(b[i]),
+                                    float(kron[i]), float(err[i]), tol)
     pieces = np.zeros(live.shape)
     pieces[live] = panels
     return pieces.sum(axis=1)
@@ -219,8 +224,8 @@ def _residual(problem, g, grid: Grid | None) -> float:
         return np.asarray(evaluate(kern, {"x": x, "t": t}), dtype=float) * g(x)
 
     # [t0, t0] has no panel: the integral at t = t0 is 0 without a node
-    inner = _blockwise_integrals(integrand, spec, np.full(points.size, spec.interval.t0),
-                                 points, points, QUAD_TOL)
+    inner = _blockwise_integrals(integrand, _block_edges(spec),
+                                 np.full(points.size, spec.interval.t0), points, points, QUAD_TOL)
     return float(np.max(np.abs(f_values - inner)))
 
 
@@ -284,7 +289,7 @@ def _cumulative_values(g, spec: BasisSpec, nodes: np.ndarray, tol: float) -> np.
     order = np.argsort(nodes)
     ends = nodes[order]
     starts = np.concatenate(([spec.interval.t0], ends[:-1]))
-    gaps = _blockwise_integrals(lambda x, _: g(x), spec, starts, ends, ends, tol)
+    gaps = _blockwise_integrals(lambda x, _: g(x), _block_edges(spec), starts, ends, ends, tol)
     out = np.empty(nodes.size)
     out[order] = np.cumsum(gaps)
     return out

@@ -20,6 +20,7 @@ step's; Solution carries Z.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -86,6 +87,8 @@ class Derivative:
     order: int
 
     def __post_init__(self):
+        if not isinstance(self.order, numbers.Integral):
+            raise ValueError(f"derivative order must be an integer: {self.order!r}")
         if self.order < 1:
             raise ValueError(f"derivative order must be >= 1: {self.order}")
 

@@ -87,11 +87,32 @@ def test_quad_reversed_range_rejected():
         quad_adaptive(lambda x: x, 1, 0)
 
 
+def test_quad_rejects_a_nan_bound():
+    # [nan, 1] has no panel, so without the check it would integrate to 0
+    for a, b in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="integration range"):
+            quad_adaptive(lambda x: x, a, b)
+
+
 def test_quad_subdivision_limit():
     # unbounded behavior exhausts the depth budget
     with np.errstate(divide="ignore"):
         with pytest.raises(QuadratureError, match="subdivision"):
             quad_adaptive(lambda x: 1.0 / np.abs(x - 0.5), 0, 1, 1e-12)
+
+
+def test_quad_calls_g_on_the_range_then_on_both_halves_of_each_split():
+    # the first rule on [a, b] as one (1, 15) array, then each split's two
+    # halves in one call
+    shapes = []
+
+    def g(x):
+        shapes.append(np.shape(x))
+        return np.sqrt(x)
+
+    assert quad_adaptive(g, 0, 1) == pytest.approx(2 / 3, abs=1e-10)
+    assert shapes[0] == (1, 15)
+    assert len(shapes) > 1 and set(shapes[1:]) == {(2, 15)}
 
 
 def test_grid_validation():
@@ -101,6 +122,14 @@ def test_grid_validation():
         Grid(np.array([]))
     g = uniform_grid(Interval(0, 1), 11)
     assert g.points[0] == 0.0 and g.points[-1] == 1.0 and g.points.size == 11
+
+
+def test_grid_rejects_points_that_are_not_one_dimensional():
+    # a 2-D array once passed every check and failed deep in the integrator
+    # with an IndexError
+    for bad in ([[0.0, 0.5], [0.6, 1.0]], 0.5):
+        with pytest.raises(ValueError, match="1-D"):
+            Grid(np.array(bad))
 
 
 def test_grid_pickles_read_only():
@@ -221,6 +250,31 @@ def test_residual_is_nan_where_f_is_nan():
     p, U = _unit_problem("1", "t + exp(1000*t)*0", 1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isnan(equation_residual(p, U))
+
+
+def test_failing_panels_are_bisected_from_their_first_rule(monkeypatch):
+    # ln(x) is singular at t0 = 0, so every panel [0, min(t, 1/2)] fails the
+    # first pass; no panel's nodes are evaluated twice at one grid point,
+    # and every kernel evaluation after the first pass is one split's halves
+    p, U = _unit_problem("ln(x) + 2", "t", 2, 4)
+    grid = uniform_grid(p.spec.interval, 41)
+    calls = []
+
+    def recording(e, bindings):
+        if "x" in bindings:
+            x = np.asarray(bindings["x"])
+            t = np.broadcast_to(bindings["t"], x.shape)
+            calls.append((x.reshape(-1, 15), t.reshape(-1, 15)))
+        return evaluate(e, bindings)
+
+    monkeypatch.setattr(oracle, "evaluate", recording)
+    got = equation_residual(p, U, grid)
+    assert abs(got - _per_point_residual(p, U, grid)) <= 1e-13
+    # one first pass: 40 points past t0, and 20 of them past the edge 1/2
+    assert calls[0][0].shape == (60, 15)
+    assert len(calls) > 1 and {x.shape for x, _ in calls[1:]} == {(2, 15)}
+    rows = [(x.tobytes(), t.tobytes()) for xs, ts in calls for x, t in zip(xs, ts)]
+    assert len(set(rows)) == len(rows)
 
 
 def test_nan_integrand_raises_quadrature_error_through_the_refinement():

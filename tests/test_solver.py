@@ -760,6 +760,19 @@ def test_derivative_order_equal_to_m_solves():
     assert math.isfinite(sol.diagnostics.residual_linf)
 
 
+def test_derivative_order_must_be_an_integer():
+    # a float order once constructed, and solve() ran the whole linear stage
+    # before recover failed with a TypeError from range()
+    for order in (2.0, 2.5):
+        with pytest.raises(ValueError, match="derivative order must be an integer"):
+            Derivative(order=order)
+    # numpy integers are orders too
+    p = EXAMPLES["ex1"].problem(1, 6)
+    by_int = solve(p, FAST)
+    by_numpy = solve(replace(p, nonlinearity=Derivative(order=np.int64(2))), FAST)
+    assert by_numpy.U.c.tobytes() == by_int.U.c.tobytes()
+
+
 @pytest.mark.parametrize("field, value", [
     ("newton_tol", -1.0), ("newton_tol", math.nan), ("newton_tol", math.inf),
     ("newton_max_iter", 0), ("residual_grid", 1),
