@@ -9,6 +9,7 @@ c_{1,0} .. c_{1,M-1}, c_{2,0} .. c_{N,M-1}.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,9 @@ class BasisSpec:
     M: int = 4
 
     def __post_init__(self):
+        for name, value in (("N", self.N), ("M", self.M)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer: {value!r}")
         if self.N < 1 or self.M < 1:
             raise ValueError(f"N and M must be positive: N={self.N}, M={self.M}")
 

@@ -8,9 +8,9 @@ series, is not a function here: it lives in the contraction that builds the
 solver's linear map L, and the one-by-one versions of the paper's matrices
 and vectors are the test references in tests/paper_matrices.py.  The product
 matrix, the polynomial P(U) with its Jacobian, and L are all built from one
-cached tensor, the truncated Chebyshev product of product_tensor; P(U) and
-dP/dU take it as a matrix, so that their recurrence runs on matrix products
-alone.  The integration matrix Q has two distinct blocks, which
+cached tensor, the truncated Chebyshev product of product_tensor; each W_v
+of the product matrix and of P(U) is one product with it (_product_blocks).
+The integration matrix Q has two distinct blocks, which
 integration_blocks returns; L and the derivative recover step are built
 from them, and the dense Q serves the oracle's referee and the tests.
 """
@@ -98,21 +98,28 @@ def product_tensor(M: int) -> np.ndarray:
     return c
 
 
+def _product_blocks(v: np.ndarray) -> np.ndarray:
+    """W_v[p, d] = sum_q v_q C[p, q, d], C the product tensor, for each block
+    v of an (..., M) stack, as an (..., M, M) stack.  One matrix product: C
+    is symmetric in p and q (T_p T_q = T_q T_p), so with C read as the
+    (M, M M) matrix C[q, (p, d)], v @ C is W_v flattened row by row."""
+    M = v.shape[-1]
+    return (v @ product_tensor(M).reshape(M, M * M)).reshape(v.shape + (M,))
+
+
 def product_matrix(cv: CoeffVector) -> np.ndarray:
     """Product operational matrix W of the function represented by cv.
 
-    W[i, k] is the coefficient of H_k in H_i * f: per block, the series of f
-    contracted with the truncated-product tensor; cross-block entries vanish
+    W[i, k] is the coefficient of H_k in H_i * f: each diagonal block is
+    the W_v of f's block (_product_blocks); cross-block entries vanish
     because supports are disjoint.  For a second function with coefficients
     V, the product has coefficients W^T V.
     """
-    spec = cv.spec
-    C = product_tensor(spec.M)
-    a = np.zeros((spec.dim, spec.dim))
-    for n0 in range(spec.N):
-        sl = slice(n0 * spec.M, (n0 + 1) * spec.M)
-        a[sl, sl] = np.tensordot(cv.block(n0), C, (0, 1))
-    return a
+    N, M = cv.spec.N, cv.spec.M
+    a = np.zeros((N, M, N, M))
+    n = np.arange(N)
+    a[n, :, n, :] = _product_blocks(cv.c.reshape(N, M))
+    return a.reshape(cv.spec.dim, cv.spec.dim)
 
 
 def unit_product_matrix(spec: BasisSpec, r: int) -> np.ndarray:
@@ -128,26 +135,16 @@ def polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     stack of coefficient blocks, and dP/du as the (..., M, M) stack of its
     diagonal blocks: disjoint supports make each block of P read only its own
     block of u.  u^r = W_u^T u^(r-1) and d(u^r)/du = D_r with D_1 = I,
-    D_r = W_{u^(r-1)}^T + W_u^T D_(r-1).
-
-    Each W_v, W_v[p, d] = sum_q v_q C[p, q, d] with C the product tensor, is
-    one matrix product: C is symmetric in p and q (T_p T_q = T_q T_p), so
-    with C read as the (M, M M) matrix C[q, (p, d)], v @ C is W_v flattened
-    row by row.  Every step of the recurrence is thus a (batched) matrix
+    D_r = W_{u^(r-1)}^T + W_u^T D_(r-1).  Each W_v is one matrix product
+    (_product_blocks), so every step of the recurrence is a (batched) matrix
     product."""
     u = np.asarray(u, dtype=float)
-    M = u.shape[-1]
-    C = product_tensor(M).reshape(M, M * M)
-
-    def w_t(v: np.ndarray) -> np.ndarray:
-        return (v @ C).reshape(v.shape + (M,)).swapaxes(-1, -2)
-
-    w_u = w_t(u)
-    power, d_power = u, np.eye(M)
-    p, jac = np.zeros(u.shape), np.zeros(u.shape + (M,))
+    w_u = _product_blocks(u).swapaxes(-1, -2)
+    power, d_power = u, np.eye(u.shape[-1])
+    p, jac = np.zeros(u.shape), np.zeros(w_u.shape)
     for r, a in enumerate(alpha[1:], start=1):
         if r > 1:
-            d_power = w_t(power) + w_u @ d_power
+            d_power = _product_blocks(power).swapaxes(-1, -2) + w_u @ d_power
             power = (w_u @ power[..., None])[..., 0]
         if a:  # a zero coefficient would add zeros
             p += a * power

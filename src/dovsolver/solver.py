@@ -172,7 +172,7 @@ class Polynomial:
         spec = Z.spec
         system = _polynomial_system(Z, self.alpha)
         X, iters, converged = _run_ladder(
-            system, _initial_candidates(system, spec, self.scan_range), spec.M)
+            system, _initial_candidates(system, spec, self.scan_range))
 
         # one root of each group of near-identical ones, the first found:
         # near-twins differ at roundoff, and either could win the selection
@@ -351,13 +351,9 @@ def _march(L: np.ndarray, F: np.ndarray, M: int) -> tuple[np.ndarray, int, float
 def _block_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares a x = b for each block of an (..., m, m)
     stack, with lstsq's cut: singular values up to eps m times the block's
-    largest count as zero."""
-    u, s, vt = np.linalg.svd(a)
-    inv = np.divide(1.0, s, out=np.zeros_like(s),
-                    where=s > np.finfo(float).eps * a.shape[-1] * s[..., :1])
-    # x = V diag(inv) U^T b, as row vectors
-    y = (b[..., None, :] @ u)[..., 0, :] * inv
-    return (y[..., None, :] @ vt)[..., 0, :]
+    largest count as zero, pinv's rcond."""
+    pinv = np.linalg.pinv(a, rcond=a.shape[-1] * np.finfo(float).eps)
+    return (pinv @ b[..., None])[..., 0]
 
 
 def _block_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -551,16 +547,15 @@ def _polynomial_system(Z: CoeffVector, alpha: tuple[float, ...]):
     return system
 
 
-def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float]) -> np.ndarray:
+def _scan_constant(system, spec: BasisSpec, scan_range: tuple[float, float]) -> float:
     # ranked by the 2-norm of P(c) - Z on the degree-1 rung: a constant
     # moves only the first coefficient of each block, so this ranks as the
     # full 2-norm does; the max norm is flat wherever a higher
     # coefficient of Z dominates and then keeps the first scan point,
     # however poor a start it is
-    consts = np.zeros((SCAN_POINTS, spec.N, 1))
-    consts[:, :, 0] = np.linspace(scan_range[0], scan_range[1], SCAN_POINTS)[:, None]
-    r = system(consts)[0]
-    return consts[np.argmin(np.linalg.norm(r.reshape(SCAN_POINTS, -1), axis=1))]
+    consts = np.linspace(scan_range[0], scan_range[1], SCAN_POINTS)
+    r = system(np.repeat(consts[:, None, None], spec.N, axis=1))[0]
+    return float(consts[np.argmin(np.linalg.norm(r.reshape(SCAN_POINTS, -1), axis=1))])
 
 
 def _initial_candidates(system, spec: BasisSpec,
@@ -575,9 +570,9 @@ def _initial_candidates(system, spec: BasisSpec,
     selection afterwards keeps only a root whose G(u) matches z pointwise,
     that is, one that actually satisfies the integral equation.
     """
+    c_star = _scan_constant(system, spec, scan_range)
     starts = np.zeros((3, spec.N, spec.M))
-    starts[0, :, :1] = _scan_constant(system, spec, scan_range)
-    c_star = float(starts[0, 0, 0])
+    starts[0, :, 0] = c_star
     iv = spec.interval
     mid, halfw = 0.5 * (iv.t0 + iv.tf), 0.5 * iv.width
     width = scan_range[1] - scan_range[0]
@@ -587,7 +582,7 @@ def _initial_candidates(system, spec: BasisSpec,
     return starts
 
 
-def _run_ladder(system, starts: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _run_ladder(system, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The degree-continuation ladder over the rungs m = 2 .. M (per-block
     degrees; rung 1 alone when M = 1) for an (S, N, M) stack of starts, one
     newton_solve call per rung on every start as its own path.  Each rung
@@ -596,7 +591,7 @@ def _run_ladder(system, starts: np.ndarray, M: int) -> tuple[np.ndarray, np.ndar
     iterate on.  Returns the final rung's (S, N, M) iterates, each path's
     iterations summed over the rungs and its convergence on the final rung.
     """
-    u_prev = starts
+    u_prev, M = starts, starts.shape[-1]
     total_iters = 0
     for m_rung in range(min(2, M), M + 1):
         take = min(m_rung, u_prev.shape[-1])

@@ -171,13 +171,13 @@ def single_path_newton(system, u0) -> tuple[np.ndarray, int, bool]:
     return u, NEWTON_MAX_ITER, False
 
 
-def per_start_ladder(system, starts: np.ndarray, M: int):
+def per_start_ladder(system, starts: np.ndarray):
     """solver._run_ladder one start at a time: each (N, M) start climbs the
     rungs m = 2 .. M (rung 1 alone when M = 1) by single_path_newton, every
     rung from the previous rung's iterate zero-padded per block.  Returns
     the final iterates, each start's iterations over the rungs and its
     convergence on the final rung, stacked as _run_ladder returns them."""
-    finals = []
+    finals, M = [], starts.shape[-1]
     for u_prev in starts:
         total_iters = 0
         for m_rung in range(min(2, M), M + 1):

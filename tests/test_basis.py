@@ -34,6 +34,15 @@ def test_interval_scaling():
             Interval(t0, tf)
 
 
+def test_basis_spec_rejects_a_size_that_is_not_an_integer():
+    # a float N or M used to construct and then fail deep inside numpy
+    for n, m, name in ((2.0, 4, "N"), (2, 4.0, "M"), (2, "4", "M"), (1.5, 4, "N")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            BasisSpec(Interval(0, 1), n, m)
+    spec = BasisSpec(Interval(0, 1), np.int64(2), np.int32(3))
+    assert spec.dim == 6
+
+
 def test_chebyshev_eval_examples():
     assert chebyshev_eval(0, 0.3) == 1.0
     assert chebyshev_eval(2, 0.5) == pytest.approx(-0.5, abs=1e-15)

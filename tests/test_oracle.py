@@ -94,6 +94,14 @@ def test_quad_rejects_a_nan_bound():
             quad_adaptive(lambda x: x, a, b)
 
 
+def test_quad_rejects_a_nan_or_negative_tol():
+    # a NaN tol used to bisect to the depth limit, a negative one passed
+    for tol in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            quad_adaptive(np.sin, 0.0, 1.0, tol=tol)
+    assert quad_adaptive(lambda x: 2.0 * x, 0.0, 1.0, tol=0.0) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_quad_subdivision_limit():
     # unbounded behavior exhausts the depth budget
     with np.errstate(divide="ignore"):
