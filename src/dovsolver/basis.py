@@ -145,9 +145,6 @@ class CoeffVector:
     def __reduce__(self):  # unpickling skips __post_init__, which seals c
         return CoeffVector, (self.spec, self.c)
 
-    def block(self, n0: int) -> np.ndarray:
-        return self.c[n0 * self.spec.M:(n0 + 1) * self.spec.M]
-
 
 def hcp_eval(spec: BasisSpec, r: int, t):
     """Value of the r-th basis function (1-based flat index) at t.

@@ -19,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -48,15 +48,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    kernel: Expr
-    f: Expr
-    nonlinearity: Nonlinearity
-    interval: tuple[float, float]
-    bases: tuple[tuple[int, int], ...]
+    """What a run solves: one Problem per row, in row order, the exact
+    solution if known, and the reference E_inf of each (N, M) it checks."""
+
+    problems: tuple[Problem, ...]
     exact_fn: object = None  # u(t) as an array-capable callable, if known
-    out_format: str = "csv"
-    out_path: str | None = None
-    timing: bool = True
     check: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
@@ -240,9 +236,9 @@ def load_config(path: str) -> RunConfig:
     prob = cfg["problem"]
     kernel = _value(prob, "kernel", _expr("x", "t"), "problem.kernel")
     f_expr = _value(prob, "f", _expr("t"), "problem.f")
-    interval = _value(prob, "interval", _pair, "problem.interval")
+    lo, hi = _value(prob, "interval", _pair, "problem.interval")
     try:
-        Interval(*interval)
+        interval = Interval(lo, hi)
     except ValueError as exc:
         raise ConfigError(f"problem.interval: {exc}") from None
     exact_fn = None
@@ -267,8 +263,8 @@ def load_config(path: str) -> RunConfig:
         bases = tuple(_size(n, m, "basis.sweep")
                       for n, m in _value(basis, "sweep", _sweep, "basis.sweep"))
 
-    return RunConfig(kernel=kernel, f=f_expr, nonlinearity=nonlinearity,
-                     interval=interval, bases=bases, exact_fn=exact_fn)
+    return RunConfig(tuple(Problem(kernel, f_expr, nonlinearity, BasisSpec(interval, n, m))
+                           for n, m in bases), exact_fn)
 
 
 def config_from_example(entry: ExampleEntry, N: int | None = None,
@@ -283,11 +279,8 @@ def config_from_example(entry: ExampleEntry, N: int | None = None,
         raise ConfigError(
             f"--check: {entry.key} has no reference error at N={n} M={m}; "
             f"sizes with one: {sizes or 'none'}")
-    return RunConfig(
-        kernel=parse(entry.kernel), f=parse(entry.f),
-        nonlinearity=entry.nonlinearity, interval=entry.interval, bases=((n, m),),
-        exact_fn=entry.exact_fn(),
-        check=dict(entry.reference_errors) if check else {})
+    return RunConfig((entry.problem(n, m),), entry.exact_fn(),
+                     dict(entry.reference_errors) if check else {})
 
 
 def _fmt(value) -> str:
@@ -300,14 +293,15 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _run_single(config: RunConfig, n: int, m: int) -> dict:
-    row = {"N": n, "M": m, "L": n * m, "E_inf": None, "residual_linf": math.nan,
+def _run_single(config: RunConfig, problem: Problem, timing: bool) -> dict:
+    """The row of one solve, with its check verdict if config has a
+    reference error at its (N, M)."""
+    spec = problem.spec
+    row = {"N": spec.N, "M": spec.M, "L": spec.dim, "E_inf": None, "residual_linf": math.nan,
            "newton_iters": 0, "condition_estimate": math.nan,
            "wall_ms": 0.0, "error": None, "converged": False}
     start = time.perf_counter()
     try:
-        spec = BasisSpec(Interval(*config.interval), n, m)
-        problem = Problem(config.kernel, config.f, config.nonlinearity, spec)
         solution = solve(problem)
         if config.exact_fn is not None:
             row["E_inf"] = max_error_fn(solution, config.exact_fn, uniform_grid(spec.interval))
@@ -316,13 +310,17 @@ def _run_single(config: RunConfig, n: int, m: int) -> dict:
                    condition_estimate=d.condition_estimate, converged=d.converged)
     except (ValueError, SolverError, QuadratureError) as exc:  # keep the sweep going
         row["error"] = f"{type(exc).__name__}: {exc}"
-    if config.timing:
+    if timing:
         row["wall_ms"] = (time.perf_counter() - start) * 1e3
+    expected = config.check.get((spec.N, spec.M))
+    if expected is not None and row["E_inf"] is not None:
+        ok = expected / 100.0 <= row["E_inf"] <= expected * 100.0
+        row.update(reference_E_inf=expected, check="PASS" if ok else "FAIL")
     return row
 
 
-def _emit(rows: list[dict], config: RunConfig, out) -> None:
-    if config.out_format == "json":
+def _emit(rows: list[dict], fmt: str, out) -> None:
+    if fmt == "json":
         payload = []
         for row in rows:
             item = {k: row[k] for k in CSV_COLUMNS}
@@ -343,7 +341,8 @@ def _emit(rows: list[dict], config: RunConfig, out) -> None:
             out.write(",".join(_fmt(row[k]) for k in CSV_COLUMNS) + "\n")
 
 
-def run(config: RunConfig, out=None) -> int:
+def run(config: RunConfig, out=None, *, fmt: str = "csv", out_path: str | None = None,
+        timing: bool = True) -> int:
     """Solve every configured (N, M) in config order, emit the result table
     to out_path or else out, and return the exit code: 0 all converged, 2 on
     any failure, non-convergence or failed check.  A row with a reference
@@ -351,21 +350,17 @@ def run(config: RunConfig, out=None) -> int:
     ("PASS"/"FAIL") in the row, CSV is followed by one check line per row on
     out.  CSV has no error column, so each failed row's error goes to stderr
     as "dov: row N=.. M=..: <error>".  An out_path that cannot be opened is a
-    ConfigError, raised before the first solve."""
+    ConfigError, raised before the first solve.  fmt is "csv" or "json";
+    without timing, every wall_ms is 0."""
     sink = out or sys.stdout
     try:
-        table = open(config.out_path, "w", encoding="utf-8") if config.out_path else None
+        table = open(out_path, "w", encoding="utf-8") if out_path else None
     except OSError as exc:
         raise ConfigError(f"--out: {exc}") from None
     with table or contextlib.nullcontext(sink) as handle:
-        rows = [_run_single(config, n, m) for n, m in config.bases]
-        for row in rows:
-            expected = config.check.get((row["N"], row["M"]))
-            if expected is not None and row["E_inf"] is not None:
-                ok = expected / 100.0 <= row["E_inf"] <= expected * 100.0
-                row.update(reference_E_inf=expected, check="PASS" if ok else "FAIL")
-        _emit(rows, config, handle)
-    if config.out_format != "json":
+        rows = [_run_single(config, problem, timing) for problem in config.problems]
+        _emit(rows, fmt, handle)
+    if fmt != "json":
         for row in rows:
             if "check" in row:
                 sink.write(f"check N={row['N']} M={row['M']}: measured {row['E_inf']:.3g} "
@@ -428,8 +423,7 @@ def main(argv=None) -> int:
             config = config_from_example(entry, args.N, args.M, check=args.check)
         else:
             config = load_config(args.config)
-        return run(replace(config, out_format=args.format, out_path=args.out,
-                           timing=not args.no_timing))
+        return run(config, fmt=args.format, out_path=args.out, timing=not args.no_timing)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

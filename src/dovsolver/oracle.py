@@ -150,6 +150,8 @@ def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
     """
     if not a <= b:  # a NaN bound too, which would leave no panel
         raise ValueError(f"reversed integration range: [{a}, {b}]")
+    if np.isinf(a) or np.isinf(b):  # GK15 nodes there are not numbers
+        raise ValueError(f"infinite integration range: [{a}, {b}]")
     if not tol >= 0:  # a NaN tol would fail every budget down to the depth limit
         raise ValueError(f"tol must be a nonnegative number: {tol!r}")
     return float(_blockwise_integrals(lambda x, _: g(x), np.empty(0), np.array([a], float),

@@ -46,11 +46,16 @@ class SolverError(RuntimeError):
 # solution Z of L Z = F to u, returning (U, step condition, Newton
 # iterations, converged)
 
-def _check_range(name: str, value: tuple[float, float]) -> None:
-    """A ValueError naming the field unless value is a finite (lo, hi), lo < hi."""
-    lo, hi = value
+def _check_range(name: str, value: tuple[float, float]) -> tuple[float, float]:
+    """value as a float pair; a ValueError naming the field unless it is a
+    finite (lo, hi), lo < hi."""
+    try:
+        lo, hi = (float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair (lo, hi) of numbers, got {value!r}") from None
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"{name} must be finite with lo < hi, got {value!r}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,8 @@ class Polynomial:
             raise ValueError(f"alpha must be finite, got {a!r}")
         if not any(v != 0.0 for v in a[1:]):
             raise ValueError("polynomial nonlinearity needs a nonzero coefficient of u^r, r >= 1")
-        _check_range("scan_range", self.scan_range)
         object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "scan_range", _check_range("scan_range", self.scan_range))
 
     def g_from_coeffs(self, U: CoeffVector):
         def g(x):
@@ -197,7 +202,7 @@ class Collocation(_ExprKind):
     bracket: tuple[float, float]
 
     def __post_init__(self):
-        _check_range("bracket", self.bracket)
+        object.__setattr__(self, "bracket", _check_range("bracket", self.bracket))
 
     def invert(self, t, z):
         try:

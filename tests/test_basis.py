@@ -43,6 +43,18 @@ def test_basis_spec_rejects_a_size_that_is_not_an_integer():
     assert spec.dim == 6
 
 
+@pytest.mark.parametrize("call, said", [
+    (lambda: chebyshev_eval(-1, 0.5), "degree must be nonnegative"),
+    (lambda: BasisSpec(Interval(0, 1), 0, 4), "N and M must be positive"),
+    (lambda: BasisSpec(Interval(0, 1), 2, -1), "N and M must be positive"),
+    (lambda: series_derivative(CoeffVector(BasisSpec(Interval(0, 1), 1, 3), [1.0, 2.0, 3.0]), -1),
+     "order must be nonnegative"),
+], ids=["chebyshev-degree", "spec-n", "spec-m", "derivative-order"])
+def test_negative_degree_size_or_order_is_a_value_error(call, said):
+    with pytest.raises(ValueError, match=said):
+        call()
+
+
 def test_chebyshev_eval_examples():
     assert chebyshev_eval(0, 0.3) == 1.0
     assert chebyshev_eval(2, 0.5) == pytest.approx(-0.5, abs=1e-15)

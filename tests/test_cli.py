@@ -60,14 +60,19 @@ def _write(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def _sizes(cfg):
+    """The (N, M) of each of cfg's problems, in row order."""
+    return tuple((p.spec.N, p.spec.M) for p in cfg.problems)
+
+
 def test_load_minimal_config_with_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL))
-    assert cfg.bases == ((1, 4),)
-    assert cfg.out_format == "csv"
-    assert cfg.exact_fn is None
+    assert _sizes(cfg) == ((1, 4),)
+    assert cfg.exact_fn is None and cfg.check == {}
     # a polynomial kind without scan_range scans the default range
     text = MINIMAL.replace(_INVERTIBLE, "kind = polynomial\nalpha = 0, 1")
-    assert load_config(_write(tmp_path, text)).nonlinearity.scan_range == (-2.0, 2.0)
+    (problem,) = load_config(_write(tmp_path, text)).problems
+    assert problem.nonlinearity.scan_range == (-2.0, 2.0)
 
 
 @pytest.mark.parametrize("text, kind", [
@@ -78,7 +83,7 @@ def test_load_minimal_config_with_defaults(tmp_path):
 ], ids=["invertible", "collocation", "derivative", "polynomial"])
 def test_load_config_maps_each_kind(tmp_path, text, kind):
     cfg = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text)))
-    assert type(cfg.nonlinearity) is getattr(dovsolver, kind)
+    assert type(cfg.problems[0].nonlinearity) is getattr(dovsolver, kind)
 
 
 # one config per kind that sets every field, none to its default
@@ -102,7 +107,8 @@ def _fields_of(nonlinearity):
 @pytest.mark.parametrize("kind", list(_EVERY_FIELD))
 def test_load_config_reads_every_field_of_each_kind(tmp_path, kind):
     text, want = _EVERY_FIELD[kind]
-    got = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text))).nonlinearity
+    (problem,) = load_config(_write(tmp_path, MINIMAL.replace(_INVERTIBLE, text))).problems
+    got = problem.nonlinearity
     assert type(got) is type(want)
     assert _fields_of(got) == _fields_of(want)
     for f in fields(want):  # each field is set, so no default was taken
@@ -181,10 +187,13 @@ def test_invertible_config_needs_ginv_or_bracket(tmp_path):
     ("M = 4", "sweep = (True, 4)", "basis.sweep"),
     # every element of every pair is checked, not only the smallest pair's
     ("M = 4", "sweep = (2,0), (1,4)", "basis.sweep"),
+    # a sweep is parenthesized pairs, even of one size
+    ("M = 4", "sweep = 1,4", "basis.sweep: malformed value '1,4'"),
+    ("[nonlinearity]\n" + _INVERTIBLE, "", "missing [nonlinearity] section"),
 ], ids=["order", "kind", "N", "M", "scan_range", "newton_tol", "max_iter",
         "residual_grid", "grid", "bracket-reversed", "bracket-infinite", "alpha-infinite",
         "scan_range-empty", "scan_range-reversed", "interval-infinite", "interval-set",
-        "bracket-set", "sweep-true", "sweep-zero-m"])
+        "bracket-set", "sweep-true", "sweep-zero-m", "sweep-bare-pair", "no-nonlinearity"])
 def test_malformed_value_is_config_error(tmp_path, capsys, old, new, key):
     path = _write(tmp_path, MINIMAL.replace(old, new))
     assert main(["solve", path]) == 1
@@ -272,12 +281,12 @@ _OVER_BUDGET = [(4097, 1), (1, 257), (1, 1000)]
 
 @pytest.mark.parametrize("n, m", _ADMITTED)
 def test_size_within_budget_is_admitted(tmp_path, n, m):
-    # neither function allocates or solves, so these only build a RunConfig
+    # neither function allocates or solves, so these only build Problems
     path = _write(tmp_path, MINIMAL.replace("M = 4", f"N = {n}\nM = {m}"))
-    assert load_config(path).bases == ((n, m),)
+    assert _sizes(load_config(path)) == ((n, m),)
     path = _write(tmp_path, MINIMAL.replace("M = 4", f"sweep = (1,4), ({n},{m})"))
-    assert load_config(path).bases == ((1, 4), (n, m))
-    assert config_from_example(EXAMPLES["ex2"], N=n, M=m).bases == ((n, m),)
+    assert _sizes(load_config(path)) == ((1, 4), (n, m))
+    assert _sizes(config_from_example(EXAMPLES["ex2"], N=n, M=m)) == ((n, m),)
 
 
 @pytest.mark.parametrize("n, m", _OVER_BUDGET)
@@ -417,7 +426,7 @@ def test_readme_config_block_loads(tmp_path):
                         re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     cfg = load_config(_write(tmp_path, blocks[0]))
-    assert cfg.bases == ((1, 10),)
+    assert _sizes(cfg) == ((1, 10),)
 
 
 # the configs the property test edits, each cut before its [basis] section:
@@ -431,7 +440,10 @@ _BODIES = [text[:text.index("[basis]")] for text in (
 @st.composite
 def _edited(draw, text):
     """text with up to two characters inserted, deleted or replaced."""
-    chars = st.one_of(st.sampled_from("0123456789()[]{},.-+_eExTF'\"=#;:\n \t"), st.characters())
+    # no lone surrogates, which .encode() below would reject while the
+    # example is drawn; st.binary covers files that are not UTF-8
+    chars = st.one_of(st.sampled_from("0123456789()[]{},.-+_eExTF'\"=#;:\n \t"),
+                      st.characters(codec="utf-8"))
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(text)))
         op = draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -497,7 +509,7 @@ def test_unknown_nonlinearity_kind(tmp_path):
 def test_sweep_schedules_five_runs(tmp_path):
     text = MINIMAL.replace("M = 4", "sweep = (1,2), (1,4), (1,6), (1,8), (1,10)")
     cfg = load_config(_write(tmp_path, text))
-    assert cfg.bases == ((1, 2), (1, 4), (1, 6), (1, 8), (1, 10))
+    assert _sizes(cfg) == ((1, 2), (1, 4), (1, 6), (1, 8), (1, 10))
 
 
 def test_single_and_sweep_are_exclusive(tmp_path):
@@ -579,19 +591,17 @@ def test_run_reports_e_inf_with_exact(tmp_path):
 def test_deterministic_csv_without_timing(tmp_path):
     text = MINIMAL.replace("interval = 0, 1", 'interval = 0, 1\nexact_solution = "t"')
     cfg = load_config(_write(tmp_path, text))
-    cfg = RunConfig(**{**cfg.__dict__, "timing": False})
     out1, out2 = io.StringIO(), io.StringIO()
-    run(cfg, out1)
-    run(cfg, out2)
+    run(cfg, out1, timing=False)
+    run(cfg, out2, timing=False)
     assert out1.getvalue() == out2.getvalue()
 
 
 def test_json_output_mirrors_rows(tmp_path):
     text = MINIMAL.replace("interval = 0, 1", 'interval = 0, 1\nexact_solution = "t"')
     cfg = load_config(_write(tmp_path, text))
-    cfg = RunConfig(**{**cfg.__dict__, "out_format": "json", "timing": False})
     out = io.StringIO()
-    run(cfg, out)
+    run(cfg, out, fmt="json", timing=False)
     rows = json.loads(out.getvalue())
     assert len(rows) == 1
     assert rows[0]["N"] == 1 and rows[0]["M"] == 4 and rows[0]["L"] == 4
@@ -604,11 +614,10 @@ def test_json_output_is_strict_for_infinite_condition(tmp_path):
     # Infinity, so a strict parser must read the row with null there
     text = MINIMAL.replace('kernel = "1"', 'kernel = "0"').replace('f = "t^2/2"', 'f = "0"')
     cfg = load_config(_write(tmp_path, text))
-    cfg = RunConfig(**{**cfg.__dict__, "out_format": "json", "timing": False})
     out = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert run(cfg, out) == 0
+        assert run(cfg, out, fmt="json", timing=False) == 0
 
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -643,9 +652,8 @@ sweep = (1,3), (1,4)
     text = MINIMAL.replace('f = "t^2/2"', 'f = "sqrt(t-0.5)"').replace(
         "M = 4", "sweep = (1,3), (1,4)")
     cfg = load_config(_write(tmp_path, text, "bad_f.ini"))
-    cfg = RunConfig(**{**cfg.__dict__, "out_format": "json"})
     out = io.StringIO()
-    code = run(cfg, out)
+    code = run(cfg, out, fmt="json")
     rows = json.loads(out.getvalue())
     assert [(r["N"], r["M"]) for r in rows] == [(1, 3), (1, 4)]
     assert all(r["error"].startswith("EvalError") for r in rows)
@@ -700,7 +708,7 @@ def test_list_examples_contents():
 
 def test_config_from_example_carries_reference_errors():
     cfg = config_from_example(EXAMPLES["ex1"], N=1, M=8, check=True)
-    assert cfg.bases == ((1, 8),)
+    assert _sizes(cfg) == ((1, 8),)
     assert cfg.check[(1, 8)] == pytest.approx(2.20e-10)
 
 
@@ -727,12 +735,11 @@ def test_run_example_check_json_is_one_document(capsys):
 
 def test_run_example_failed_check_json_exits_2():
     cfg = config_from_example(EXAMPLES["ex1"], N=1, M=8, check=True)
-    cfg = RunConfig(**{**cfg.__dict__, "out_format": "json", "timing": False,
-                       "check": {(1, 8): 1.0}})
+    cfg = RunConfig(**{**cfg.__dict__, "check": {(1, 8): 1.0}})
     out = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert run(cfg, out) == 2
+        assert run(cfg, out, fmt="json", timing=False) == 2
     (row,) = json.loads(out.getvalue())
     assert row["check"] == "FAIL" and row["reference_E_inf"] == 1.0
 

@@ -74,6 +74,7 @@ def _analytic_running_integral(cv):
     """Independent oracle: per-block chebint plus accumulated block masses."""
     spec = cv.spec
     scale = 1.0 / (spec.interval.A * spec.N)
+    blocks = cv.c.reshape(spec.N, spec.M)
 
     def F(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -81,12 +82,12 @@ def _analytic_running_integral(cv):
         idx = np.atleast_1d(block_index(spec, t))
         masses = []
         for n0 in range(spec.N):
-            anti = cheb.chebint(cv.block(n0), lbnd=-1.0) * scale
+            anti = cheb.chebint(blocks[n0], lbnd=-1.0) * scale
             masses.append(cheb.chebval(1.0, anti))
         cum = np.concatenate([[0.0], np.cumsum(masses)])
         for n0 in np.unique(idx):
             mask = idx == n0
-            anti = cheb.chebint(cv.block(n0), lbnd=-1.0) * scale
+            anti = cheb.chebint(blocks[n0], lbnd=-1.0) * scale
             xi = np.clip(local_coord(spec, n0, t[mask]), -1, 1)
             out[mask] = cum[n0] + cheb.chebval(xi, anti)
         return out

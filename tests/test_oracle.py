@@ -2,6 +2,7 @@ import ast
 import math
 import pickle
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,16 @@ def test_quad_rejects_a_nan_bound():
     for a, b in ((math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="integration range"):
             quad_adaptive(lambda x: x, a, b)
+
+
+def test_quad_rejects_an_infinite_bound():
+    # used to warn three times and then bisect to the depth limit, naming
+    # [inf, inf] for (0, inf)
+    for a, b in ((-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^infinite integration range: \["):
+                quad_adaptive(np.exp, a, b)
 
 
 def test_quad_rejects_a_nan_or_negative_tol():

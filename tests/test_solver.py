@@ -710,8 +710,9 @@ def test_collocation_unbracketed_root_reports_point():
                 BasisSpec(Interval(0, 1), 1, 3))
     with pytest.raises(SolverError, match="collocation point t = ") as caught:
         solve(p, FAST)
-    # scalar_invert's message names the bracket; the point is all that is added
-    assert str(caught.value).count("(-1, 1)") == 1
+    # scalar_invert's message names the bracket, which the kind stores as
+    # floats; the point is all that is added
+    assert str(caught.value).count("(-1.0, 1.0)") == 1
 
 
 @pytest.mark.parametrize("n, m", [(1, 4), (2, 8), (4, 16), (8, 24)])
@@ -785,11 +786,27 @@ def test_solve_options_validation(field, value):
         SolveOptions(**{field: value})
 
 
-@pytest.mark.parametrize("value", [(2.0, 2.0), (-math.inf, 1.0)], ids=["empty", "infinite"])
+@pytest.mark.parametrize("value", [(2.0, 2.0), (-math.inf, 1.0), (0.0, 1.0, 2.0), 1.0],
+                         ids=["empty", "infinite", "triple", "scalar"])
 def test_polynomial_scan_range_validation(value):
-    # scan_range is the polynomial kind's own field, checked by value
+    # scan_range is the polynomial kind's own field, checked by value; a
+    # triple used to say only "too many values to unpack (expected 2)"
     with pytest.raises(ValueError, match="scan_range"):
         Polynomial(alpha=(0.0, 0.0, 1.0), scan_range=value)
+    with pytest.raises(ValueError, match="bracket"):
+        Collocation(G=parse("u"), bracket=value)
+
+
+def test_kinds_store_their_ranges_as_float_tuples():
+    # a list used to be kept as given, so the frozen kind was unhashable and
+    # its range could be changed after construction
+    poly = Polynomial(alpha=(0, 1), scan_range=[0, 1])
+    coll = Collocation(G=parse("u"), bracket=[-1, np.float32(2.5)])
+    for got, want in ((poly.scan_range, (0.0, 1.0)), (coll.bracket, (-1.0, 2.5))):
+        assert type(got) is tuple and [type(v) for v in got] == [float, float]
+        assert got == want
+    assert hash(poly) == hash(Polynomial(alpha=(0.0, 1.0), scan_range=(0.0, 1.0)))
+    assert hash(coll) == hash(Collocation(G=parse("u"), bracket=(-1.0, 2.5)))
 
 
 def test_solve_options_holds_only_what_a_caller_sets():
@@ -888,6 +905,17 @@ def test_residual_coupled_to_truncation_for_constant_kernels():
         f_proj = project(lambda t, _f=p.f: evaluate(_f, {"t": t}), p.spec)
         eps_f = float(np.max(np.abs(f_vals - eval_series(f_proj, grid))))
         assert sol.diagnostics.residual_linf <= 1e3 * 1e-12 + eps_f + 1e-13
+
+
+def test_solve_without_any_residual_is_not_converged():
+    # f = t ln t makes both residual paths evaluate ln(0) at t0: the solve
+    # reports a NaN residual and not converged, and warns nothing
+    p = Problem(parse("exp(t-x)"), parse("t*ln(t)"), Invertible(parse("u"), parse("u")),
+                BasisSpec(Interval(0, 1), 1, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = solve(p).diagnostics
+    assert math.isnan(d.residual_linf) and not d.converged
 
 
 def test_residual_falls_back_to_g_of_u_equals_z():
