@@ -19,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -294,20 +294,19 @@ def _fmt(value) -> str:
 
 
 def _run_single(config: RunConfig, problem: Problem, timing: bool) -> dict:
-    """The row of one solve, with its check verdict if config has a
-    reference error at its (N, M)."""
+    """The row of one solve, keyed in the order JSON prints it: CSV_COLUMNS,
+    converged, error for a failed solve, then the check verdict if config
+    has a reference error at its (N, M)."""
     spec = problem.spec
     row = {"N": spec.N, "M": spec.M, "L": spec.dim, "E_inf": None, "residual_linf": math.nan,
-           "newton_iters": 0, "condition_estimate": math.nan,
-           "wall_ms": 0.0, "error": None, "converged": False}
+           "newton_iters": 0, "condition_estimate": math.nan, "wall_ms": 0.0,
+           "converged": False}
     start = time.perf_counter()
     try:
         solution = solve(problem)
         if config.exact_fn is not None:
             row["E_inf"] = max_error_fn(solution, config.exact_fn, uniform_grid(spec.interval))
-        d = solution.diagnostics
-        row.update(residual_linf=d.residual_linf, newton_iters=d.newton_iters,
-                   condition_estimate=d.condition_estimate, converged=d.converged)
+        row.update(asdict(solution.diagnostics))
     except (ValueError, SolverError, QuadratureError) as exc:  # keep the sweep going
         row["error"] = f"{type(exc).__name__}: {exc}"
     if timing:
@@ -321,19 +320,9 @@ def _run_single(config: RunConfig, problem: Problem, timing: bool) -> dict:
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
     if fmt == "json":
-        payload = []
-        for row in rows:
-            item = {k: row[k] for k in CSV_COLUMNS}
-            item["converged"] = row["converged"]
-            if row["error"]:
-                item["error"] = row["error"]
-            if "check" in row:
-                item.update(reference_E_inf=row["reference_E_inf"], check=row["check"])
-            # JSON has no NaN or Infinity: a non-finite float is null
-            for k, v in item.items():
-                if isinstance(v, float) and not math.isfinite(v):
-                    item[k] = None
-            payload.append(item)
+        # JSON has no NaN or Infinity: a non-finite float is null
+        payload = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in row.items()} for row in rows]
         out.write(json.dumps(payload, indent=2) + "\n")
     else:
         out.write(",".join(CSV_COLUMNS) + "\n")
@@ -365,9 +354,9 @@ def run(config: RunConfig, out=None, *, fmt: str = "csv", out_path: str | None =
             if "check" in row:
                 sink.write(f"check N={row['N']} M={row['M']}: measured {row['E_inf']:.3g} "
                            f"vs reference {row['reference_E_inf']:.3g} -> {row['check']}\n")
-            if row["error"]:
+            if "error" in row:
                 print(f"dov: row N={row['N']} M={row['M']}: {row['error']}", file=sys.stderr)
-    failed = any(row["error"] or not row["converged"] or row.get("check") == "FAIL"
+    failed = any("error" in row or not row["converged"] or row.get("check") == "FAIL"
                  for row in rows)
     return 2 if failed else 0
 

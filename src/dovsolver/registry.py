@@ -53,11 +53,9 @@ class ExampleEntry:
     # entry.options to solve()
     options = SolveOptions()
 
-    def problem(self, N: int | None = None, M: int | None = None) -> Problem:
-        n, m = self.recommended
-        spec = BasisSpec(Interval(*self.interval), N if N is not None else n,
-                         M if M is not None else m)
-        return Problem(parse(self.kernel), parse(self.f), self.nonlinearity, spec)
+    def problem(self, N: int, M: int) -> Problem:
+        return Problem(parse(self.kernel), parse(self.f), self.nonlinearity,
+                       BasisSpec(Interval(*self.interval), N, M))
 
     def exact_fn(self):
         """Exact solution as an array-capable callable."""

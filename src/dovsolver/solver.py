@@ -48,8 +48,11 @@ class SolverError(RuntimeError):
 
 def _check_range(name: str, value: tuple[float, float]) -> tuple[float, float]:
     """value as a float pair; a ValueError naming the field unless it is a
-    finite (lo, hi), lo < hi."""
+    finite (lo, hi), lo < hi.  A str or bytes is no pair, though each
+    iterates to two items that float() may read."""
     try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
         lo, hi = (float(v) for v in value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a pair (lo, hi) of numbers, got {value!r}") from None
@@ -165,8 +168,9 @@ class Polynomial:
         first-kind operator is injective, so u solves the equation exactly
         where G(u) = z pointwise; this check, which needs no quadrature, is
         what discards exact roots of the truncated algebra that do not solve
-        the equation.  Among the roots within a factor 10 of the smallest
-        score, only the smoothest stay: those whose kink, the jumps of u and
+        the equation.  Among the roots within 10 times the smallest score
+        plus 1e-12 (1 + max |z|) over the same points, a roundoff floor, only
+        the smoothest stay: those whose kink, the jumps of u and
         h u' summed over the interior block edges, is within 10 times the
         smallest kink plus 1e-8.  Of these, the one whose average value sits
         nearest the middle of the scan range wins (the kind's branch hint).
@@ -617,11 +621,13 @@ def _select_root(roots: np.ndarray, kind: Polynomial, Z: CoeffVector) -> int:
     z = eval_series(Z, t)
     Us = [CoeffVector(spec, x.ravel()) for x in roots]
     scores = [float(np.max(np.abs(kind.g_from_coeffs(U)(t) - z))) for U in Us]
-    best = min(scores)
-    # within a factor 10 of the best score only the smoothest roots stay,
-    # kink within 10 times the smallest plus 1e-8; among those the branch
-    # hint decides, then the score, then the order of the candidates
-    kinks = {i: _kink(roots[i]) for i, res in enumerate(scores) if res <= 10.0 * best + 1e-300}
+    # within 10 times the best score plus a floor at roundoff, so that a
+    # kinked root scoring below it does not cut a smooth one, only the
+    # smoothest roots stay, kink within 10 times the smallest plus 1e-8;
+    # among those the branch hint decides, then the score, then the order
+    # of the candidates
+    window = 10.0 * min(scores) + 1e-12 * (1.0 + float(np.max(np.abs(z))))
+    kinks = {i: _kink(roots[i]) for i, res in enumerate(scores) if res <= window}
     smooth = 10.0 * min(kinks.values()) + 1e-8
     mid = 0.5 * (kind.scan_range[0] + kind.scan_range[1])
     top = [(abs(float(np.mean(eval_series(Us[i], t))) - mid), scores[i], i)

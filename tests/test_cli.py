@@ -744,6 +744,22 @@ def test_run_example_failed_check_json_exits_2():
     assert row["check"] == "FAIL" and row["reference_E_inf"] == 1.0
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["ex2"], []),
+    (["ex9", "--N", "1", "--M", "3"], ["error"]),
+    (["ex1", "--M", "8", "--check"], ["reference_E_inf", "check"]),
+], ids=["converged", "failed", "checked"])
+def test_json_row_keys_come_in_one_order(capsys, argv, last):
+    # the CSV columns, converged, the error of a failed solve, then the
+    # check verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        main(["run-example", *argv, "--format", "json", "--no-timing"])
+    (row,) = json.loads(capsys.readouterr().out)
+    assert list(row) == ["N", "M", "L", "E_inf", "residual_linf", "newton_iters",
+                         "condition_estimate", "wall_ms", "converged", *last]
+
+
 @pytest.mark.parametrize("argv, sizes", [
     (["ex7"], "none"),
     (["ex2", "--N", "2", "--M", "7"], "N=1 M=2, N=1 M=4"),
@@ -859,6 +875,18 @@ def _python(*args):
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_readme_library_example_prints_two_small_residuals():
+    # README's one python block, run as a user would paste it
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                          re.S | re.M)
+    done = _python("-c", block)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    residuals = [float(line) for line in done.stdout.split()]
+    assert len(residuals) == 2
+    assert all(0.0 <= r < 1e-10 for r in residuals), residuals
 
 
 def test_python_m_cli_lists_examples():

@@ -38,10 +38,9 @@ _KINDS = {
 coef = st.floats(-0.3, 0.3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(sorted(_KINDS)), difference=st.booleans(),
-       N=st.integers(1, 4), a=coef, b=coef, c=coef, p=coef, q=coef)
-def test_manufactured_solution_is_recovered(kind, difference, N, a, b, c, p, q):
+def manufactured(kind, difference, a, b, c, p, q):
+    """(u, f, build) of one manufactured problem on [0, 1]: u and f as
+    polynomials, and build(N, M) its Problem at that size."""
     nonlinearity, make_u, G = _KINDS[kind]
     u = make_u(p, q)
     g = G(u)
@@ -51,7 +50,17 @@ def test_manufactured_solution_is_recovered(kind, difference, N, a, b, c, p, q):
     else:  # k = (1 + a x)(1 + b t)
         kernel = f"(1+({a!r})*x)*(1+({b!r})*t)"
         f = Polynomial([1.0, b]) * (Polynomial([1.0, a]) * g).integ(lbnd=0.0)
-    spec = BasisSpec(Interval(0.0, 1.0), N, 16)
-    problem = Problem(parse(kernel), parse(_text(f)), nonlinearity, spec)
+    k_expr, f_expr = parse(kernel), parse(_text(f))
+    return u, f, lambda N, M: Problem(k_expr, f_expr, nonlinearity,
+                                      BasisSpec(Interval(0.0, 1.0), N, M))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_KINDS)), difference=st.booleans(),
+       N=st.integers(1, 4), a=coef, b=coef, c=coef, p=coef, q=coef)
+def test_manufactured_solution_is_recovered(kind, difference, N, a, b, c, p, q):
+    u, _, build = manufactured(kind, difference, a, b, c, p, q)
+    problem = build(N, 16)
+    spec = problem.spec
     sol = solve(problem, SolveOptions(compute_residual=False))
     assert max_error_fn(sol, u, uniform_grid(spec.interval, 1000)) <= 1e-9

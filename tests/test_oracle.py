@@ -211,7 +211,7 @@ def _per_point_residual(problem, U, grid, quad_tol=1e-12):
 def test_residual_matches_per_point_reference(key):
     # f evaluated once on the whole grid gives the per-point loop's residual
     e = EXAMPLES[key]
-    p = e.problem()
+    p = e.problem(*e.recommended)
     U = solve(p, SolveOptions(compute_residual=False)).U
     grid = uniform_grid(p.spec.interval, 200)
     want = _per_point_residual(p, U, grid)

@@ -28,7 +28,7 @@ _G_OF_EXACT = {
 @pytest.mark.parametrize("key", sorted(EXAMPLES))
 def test_f_matches_quadrature_of_exact_solution(key):
     entry = EXAMPLES[key]
-    problem = entry.problem()
+    problem = entry.problem(*entry.recommended)
     kern = parse(entry.kernel)
     f_expr = parse(entry.f)
     g = _G_OF_EXACT[key]
