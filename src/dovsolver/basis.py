@@ -190,6 +190,15 @@ def project(f, spec: BasisSpec, rule: int | None = None) -> CoeffVector:
     return CoeffVector(spec, (a @ samples.reshape(spec.N, Q, 1)).ravel())
 
 
+@functools.cache
+def _degrees(M: int) -> np.ndarray:
+    """0.0 .. M-1 as floats, cached and shared between callers, and
+    therefore read-only."""
+    m = np.arange(M, dtype=float)
+    m.setflags(write=False)
+    return m
+
+
 def eval_series(cv: CoeffVector, t):
     """Evaluate the represented function at t (scalar or array): each point's
     block row of coefficients against T_m(xi) = cos(m arccos xi), so the
@@ -197,7 +206,7 @@ def eval_series(cv: CoeffVector, t):
     spec = cv.spec
     idx, xi = _locate(spec, t)
     rows = cv.c.reshape(spec.N, spec.M)[idx]
-    cheb = np.cos(np.multiply.outer(np.arccos(xi), np.arange(spec.M)))
+    cheb = np.cos(np.arccos(xi)[..., None] * _degrees(spec.M))
     out = np.einsum("...m,...m->...", rows, cheb)
     return float(out[0]) if np.ndim(t) == 0 else out
 

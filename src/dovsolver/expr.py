@@ -251,12 +251,15 @@ def parse(source: str) -> Expr:
 def _power(base, exponent, node):
     b = np.asarray(base, dtype=float)
     p = np.asarray(exponent, dtype=float)
-    if np.any((b < 0) & (p != np.floor(p))):
-        raise EvalError("fractional power of negative base", node)
-    if np.any((b == 0) & (p < 0)):
-        raise EvalError("zero raised to a negative power", node)
+    # a whole float exponent p >= 0 (u^2, say) can fail neither check, so
+    # the two scans over the base are skipped
+    if not (isinstance(exponent, float) and exponent >= 0 and exponent.is_integer()):
+        if np.any((b < 0) & (p != np.floor(p))):
+            raise EvalError("fractional power of negative base", node)
+        if np.any((b == 0) & (p < 0)):
+            raise EvalError("zero raised to a negative power", node)
     out = np.power(b, p)
-    if np.ndim(base) == 0 and np.ndim(exponent) == 0:
+    if b.ndim == 0 and p.ndim == 0:
         return float(out)
     return out
 
@@ -267,15 +270,7 @@ def evaluate(e: Expr, bindings: dict):
     Raises EvalError on unbound variables and domain errors (ln of a
     non-positive value, sqrt of a negative, division by zero, bad powers).
     """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}", e) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, bindings)
+    # interior nodes first, then leaves: a Bin is one test, a Var two
     if isinstance(e, Bin):
         lhs = evaluate(e.lhs, bindings)
         rhs = evaluate(e.rhs, bindings)
@@ -287,6 +282,13 @@ def evaluate(e: Expr, bindings: dict):
         if op is operator.truediv and np.any(np.asarray(rhs) == 0):
             raise EvalError("division by zero", e)
         return op(lhs, rhs)
+    if isinstance(e, Var):
+        try:
+            return bindings[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}", e) from None
+    if isinstance(e, Num):
+        return e.value
     if isinstance(e, Call):
         vals = [evaluate(a, bindings) for a in e.args]
         if e.fn == "pow":
@@ -298,6 +300,8 @@ def evaluate(e: Expr, bindings: dict):
         if rejects is not None and np.any(rejects(vals[0], 0)):
             raise EvalError(reason, e)
         return fn(vals[0])
+    if isinstance(e, Neg):
+        return -evaluate(e.operand, bindings)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -96,15 +96,16 @@ def _gk15(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from one call of g on their (P, 15) nodes."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = np.broadcast_to(np.asarray(g(mid[:, None] + half[:, None] * _XGK), dtype=float),
-                         (lo.size, _XGK.size))
+    fx = np.asarray(g(mid[:, None] + half[:, None] * _XGK), dtype=float)
+    if fx.shape != (lo.size, _XGK.size):  # a constant, say
+        fx = np.broadcast_to(fx, (lo.size, _XGK.size))
     kron = half * (fx @ _WGK)
     with np.errstate(invalid="ignore"):  # inf - inf where g has a pole on a node
         return kron, np.abs(kron - half * (fx[:, 1::2] @ _WG))
 
 
-def _budget(whole, tol: float):
-    """The error budget of a range whose GK15 value is whole: the share
+def _budget(whole: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The error budgets of ranges whose GK15 values are whole: the share
     tol*(1 + |whole|), and a roundoff floor 64*eps*(1 + |whole|), which jump
     discontinuities need for termination, as their local estimate decays only
     like the width, exactly as the width-proportional share does."""
@@ -112,11 +113,12 @@ def _budget(whole, tol: float):
     return tol * (1.0 + magnitude), 64.0 * np.finfo(float).eps * (1.0 + magnitude)
 
 
-def _bisect(g, a: float, b: float, whole: float, err: float, tol: float) -> float:
+def _bisect(g, a: float, b: float, whole: float, err: float, scale: float,
+            floor: float) -> float:
     """Integral of g over [a, b], whose GK15 value and estimate are whole and
-    err: ranges are bisected, both halves in one call of g, until each
-    estimate fits its width's share of the budget of whole, or the floor."""
-    scale, floor = (float(v) for v in _budget(whole, tol))
+    err and whose budget (see _budget) is scale and floor: ranges are
+    bisected, both halves in one call of g, until each estimate fits its
+    width's share of scale, or the floor."""
     stack = [(a, b, whole, err, 0)]
     total = 0.0
     while stack:
@@ -129,8 +131,9 @@ def _bisect(g, a: float, b: float, whole: float, err: float, tol: float) -> floa
                 f"subdivision limit exceeded on [{lo}, {hi}] (error estimate {err:g})")
         mid = 0.5 * (lo + hi)
         vals, errs = _gk15(g, np.array([lo, mid]), np.array([mid, hi]))
-        stack.append((lo, mid, vals[0], errs[0], depth + 1))
-        stack.append((mid, hi, vals[1], errs[1], depth + 1))
+        (left, right), (left_err, right_err) = vals.tolist(), errs.tolist()
+        stack.append((lo, mid, left, left_err, depth + 1))
+        stack.append((mid, hi, right, right_err, depth + 1))
     return total
 
 
@@ -191,10 +194,12 @@ def _blockwise_integrals(integrand, edges: np.ndarray, lo: np.ndarray, hi: np.nd
         a, b, p = lo[s:s + _PANEL_CHUNK], hi[s:s + _PANEL_CHUNK], param[s:s + _PANEL_CHUNK]
         kron, err = _gk15(lambda x: integrand(x, p[:, None]), a, b)
         panels[s:s + a.size] = kron
-        for i in np.flatnonzero(~(err <= np.maximum(*_budget(kron, tol)))).tolist():
+        scale, floor = _budget(kron, tol)
+        for i in np.flatnonzero(~(err <= np.maximum(scale, floor))).tolist():
             pi = p[i:i + 1, None]
             panels[s + i] = _bisect(lambda x: integrand(x, pi), float(a[i]), float(b[i]),
-                                    float(kron[i]), float(err[i]), tol)
+                                    float(kron[i]), float(err[i]), float(scale[i]),
+                                    float(floor[i]))
     pieces = np.zeros(live.shape)
     pieces[live] = panels
     return pieces.sum(axis=1)

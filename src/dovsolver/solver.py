@@ -48,10 +48,11 @@ class SolverError(RuntimeError):
 
 def _check_range(name: str, value: tuple[float, float]) -> tuple[float, float]:
     """value as a float pair; a ValueError naming the field unless it is a
-    finite (lo, hi), lo < hi.  A str or bytes is no pair, though each
-    iterates to two items that float() may read."""
+    finite (lo, hi), lo < hi.  Text or bytes (str, bytes, bytearray,
+    memoryview) is no pair, though each iterates to two items that float()
+    may read."""
     try:
-        if isinstance(value, (str, bytes)):
+        if isinstance(value, (str, bytes, bytearray, memoryview)):
             raise TypeError
         lo, hi = (float(v) for v in value)
     except (TypeError, ValueError):

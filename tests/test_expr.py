@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dovsolver import expr
 from dovsolver.expr import (
@@ -164,6 +167,56 @@ def test_domain_errors(source, bindings):
 def test_domain_error_on_arrays():
     with pytest.raises(EvalError):
         evaluate(parse("ln(t)"), {"t": np.array([1.0, 2.0, -0.5])})
+
+
+# bases with every special value _power's domain checks look at
+_BASES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -1.0, -2.5, math.inf, -math.inf,
+                                                 math.nan]))
+# whole float exponents p >= 0, -0.0 among them: the ones that skip the checks
+_WHOLE = st.one_of(st.integers(0, 64).map(float), st.just(-0.0),
+                   st.floats(0.0, 1e300).map(lambda p: float(math.floor(p))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.one_of(_BASES, hnp.arrays(float, st.integers(0, 6), elements=_BASES)),
+       exponent=_WHOLE)
+def test_power_with_a_whole_float_exponent_is_numpy_power(base, exponent):
+    # the shortcut skips only the two domain scans; the value is np.power's,
+    # bit for bit, and a scalar base still gives a Python float
+    with np.errstate(all="ignore"):
+        got = expr._power(base, exponent, parse("u^2"))
+        want = np.power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
+    assert np.asarray(got).tobytes() == want.tobytes()
+    assert isinstance(got, float) == (np.ndim(base) == 0)
+
+
+def test_zero_to_the_zero_is_one():
+    assert evaluate(parse("0^0"), {}) == 1.0
+    assert evaluate(parse("pow(u, 0)"), {"u": 0.0}) == 1.0
+    assert np.array_equal(evaluate(parse("u^0"), {"u": np.zeros(3)}), np.ones(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.floats(-1e6, -1e-300),
+       exponent=st.floats(-50.0, 50.0).filter(lambda p: not p.is_integer()),
+       as_array=st.booleans())
+def test_fractional_power_of_a_negative_base_still_raises(base, exponent, as_array):
+    node = Bin("^", Var("u"), Num(exponent))
+    u = np.array([1.0, base]) if as_array else base
+    with pytest.raises(EvalError) as info:
+        evaluate(node, {"u": u})
+    assert str(info.value) == f"fractional power of negative base in {unparse(node)!r} (offset -1)"
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(-300.0, -1e-300), zero=st.sampled_from([0.0, -0.0]),
+       as_array=st.booleans())
+def test_zero_to_a_negative_power_still_raises(exponent, zero, as_array):
+    node = Call("pow", (Var("u"), Num(exponent)))
+    u = np.array([2.0, zero]) if as_array else zero
+    with pytest.raises(EvalError) as info:
+        evaluate(node, {"u": u})
+    assert str(info.value) == f"zero raised to a negative power in {unparse(node)!r} (offset -1)"
 
 
 # numpy's own function for each name, as an independent reference

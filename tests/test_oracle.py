@@ -134,6 +134,35 @@ def test_quad_calls_g_on_the_range_then_on_both_halves_of_each_split():
     assert len(shapes) > 1 and set(shapes[1:]) == {(2, 15)}
 
 
+@settings(max_examples=60, deadline=None)
+@given(edges=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6, unique=True),
+       value=st.floats(-1e6, 1e6), column=st.booleans())
+def test_gk15_broadcasts_a_scalar_or_column_integrand(edges, value, column):
+    # an integrand may return one number, or one per range as a (P, 1)
+    # column; the rule reads it broadcast to the (P, 15) nodes, bit for bit
+    # as if g had returned that view, and equal to a full array's rule up
+    # to the order of the weighted sums
+    edges = np.sort(edges)
+    lo, hi = edges[:-1], edges[1:]
+
+    def g(x):
+        return np.full((x.shape[0], 1), value) if column else value
+
+    kron, err = oracle._gk15(g, lo, hi)
+    view = oracle._gk15(lambda x: np.broadcast_to(value, x.shape), lo, hi)
+    assert kron.shape == err.shape == lo.shape
+    assert kron.tobytes() == view[0].tobytes() and err.tobytes() == view[1].tobytes()
+    full = oracle._gk15(lambda x: np.full(x.shape, value), lo, hi)[0]
+    assert np.allclose(kron, full, rtol=1e-14, atol=0.0)
+
+
+def test_quad_of_a_constant_integrand_returned_as_a_number():
+    # the 15-digit weights sum to 2 only to about 3e-15
+    got = quad_adaptive(lambda x: 2.0, 0.0, 1.0)
+    assert got == quad_adaptive(lambda x: np.full(x.shape, 2.0), 0.0, 1.0)
+    assert got == pytest.approx(2.0, abs=1e-14)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 0.0, 1.0]))
@@ -294,6 +323,25 @@ def test_failing_panels_are_bisected_from_their_first_rule(monkeypatch):
     assert len(calls) > 1 and {x.shape for x, _ in calls[1:]} == {(2, 15)}
     rows = [(x.tobytes(), t.tobytes()) for xs, ts in calls for x, t in zip(xs, ts)]
     assert len(set(rows)) == len(rows)
+
+
+def test_ex9_residual_keeps_its_gk15_calls(monkeypatch):
+    # ex9's residual at (2,8): a first pass over its 299 panels, and 164 of
+    # them bisected from their first rule, two halves per call.  The counts
+    # pin how many rules a residual runs; batching the bisection (ROADMAP
+    # item 3) will lower them on purpose, and must re-pin them
+    problem = EXAMPLES["ex9"].problem(2, 8)
+    U = solve(problem, SolveOptions(compute_residual=False)).U
+    ranges = []
+    gk15 = oracle._gk15
+
+    def counting(g, lo, hi):
+        ranges.append(lo.size)
+        return gk15(g, lo, hi)
+
+    monkeypatch.setattr(oracle, "_gk15", counting)
+    assert equation_residual(problem, U) == 4.6032525691033777e-05
+    assert (len(ranges), sum(ranges)) == (418, 1131)
 
 
 def test_nan_integrand_raises_quadrature_error_through_the_refinement():

@@ -800,12 +800,14 @@ def test_solve_options_validation(field, value):
 
 
 @pytest.mark.parametrize("value", [(2.0, 2.0), (-math.inf, 1.0), (0.0, 1.0, 2.0), 1.0,
-                                   "03", b"03"],
-                         ids=["empty", "infinite", "triple", "scalar", "str", "bytes"])
+                                   "03", b"03", bytearray(b"03"), memoryview(b"12")],
+                         ids=["empty", "infinite", "triple", "scalar", "str", "bytes",
+                              "bytearray", "memoryview"])
 def test_polynomial_scan_range_validation(value):
     # scan_range is the polynomial kind's own field, checked by value; a
     # triple used to say only "too many values to unpack (expected 2)", and
-    # "03" was the range (0.0, 3.0), b"03" the range (48.0, 51.0)
+    # "03" was the range (0.0, 3.0), b"03" and bytearray(b"03") the range
+    # (48.0, 51.0), memoryview(b"12") the range (49.0, 50.0)
     with pytest.raises(ValueError, match="scan_range"):
         Polynomial(alpha=(0.0, 0.0, 1.0), scan_range=value)
     with pytest.raises(ValueError, match="bracket"):
