@@ -97,8 +97,8 @@ class BasisSpec:
     """
 
     interval: Interval
-    N: int = 1
-    M: int = 4
+    N: int
+    M: int
 
     def __post_init__(self):
         for name, value in (("N", self.N), ("M", self.M)):

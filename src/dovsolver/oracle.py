@@ -8,6 +8,7 @@ referee that decides disagreements between the algebra and the analysis.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -22,7 +23,7 @@ from .basis import (
     hcp_eval,
     project,
 )
-from .expr import evaluate
+from .expr import EvalError, evaluate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Problem, Solution
@@ -66,29 +67,31 @@ def uniform_grid(interval: Interval, n: int = 1000) -> Grid:
     return Grid(np.linspace(interval.t0, interval.tf, n))
 
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1];
-# the embedded Gauss nodes are every second abscissa.
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+def _mirrored(half: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """A rule's table on [-1, 1] from its half, outer entry first and the
+    centre last: the half times sign, then the half reversed."""
+    return np.concatenate((sign * half[:-1], half[::-1]))
+
+
+# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1], from
+# QUADPACK's qk15 (Piessens et al., QUADPACK, 1983); the embedded Gauss
+# nodes are every second abscissa.
+_XGK = _mirrored(np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+]), -1.0)
+_WGK = _mirrored(np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+]))
+_WG = _mirrored(np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+]))
 
 
 def _gk15(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +140,7 @@ def _bisect(g, a: float, b: float, whole: float, err: float, scale: float,
     return total
 
 
-def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
+def quad_adaptive(g: Callable, a: float, b: float, tol: float = QUAD_TOL) -> float:
     """Integral of g over [a, b] by adaptive 15-point Gauss-Kronrod.
 
     Intervals are bisected until the local error estimate fits a
@@ -164,12 +167,6 @@ def quad_adaptive(g: Callable, a: float, b: float, tol: float = 1e-12) -> float:
 # panels per batched GK15 evaluation: bounds the (panels, 15) node arrays and
 # what an integrand builds from them, whatever the grid and the basis size
 _PANEL_CHUNK = 256
-
-
-def _block_edges(spec: BasisSpec) -> np.ndarray:
-    """The interior block edges, where piecewise series (and hence residual
-    integrands) may jump."""
-    return spec.interval.t0 + np.arange(1, spec.N) * spec.block_width
 
 
 def _blockwise_integrals(integrand, edges: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -232,8 +229,8 @@ def _residual(problem, g, grid: Grid | None) -> float:
     def integrand(x, t):
         return np.asarray(evaluate(kern, {"x": x, "t": t}), dtype=float) * g(x)
 
-    # [t0, t0] has no panel: the integral at t = t0 is 0 without a node
-    inner = _blockwise_integrals(integrand, _block_edges(spec),
+    # panels end at block edges, where U may jump; [t0, t0] has none: its integral is 0
+    inner = _blockwise_integrals(integrand, spec.block_nodes(np.arange(1, spec.N), -1.0),
                                  np.full(points.size, spec.interval.t0), points, points, QUAD_TOL)
     return float(np.max(np.abs(f_values - inner)))
 
@@ -246,8 +243,16 @@ def equation_residual(problem, U: CoeffVector, grid: Grid | None = None) -> floa
 
 def residual_linf(problem: "Problem", solution: "Solution",
                   grid: Grid | None = None) -> float:
-    """Oracle residual of the integral equation for a computed solution."""
-    return equation_residual(problem, solution.U, grid)
+    """Oracle residual of the integral equation for a computed solution,
+    through G(series(U)); where G rejects U's values or the quadrature fails,
+    through the series Z of G(u) instead (the same function up to U's
+    projection error), with a warning.  An error of that one propagates."""
+    try:
+        return equation_residual(problem, solution.U, grid)
+    except (EvalError, QuadratureError) as exc:
+        res = composite_residual(problem, solution.Z, grid)
+        warnings.warn(f"residual evaluated through G(u) = z: {exc}", stacklevel=2)
+        return res
 
 
 def composite_residual(problem, Z: CoeffVector, grid: Grid | None = None) -> float:
@@ -298,7 +303,8 @@ def _cumulative_values(g, spec: BasisSpec, nodes: np.ndarray, tol: float) -> np.
     order = np.argsort(nodes)
     ends = nodes[order]
     starts = np.concatenate(([spec.interval.t0], ends[:-1]))
-    gaps = _blockwise_integrals(lambda x, _: g(x), _block_edges(spec), starts, ends, ends, tol)
+    edges = spec.block_nodes(np.arange(1, spec.N), -1.0)
+    gaps = _blockwise_integrals(lambda x, _: g(x), edges, starts, ends, ends, tol)
     out = np.empty(nodes.size)
     out[order] = np.cumsum(gaps)
     return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -678,12 +678,10 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
     marches the residual F - L Z and adds it.  The singular values of L give
     its rank and condition with lstsq's cut; a rank-deficient L takes
     lstsq's minimum-norm Z and warns with the rank.  The reported condition
-    is the larger of cond L and the recover step's.  The oracle residual is
-    evaluated at G(series(U)); when G rejects the re-projected series (e.g.
-    sqrt of a solution that grazes zero), the composite G(u) = z is used
-    instead, which is the same function up to the projection error of U.
-    A solve whose residual cannot be computed at all is reported as not
-    converged.  A kernel projection K, projection F of f or solution Z that
+    is the larger of cond L and the recover step's.  The residual is
+    oracle.residual_linf's, on its default grid; a solve whose residual
+    cannot be computed is reported with a NaN residual, as not converged.
+    A kernel projection K, projection F of f or solution Z that
     holds a non-finite value raises SolverError naming the stage, and for F
     and Z the t-range of the first block that holds one, for K the x- and
     t-range of the first block pair; numpy's overflow and invalid-value
@@ -707,15 +705,13 @@ def solve(problem: Problem, opts: SolveOptions = SolveOptions()) -> Solution:
             f"condition estimate {cond:.3g}", stacklevel=2)
     Z = CoeffVector(spec, z)
     U, step_cond, iters, converged = nl.recover(Z)
-    res = math.nan
+    diagnostics = Diagnostics(math.nan, iters, converged, max(cond, step_cond))
+    solution = Solution(U, Z, diagnostics)
     if opts.compute_residual:
-        grid = oracle.uniform_grid(spec.interval, oracle.RESIDUAL_GRID)
         try:
-            res = oracle.equation_residual(problem, U, grid)
-        except (EvalError, oracle.QuadratureError) as exc:
-            try:
-                res = oracle.composite_residual(problem, Z, grid)
-                warnings.warn(f"residual evaluated through G(u) = z: {exc}", stacklevel=2)
-            except (EvalError, oracle.QuadratureError):
-                converged = False
-    return Solution(U, Z, Diagnostics(res, iters, converged, max(cond, step_cond)))
+            res = oracle.residual_linf(problem, solution)
+        except (EvalError, oracle.QuadratureError):
+            diagnostics = replace(diagnostics, converged=False)
+        else:
+            diagnostics = replace(diagnostics, residual_linf=res)
+    return replace(solution, diagnostics=diagnostics)

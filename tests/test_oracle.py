@@ -157,10 +157,30 @@ def test_gk15_broadcasts_a_scalar_or_column_integrand(edges, value, column):
 
 
 def test_quad_of_a_constant_integrand_returned_as_a_number():
-    # the 15-digit weights sum to 2 only to about 3e-15
+    # a number is broadcast to the nodes' shape, not summed as one node
     got = quad_adaptive(lambda x: 2.0, 0.0, 1.0)
     assert got == quad_adaptive(lambda x: np.full(x.shape, 2.0), 0.0, 1.0)
     assert got == pytest.approx(2.0, abs=1e-14)
+
+
+def test_gauss_rule_is_gauss_legendre():
+    # the embedded 7-point rule against numpy's, whose own weights are up to
+    # 4 ulp off the correctly rounded values the table holds
+    x, w = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_array_max_ulp(oracle._XGK[1::2], x, maxulp=2)
+    np.testing.assert_array_max_ulp(oracle._WG, w, maxulp=4)
+
+
+@pytest.mark.parametrize("k", range(23))
+def test_kronrod_rule_integrates_monomials_to_degree_22(k):
+    # 15 Kronrod points are exact to degree 3*7 + 1
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    got = oracle._WGK @ oracle._XGK**k
+    assert abs(got - exact) <= 4 * np.finfo(float).eps
+
+
+def test_constant_integrates_to_exactly_one():
+    assert quad_adaptive(lambda x: np.ones_like(x), 0.0, 1.0) == 1.0
 
 
 def test_grid_validation():
@@ -340,7 +360,7 @@ def test_ex9_residual_keeps_its_gk15_calls(monkeypatch):
         return gk15(g, lo, hi)
 
     monkeypatch.setattr(oracle, "_gk15", counting)
-    assert equation_residual(problem, U) == 4.6032525691033777e-05
+    assert equation_residual(problem, U) == 4.603252569083949e-05
     assert (len(ranges), sum(ranges)) == (418, 1131)
 
 

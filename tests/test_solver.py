@@ -1,8 +1,10 @@
+import ast
 import math
 import pickle
 import typing
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,16 +556,21 @@ def test_single_root_is_not_scored(monkeypatch):
     e5 = EXAMPLES["ex5"]
     p = e5.problem(2, 4)
     plain = solve(p)
-    scored = oracle.equation_residual
-    grids = []
+    scored, inside = oracle.equation_residual, oracle._points_inside
+    calls, grids = [], []
 
-    def counting(problem, U, grid=None, *args, **kwargs):
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scored(*args, **kwargs)
+
+    def sizing(grid, interval):
         grids.append(grid.points.size)
-        return scored(problem, U, grid, *args, **kwargs)
+        return inside(grid, interval)
 
     monkeypatch.setattr(oracle, "equation_residual", counting)
+    monkeypatch.setattr(oracle, "_points_inside", sizing)
     counted = solve(p)
-    assert grids == [oracle.RESIDUAL_GRID]
+    assert len(calls) == 1 and grids == [oracle.RESIDUAL_GRID]
     assert counted.U.c.tobytes() == plain.U.c.tobytes()
     assert counted.diagnostics == plain.diagnostics
 
@@ -950,3 +957,40 @@ def test_residual_falls_back_to_g_of_u_equals_z():
     assert math.isfinite(d.residual_linf)
     assert 5.4e-3 / 2 <= d.residual_linf <= 2 * 5.4e-3
     assert d.converged
+
+
+def _fallbacks(caught):
+    return [w for w in caught if "residual evaluated through G(u) = z" in str(w.message)]
+
+
+@pytest.mark.parametrize("key, n, m", [(k, *EXAMPLES[k].recommended) for k in sorted(EXAMPLES)]
+                         + [("ex10", 3, 4), ("ex10", 1, 8), ("ex10", 2, 8)])
+def test_solve_reports_the_oracle_residual(key, n, m):
+    # the residual a solve reports is residual_linf's, bit for bit, with the
+    # same fallback: at the three ex10 sizes G(series(U)) takes sqrt of a
+    # negative value, and both calls warn once and take G(u) = z
+    p = EXAMPLES[key].problem(n, m)
+    with warnings.catch_warnings(record=True) as solving:
+        warnings.simplefilter("always")
+        sol = solve(p)
+    with warnings.catch_warnings(record=True) as grading:
+        warnings.simplefilter("always")
+        res = residual_linf(p, sol)
+    assert res == sol.diagnostics.residual_linf
+    assert len(_fallbacks(grading)) == len(_fallbacks(solving))
+    if key == "ex10" and (n, m) != EXAMPLES[key].recommended:
+        assert len(_fallbacks(grading)) == 1
+
+
+def test_solver_reads_only_the_residual_from_the_oracle():
+    # the oracle states the residual and its fallback once; solve() calls
+    # it and catches its error, and reads nothing else from it
+    tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("oracle"):
+            read |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "oracle"):
+            read.add(node.attr)
+    assert read == {"residual_linf", "QuadratureError"}
