@@ -98,6 +98,14 @@ def product_tensor(M: int) -> np.ndarray:
     return c
 
 
+@functools.cache
+def _identity(M: int) -> np.ndarray:
+    """The M x M identity, shared between callers and therefore read-only."""
+    eye = np.eye(M)
+    eye.setflags(write=False)
+    return eye
+
+
 def _product_blocks(v: np.ndarray) -> np.ndarray:
     """W_v[p, d] = sum_q v_q C[p, q, d], C the product tensor, for each block
     v of an (..., M) stack, as an (..., M, M) stack.  One matrix product: C
@@ -137,19 +145,29 @@ def polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     block of u.  u^r = W_u^T u^(r-1) and d(u^r)/du = D_r with D_1 = I,
     D_r = W_{u^(r-1)}^T + W_u^T D_(r-1).  Each W_v is one matrix product
     (_product_blocks), so every step of the recurrence is a (batched) matrix
-    product."""
+    product.  D_2 = W_u^T + W_u^T I is W_u^T + W_u^T: a matrix product holds
+    no -0.0, so for a finite W_u, W_u^T I is W_u^T bit for bit (an inf in
+    W_u makes NaNs of W_u^T I's other entries in its row; the block is not
+    finite either way)."""
     u = np.asarray(u, dtype=float)
     w_u = _product_blocks(u).swapaxes(-1, -2)
-    power, d_power = u, np.eye(u.shape[-1])
-    p, jac = np.zeros(u.shape), np.zeros(w_u.shape)
+    # the sums start at 0.0, as on zero arrays: 0.0 + x is x, but 0.0 for -0.0
+    p = jac = 0.0
     for r, a in enumerate(alpha[1:], start=1):
-        if r > 1:
+        if r == 1:
+            power, d_power = u, _identity(u.shape[-1])
+        elif r == 2:
+            power, d_power = (w_u @ u[..., None])[..., 0], w_u + w_u
+        else:
             d_power = _product_blocks(power).swapaxes(-1, -2) + w_u @ d_power
             power = (w_u @ power[..., None])[..., 0]
-        if a:  # a zero coefficient would add zeros
-            p += a * power
-            jac += a * d_power
-    p[..., 0] += alpha[0]
+        if a:  # a zero coefficient would add zeros; 1.0 * x is x
+            p = p + (power if a == 1.0 else a * power)
+            jac = jac + (d_power if a == 1.0 else a * d_power)
+    if np.ndim(jac) < w_u.ndim:  # no term of degree 2 or more
+        p, jac = p + np.zeros(u.shape), jac + np.zeros(w_u.shape)
+    if alpha[0]:  # p holds no -0.0, so adding 0.0 would change nothing
+        p[..., 0] += alpha[0]
     return p, jac
 
 

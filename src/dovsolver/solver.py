@@ -35,6 +35,7 @@ CONSISTENCY_TOL = 1e-8
 NEWTON_TOL = 1e-12  # ||R||_inf at which a Newton rung has converged
 NEWTON_MAX_ITER = 100
 SCAN_POINTS = 32  # constants tried by the Newton initializer's scan
+_EPS = np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
@@ -46,13 +47,16 @@ class SolverError(RuntimeError):
 # solution Z of L Z = F to u, returning (U, step condition, Newton
 # iterations, converged)
 
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
 def _check_range(name: str, value: tuple[float, float]) -> tuple[float, float]:
     """value as a float pair; a ValueError naming the field unless it is a
     finite (lo, hi), lo < hi.  Text or bytes (str, bytes, bytearray,
     memoryview) is no pair, though each iterates to two items that float()
     may read."""
     try:
-        if isinstance(value, (str, bytes, bytearray, memoryview)):
+        if isinstance(value, _TEXT):
             raise TypeError
         lo, hi = (float(v) for v in value)
     except (TypeError, ValueError):
@@ -129,15 +133,22 @@ class Derivative:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """G(u) = sum_r alpha[r] u^r, alpha finite.  The Newton starts scan
-    scan_range (finite, lo < hi), and its midpoint picks the branch of a
-    symmetric G: u > 0 of u^2 (ex3), u = t of u^2 - u = G(1 - u) (ex7)."""
+    """G(u) = sum_r alpha[r] u^r, alpha a sequence of finite numbers.  The
+    Newton starts scan scan_range (finite, lo < hi), and its midpoint picks
+    the branch of a symmetric G: u > 0 of u^2 (ex3), u = t of u^2 - u =
+    G(1 - u) (ex7)."""
 
     alpha: tuple[float, ...]
     scan_range: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.alpha)
+        # text iterates to items that float() may read, as in _check_range
+        try:
+            if isinstance(self.alpha, _TEXT):
+                raise TypeError
+            a = tuple(float(v) for v in self.alpha)
+        except (TypeError, ValueError):
+            raise ValueError(f"alpha must be a sequence of numbers, got {self.alpha!r}") from None
         if not all(math.isfinite(v) for v in a):
             raise ValueError(f"alpha must be finite, got {a!r}")
         if not any(v != 0.0 for v in a[1:]):
@@ -146,14 +157,14 @@ class Polynomial:
         object.__setattr__(self, "scan_range", _check_range("scan_range", self.scan_range))
 
     def g_from_coeffs(self, U: CoeffVector):
-        def g(x):
-            u = eval_series(U, x)
-            p = self.alpha[-1]
-            for a in self.alpha[-2::-1]:  # Horner
-                p = p * u + a
-            return p
+        return lambda x: self.g_from_values(eval_series(U, x))
 
-        return g
+    def g_from_values(self, u):
+        """G at the values u, by Horner's rule."""
+        p = self.alpha[-1]
+        for a in self.alpha[-2::-1]:
+            p = p * u + a
+        return p
 
     def recover(self, Z: CoeffVector):
         """Globalized solve of P(U) = Z.
@@ -178,23 +189,33 @@ class Polynomial:
         A kinked root such as ex7's u = 1/2 + |t - 1/2| solves the equation
         too (G(u) = u^2 - u = G(1 - u)), and may sit nearer the hint.  An
         unconverged root competes only when no root converged.
+
+        A root where P(U) - Z or dP/dU is not finite takes no part, and when
+        no other is left the recover step raises SolverError; numpy's
+        overflow and invalid-value warnings are silenced, since that error
+        reports them.
         """
         spec = Z.spec
         system = _polynomial_system(Z, self.alpha)
-        X, iters, converged = _run_ladder(
-            system, _initial_candidates(system, spec, self.scan_range))
-
-        # one root of each group of near-identical ones, the first found:
-        # near-twins differ at roundoff, and either could win the selection
-        distinct: list[int] = []
-        for s in range(len(X)):
-            if not any(np.allclose(X[s], X[o], rtol=1e-7, atol=1e-9) for o in distinct):
-                distinct.append(s)
-
-        pool = [s for s in distinct if converged[s]] or distinct
-        best = pool[_select_root(X[pool], self, Z)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            X, iters, converged = _run_ladder(
+                system, _initial_candidates(system, spec, self.scan_range))
+            r, jac = system(X)
+            finite = np.isfinite(r).all(axis=(1, 2)) & np.isfinite(jac).all(axis=(1, 2, 3))
+            # one root of each group of near-identical ones, the first found:
+            # near-twins differ at roundoff, and either could win the selection
+            close = np.isclose(X[:, None], X[None, :], rtol=1e-7, atol=1e-9).all(axis=(2, 3))
+            distinct: list[int] = []
+            for s in np.flatnonzero(finite).tolist():
+                if not any(close[s, o] for o in distinct):
+                    distinct.append(s)
+            if not distinct:
+                raise SolverError("recover step P(U) = Z holds a non-finite value on "
+                                  "every Newton path")
+            pool = [s for s in distinct if converged[s]] or distinct
+            best = pool[_select_root(X[pool], self, Z)]
         # the 2-norm condition of the block-diagonal dP/dU
-        sv = np.linalg.svd(system(X[best])[1], compute_uv=False)
+        sv = np.linalg.svd(jac[best], compute_uv=False)
         cond = float(sv.max() / sv.min()) if sv.min() > 0 else math.inf
         return (CoeffVector(spec, X[best].ravel()), cond, int(iters.sum()),
                 bool(converged[best]))
@@ -342,7 +363,7 @@ def _march(L: np.ndarray, F: np.ndarray, M: int) -> tuple[np.ndarray, int, float
     """
     sv = np.linalg.svd(L, compute_uv=False)
     dim = L.shape[0]
-    rank = int(np.count_nonzero(sv > np.finfo(float).eps * dim * sv[0]))
+    rank = int(np.count_nonzero(sv > _EPS * dim * sv[0]))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if rank < dim:
         return np.linalg.lstsq(L, F, rcond=None)[0], rank, cond
@@ -362,7 +383,7 @@ def _block_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares a x = b for each block of an (..., m, m)
     stack, with lstsq's cut: singular values up to eps m times the block's
     largest count as zero, pinv's rcond."""
-    pinv = np.linalg.pinv(a, rcond=a.shape[-1] * np.finfo(float).eps)
+    pinv = np.linalg.pinv(a, rcond=a.shape[-1] * _EPS)
     return (pinv @ b[..., None])[..., 0]
 
 
@@ -372,13 +393,15 @@ def _block_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The stack is inverted by LU and x = a^-1 b.  A block whose 1-norm
     condition ||a||_1 ||a^-1||_1 reaches 1/(eps m^2), or whose x is not
-    finite, takes _block_lstsq's x instead.  When the inversion raises (an
-    exactly singular block), the blocks are inverted one by one and only
-    those that raise take _block_lstsq, so one singular block leaves every
-    other block's x as it is.  Since the 1-norm condition is at least the
-    2-norm one over m, every block at or below lstsq's cut (2-norm
-    condition 1/(eps m) or more) takes _block_lstsq; below the threshold a
-    block has full rank, and its x is lstsq's up to roundoff.
+    finite, takes _block_lstsq's x instead, and a block that is not finite
+    has no x: it is NaN.  When the inversion raises (an exactly singular
+    block), the blocks are inverted one by one and only those that raise
+    take _block_lstsq, so one singular block leaves every other block's x as
+    it is.  Since the 1-norm condition is at least the 2-norm one over m,
+    every block at or below lstsq's cut (2-norm condition 1/(eps m) or more)
+    takes _block_lstsq; below the threshold a block has full rank, and its x
+    is lstsq's up to roundoff.  numpy's overflow and invalid-value warnings
+    are the caller's to silence, as newton_solve does.
     """
     m = a.shape[-1]
     try:
@@ -391,12 +414,20 @@ def _block_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 inv[i] = np.linalg.inv(a[i])
             except np.linalg.LinAlgError:
                 pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = (inv @ b[..., None])[..., 0]
-        # the 1-norms as column sums: np.linalg.norm's checks cost more than
-        # the sums at these sizes
-        cond = abs(a).sum(axis=-2).max(axis=-1) * abs(inv).sum(axis=-2).max(axis=-1)
-    cut = ~(cond < 1.0 / (np.finfo(float).eps * m * m)) | ~np.isfinite(x).all(axis=-1)
+    x = (inv @ b[..., None])[..., 0]
+    # the 1-norms as column sums: np.linalg.norm's checks cost more than the
+    # sums at these sizes.  A block that is not finite has a condition that
+    # is not finite either
+    cond = abs(a).sum(axis=-2).max(axis=-1) * abs(inv).sum(axis=-2).max(axis=-1)
+    limit = 1.0 / (_EPS * m * m)
+    # the common case in two reductions: a NaN condition makes the max NaN,
+    # and a sum of x is finite only if every x is; a sum that overflows
+    # merely takes the block-by-block test
+    if cond.max() < limit and math.isfinite(x.sum()):
+        return x
+    ok = (cond < limit) & np.isfinite(x).all(axis=-1)
+    cut = ~ok & np.isfinite(a).all(axis=(-2, -1))
+    x[~ok] = np.nan
     if cut.any():
         x[cut] = _block_lstsq(a[cut], b[cut])
     return x
@@ -418,6 +449,8 @@ class NewtonResult:
     path_converged: np.ndarray
 
 
+# a trial point far out can overflow, and its path rejects it
+@np.errstate(over="ignore", invalid="ignore")
 def newton_solve(system, u0) -> NewtonResult:
     """Damped Newton iteration on independent paths, each an (..., m) stack
     of uncoupled square systems.
@@ -437,8 +470,10 @@ def newton_solve(system, u0) -> NewtonResult:
     NEWTON_MAX_ITER steps; on failure the path keeps its last iterate, which
     every accepted step makes the best, and converged=False.  A path that
     converges or fails drops out and the rest step on together, so each
-    path's iterates are bitwise those it takes alone.  A residual not shaped
-    like u raises ValueError.
+    path's iterates are bitwise those it takes alone.  A block whose
+    Jacobian is not finite steps by NaN, so its path's line search runs out
+    and that path fails alone; numpy's overflow and invalid-value warnings
+    are silenced.  A residual not shaped like u raises ValueError.
     """
     u = np.array(u0, dtype=float)
     r, jac = system(u)
@@ -449,14 +484,11 @@ def newton_solve(system, u0) -> NewtonResult:
     # one row per path; a lone path gets a leading axis that system never sees
     u, r, jac = (a.reshape((-1,) + a.shape[len(paths):]) for a in (u, r, jac))
     run = system if paths else (lambda v: tuple(a[None] for a in system(v[0])))
-    axes = tuple(range(1, u.ndim))
+    axes, column = tuple(range(1, u.ndim)), (-1,) + (1,) * (u.ndim - 1)
 
     # the per-path scalars are Python lists: a ladder runs a handful of paths
     def norms(a: np.ndarray) -> list[float]:  # ||.||_inf of each row of a u-shaped a
         return abs(a).max(axis=axes).tolist()
-
-    def scaled(lam: list[float], a: np.ndarray) -> np.ndarray:  # each row times its lam
-        return np.array(lam).reshape((-1,) + (1,) * (a.ndim - 1)) * a
 
     n = len(u)
     x, x_norm, iters = u.copy(), norms(r), [0] * n  # each path's final state
@@ -469,11 +501,13 @@ def newton_solve(system, u0) -> NewtonResult:
             break
         step = _block_solve(jac, -r)
         lam = [1.0] * len(live)
-        search = list(range(len(live)))  # the rows still searching
+        search = range(len(live))  # the rows still searching
         # each trial evaluates every running path; one that has taken its
-        # step keeps its lam, so the last trial holds its accepted point
+        # step keeps its lam, so the last trial holds its accepted point.
+        # The first trial's lam is 1 on every row, and 1.0 * step is step
+        lam_step = step
         for _ in range(31):
-            u_new = u + scaled(lam, step)
+            u_new = u + lam_step
             r_new, jac_new = run(u_new)
             rn_new = norms(r_new)
             search = [k for k in search if not rn_new[k] <= (1.0 - 1e-4 * lam[k]) * rnorm[k]]
@@ -481,9 +515,10 @@ def newton_solve(system, u0) -> NewtonResult:
                 break
             for k in search:
                 lam[k] *= 0.5
+            lam_step = np.array(lam).reshape(column) * step
         # search now holds the rows whose line search ran out; they keep u
         # and drop out below, so their rows of r and jac are never read
-        step_norm = norms(scaled(lam, step))
+        step_norm = norms(lam_step)
         for k in search:
             u_new[k], rn_new[k] = u[k], rnorm[k]
         u, r, jac, rnorm = u_new, r_new, jac_new, rn_new
@@ -620,8 +655,8 @@ def _select_root(roots: np.ndarray, kind: Polynomial, Z: CoeffVector) -> int:
     spec = Z.spec
     t = np.linspace(spec.interval.t0, spec.interval.tf, 33)
     z = eval_series(Z, t)
-    Us = [CoeffVector(spec, x.ravel()) for x in roots]
-    scores = [float(np.max(np.abs(kind.g_from_coeffs(U)(t) - z))) for U in Us]
+    values = [eval_series(CoeffVector(spec, x.ravel()), t) for x in roots]
+    scores = [float(np.max(np.abs(kind.g_from_values(u) - z))) for u in values]
     # within 10 times the best score plus a floor at roundoff, so that a
     # kinked root scoring below it does not cut a smooth one, only the
     # smoothest roots stay, kink within 10 times the smallest plus 1e-8;
@@ -631,7 +666,7 @@ def _select_root(roots: np.ndarray, kind: Polynomial, Z: CoeffVector) -> int:
     kinks = {i: _kink(roots[i]) for i, res in enumerate(scores) if res <= window}
     smooth = 10.0 * min(kinks.values()) + 1e-8
     mid = 0.5 * (kind.scan_range[0] + kind.scan_range[1])
-    top = [(abs(float(np.mean(eval_series(Us[i], t))) - mid), scores[i], i)
+    top = [(abs(float(np.mean(values[i])) - mid), scores[i], i)
            for i, kink in kinks.items() if kink <= smooth]
     return min(top)[2]
 

@@ -23,7 +23,13 @@ from dovsolver.basis import (
     projection_rule_size,
 )
 from dovsolver.expr import evaluate
-from dovsolver.opalg import _block_average_column, _integration_rows, polynomial, product_tensor
+from dovsolver.opalg import (
+    _block_average_column,
+    _integration_rows,
+    _product_blocks,
+    polynomial,
+    product_tensor,
+)
 from dovsolver.solver import NEWTON_MAX_ITER, NEWTON_TOL, _block_solve
 
 
@@ -92,6 +98,25 @@ def power_vector(U: CoeffVector, r: int) -> CoeffVector:
         raise ValueError(f"power must be >= 1: {r}")
     u = U.c.reshape(U.spec.N, U.spec.M)
     return CoeffVector(U.spec, polynomial(u, (0.0,) * r + (1.0,))[0].ravel())
+
+
+def recurrence_polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """P(u) and the stack of dP/du blocks by opalg.polynomial's recurrence
+    term by term: every D_r from D_(r-1), D_1 a fresh identity, and both sums
+    on zero arrays.  opalg.polynomial must give these bits."""
+    u = np.asarray(u, dtype=float)
+    w_u = _product_blocks(u).swapaxes(-1, -2)
+    power, d_power = u, np.eye(u.shape[-1])
+    p, jac = np.zeros(u.shape), np.zeros(w_u.shape)
+    for r, a in enumerate(alpha[1:], start=1):
+        if r > 1:
+            d_power = _product_blocks(power).swapaxes(-1, -2) + w_u @ d_power
+            power = (w_u @ power[..., None])[..., 0]
+        if a:
+            p += a * power
+            jac += a * d_power
+    p[..., 0] += alpha[0]
+    return p, jac
 
 
 def einsum_polynomial(u: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:

@@ -877,6 +877,18 @@ def _python(*args):
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
+def test_dov_solve_of_an_overflowing_polynomial_names_the_recover_step(tmp_path):
+    # G = u + 1e308 u^2 overflows on every Newton path; dov used to print four
+    # numpy RuntimeWarnings and then "LinAlgError: SVD did not converge"
+    path = _write(tmp_path, MINIMAL.replace('f = "t^2/2"', 'f = "t"').replace(
+        _INVERTIBLE, "kind = polynomial\nalpha = 0, 1, 1e308"))
+    done = _python("-m", "dovsolver.cli", "solve", path, "--no-timing")
+    assert done.returncode == 2
+    assert done.stdout.splitlines()[1] == "1,4,4,,nan,0,nan,0"
+    assert done.stderr == ("dov: row N=1 M=4: SolverError: recover step P(U) = Z holds a "
+                           "non-finite value on every Newton path\n")
+
+
 def test_readme_library_example_prints_two_small_residuals():
     # README's one python block, run as a user would paste it
     (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),

@@ -27,6 +27,7 @@ from paper_matrices import (
     pairwise_integration_matrix,
     per_pair_kernel_matrix,
     power_vector,
+    recurrence_polynomial,
 )
 
 
@@ -297,6 +298,26 @@ def test_polynomial_matches_the_einsum_reference(shape, m, alpha, seed):
     assert P.shape == P_ref.shape and J.shape == J_ref.shape
     assert np.all(np.abs(P - P_ref) <= 1e-13 * (1.0 + np.abs(P_ref)))
     assert np.all(np.abs(J - J_ref) <= 1e-13 * (1.0 + np.abs(J_ref)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=2), m=st.integers(1, 12),
+       alpha=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0)),
+                      min_size=1, max_size=5),
+       zeros=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_polynomial_is_the_term_by_term_recurrence_bit_for_bit(shape, m, alpha, zeros, seed):
+    # opalg.polynomial skips what cannot change a bit (D_2 from W_u^T alone,
+    # the products by 1.0, the zero arrays, a zero alpha_0), so it gives the
+    # bits of the recurrence written out term by term, signed zeros included;
+    # a share of u is exactly 0.0 or -0.0
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.5, 1.5, (*shape, m))
+    u[rng.random(u.shape) < zeros] = 0.0
+    u[rng.random(u.shape) < zeros / 4] = -0.0
+    P, J = polynomial(u, alpha)
+    P_ref, J_ref = recurrence_polynomial(u, alpha)
+    assert P.shape == P_ref.shape and J.shape == J_ref.shape
+    assert P.tobytes() == P_ref.tobytes() and J.tobytes() == J_ref.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -121,6 +121,16 @@ def test_newton_step_takes_lstsq_at_its_cut(monkeypatch):
     assert np.allclose(step, [[1.0, 1.0], [1.0, 0.0]], rtol=1e-15, atol=0.0)
 
 
+def test_newton_step_whose_sum_overflows_keeps_its_lu_step(monkeypatch):
+    # every x is finite but their sum is inf, so the one-sum test of the
+    # common case fails; the block-by-block test keeps every LU step
+    monkeypatch.setattr(solver, "_block_lstsq", lambda a, b: pytest.fail("lstsq called"))
+    blocks, b = np.array([np.eye(2), 2.0 * np.eye(2)]), np.full((2, 2), 1e308)
+    with np.errstate(over="ignore"):
+        step = _block_solve(blocks, b)
+    assert step.tobytes() == np.array([[1e308, 1e308], [5e307, 5e307]]).tobytes()
+
+
 def test_one_singular_block_leaves_the_others_steps_bitwise():
     # np.linalg.inv raises on the stack once one block is exactly singular
     # (a zero row); only that block steps by _block_lstsq
@@ -199,6 +209,22 @@ def test_newton_never_writes_into_the_arrays_system_returns():
     assert stacked.path_iterations.tolist() == [4, 5, 4]
     assert stacked.path_converged.tolist() == [True, True, False]
     assert np.allclose(stacked.x[:2, 0], [[2.0, 4.0], [2.0, 4.0]], rtol=0.0, atol=1e-12)
+
+
+def test_a_path_whose_jacobian_is_not_finite_fails_alone():
+    # the second start overflows dP/du (2 u = 2e308); its step is NaN, its
+    # line search runs out on the first step, and the other two paths
+    # converge as they do alone.  No numpy warning either: it used to reach
+    # pinv, whose SVD raised LinAlgError for every path
+    system = _polynomial_system(CoeffVector(BasisSpec(Interval(0, 1), 1, 2),
+                                            np.array([1.0, 0.5])), (0.0, 1.0, 1.0))
+    starts = np.array([[[0.5, 0.0]], [[1e308, 0.0]], [[2.0, 0.1]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _assert_paths_match_separate_calls(system, starts)
+    assert stacked.path_iterations.tolist() == [4, 1, 6]
+    assert stacked.path_converged.tolist() == [True, False, True]
+    assert stacked.x[1].tobytes() == starts[1].tobytes()
 
 
 def test_newton_returns_best_iterate_on_failure():
@@ -446,6 +472,19 @@ def test_non_finite_stage_raises_naming_it(kernel, f, n, tf, stage):
                           BasisSpec(Interval(0, tf), n, 4)), FAST)
 
 
+def test_overflowing_polynomial_raises_naming_the_recover_step():
+    # G = u + 1e308 u^2: P overflows at every scanned constant and on both
+    # slopes, so no start keeps a finite residual.  It used to print numpy's
+    # RuntimeWarnings and raise LinAlgError from pinv's SVD
+    problem = Problem(parse("1"), parse("t"), Polynomial(alpha=(0.0, 1.0, 1e308)),
+                      BasisSpec(Interval(0, 1), 1, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"^recover step P\(U\) = Z holds a non-finite "
+                                              r"value on every Newton path$"):
+            solve(problem)
+
+
 # ---------------------------------------------------------------------------
 # pipelines on small problems
 
@@ -691,6 +730,54 @@ def test_recover_step_finds_ex7_beyond_n12(n, m):
     assert _case_error("ex7", n, m) <= 1e-9
 
 
+@pytest.mark.parametrize("key, n, m, steps, evaluations, iters", [
+    ("ex3", 1, 10, 44, 56, 107), ("ex3", 8, 24, 101, 129, 216),
+    ("ex5", 2, 4, 21, 30, 57), ("ex5", 8, 24, 29, 74, 77),
+    ("ex7", 1, 3, 13, 17, 24), ("ex7", 8, 24, 10, 36, 23)])
+def test_polynomial_solves_keep_their_newton_work(monkeypatch, key, n, m, steps,
+                                                  evaluations, iters):
+    # the lockstep steps (one _block_solve call each), the system evaluations
+    # (the ladder's start of each rung and every line-search trial) and the
+    # iterations summed over the paths, at the recommended size and at
+    # (8,24).  They pin the iteration a rewrite of the Newton loop must keep
+    counts = {"steps": 0, "evaluations": 0}
+    block_solve, inner = solver._block_solve, solver.newton_solve
+
+    def counting_block_solve(a, b):
+        counts["steps"] += 1
+        return block_solve(a, b)
+
+    def counting_newton_solve(system, u0):
+        def counting_system(u):
+            counts["evaluations"] += 1
+            return system(u)
+
+        return inner(counting_system, u0)
+
+    monkeypatch.setattr(solver, "_block_solve", counting_block_solve)
+    monkeypatch.setattr(solver, "newton_solve", counting_newton_solve)
+    solution = solve(EXAMPLES[key].problem(n, m), FAST)
+    assert (counts["steps"], counts["evaluations"], solution.diagnostics.newton_iters) == (
+        steps, evaluations, iters)
+
+
+@pytest.mark.parametrize("big", [
+    1e20,
+    pytest.param(1e30, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 20: the step test is absolute (step norm "
+        "<= 1e-14), and near the root, of order 1e-15, every step passes it while "
+        "the residual is 3.05")),
+])
+def test_a_converged_polynomial_solve_has_a_small_residual(big):
+    # G = u + big u^2, kernel 1, f = t: u solves u + big u^2 = 1, of order
+    # big^(-1/2).  At 1e20 the residual is 2.2e-16; at 1e30 every rung stops
+    # on the step test with ||P(U) - Z||_inf between 3 and 54
+    solution = solve(Problem(parse("1"), parse("t"), Polynomial(alpha=(0.0, 1.0, big)),
+                             BasisSpec(Interval(0, 1), 1, 4)))
+    assert solution.diagnostics.converged
+    assert solution.diagnostics.residual_linf <= 1e-10
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(2, 8),
        alpha=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
@@ -873,6 +960,11 @@ def test_dispatch_by_kind():
 def test_polynomial_kind_validation():
     with pytest.raises(ValueError):
         Polynomial(alpha=(1.0,))
+    # text used to be read digit by digit: "12" as alpha (1.0, 2.0), b"12"
+    # as (49.0, 50.0)
+    for text in ("12", b"12", bytearray(b"12"), memoryview(b"12")):
+        with pytest.raises(ValueError, match="alpha must be a sequence of numbers"):
+            Polynomial(alpha=text)
     # a non-finite coefficient used to reach the solve and give a NaN row
     with pytest.raises(ValueError, match="alpha must be finite"):
         Polynomial(alpha=(0.0, -1.0, math.inf))
