@@ -95,16 +95,21 @@ _WG = _mirrored(np.array([
 
 
 def _gk15(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GK15 values and |Kronrod - Gauss| estimates on the ranges [lo[i], hi[i]],
-    from one call of g on their (P, 15) nodes."""
+    """GK15 values and |Kronrod - Gauss| estimates on the ranges [lo, hi],
+    arrays of one shape S, from one call of g on their (lo.size, 15) nodes.
+    The Kronrod sums are one matrix product per last axis of S: BLAS rounds
+    a row's sum by its place in the product, so ranges of shape (k, 2) give
+    each pair the bits it gets from a call on that pair alone."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = np.asarray(g(mid[:, None] + half[:, None] * _XGK), dtype=float)
+    fx = np.asarray(g((mid[..., None] + half[..., None] * _XGK).reshape(-1, _XGK.size)),
+                    dtype=float)
     if fx.shape != (lo.size, _XGK.size):  # a constant, say
         fx = np.broadcast_to(fx, (lo.size, _XGK.size))
+    fx = fx.reshape(lo.shape + _XGK.shape)
     kron = half * (fx @ _WGK)
     with np.errstate(invalid="ignore"):  # inf - inf where g has a pole on a node
-        return kron, np.abs(kron - half * (fx[:, 1::2] @ _WG))
+        return kron, np.abs(kron - half * (fx[..., 1::2] @ _WG))
 
 
 def _budget(whole: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -116,28 +121,41 @@ def _budget(whole: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return tol * (1.0 + magnitude), 64.0 * np.finfo(float).eps * (1.0 + magnitude)
 
 
-def _bisect(g, a: float, b: float, whole: float, err: float, scale: float,
-            floor: float) -> float:
-    """Integral of g over [a, b], whose GK15 value and estimate are whole and
-    err and whose budget (see _budget) is scale and floor: ranges are
-    bisected, both halves in one call of g, until each estimate fits its
-    width's share of scale, or the floor."""
-    stack = [(a, b, whole, err, 0)]
-    total = 0.0
-    while stack:
-        lo, hi, val, err, depth = stack.pop()
-        if err <= max(scale * (hi - lo) / (b - a), floor):
-            total += val
-            continue
-        if depth >= 50:
-            raise QuadratureError(
-                f"subdivision limit exceeded on [{lo}, {hi}] (error estimate {err:g})")
-        mid = 0.5 * (lo + hi)
-        vals, errs = _gk15(g, np.array([lo, mid]), np.array([mid, hi]))
-        (left, right), (left_err, right_err) = vals.tolist(), errs.tolist()
-        stack.append((lo, mid, left, left_err, depth + 1))
-        stack.append((mid, hi, right, right_err, depth + 1))
-    return total
+def _bisect(integrand, a: float, b: float, param: np.ndarray, whole: list, err: list,
+            scale: list, floor: list) -> list[float]:
+    """Integrals of integrand(x, param[m]) over [a, b] for the members m of a
+    group that share that range, from their GK15 values whole[m], estimates
+    err[m] and budgets scale[m] and floor[m] (see _budget).  Each member
+    bisects on its own depth-first stack until each estimate fits its
+    width's share of scale[m], or floor[m]; one step splits every unfinished
+    member's next failing range, all halves in one _gk15 call."""
+    stacks = [[(a, b, v, e, 0)] for v, e in zip(whole, err)]
+    totals = [0.0] * len(stacks)
+    active, rows = range(len(stacks)), param[:0]
+    while True:
+        splits = []
+        for m in active:
+            stack = stacks[m]
+            while stack:
+                lo, hi, val, e, depth = stack.pop()
+                if e <= max(scale[m] * (hi - lo) / (b - a), floor[m]):
+                    totals[m] += val
+                    continue
+                if depth >= 50:
+                    raise QuadratureError(
+                        f"subdivision limit exceeded on [{lo}, {hi}] (error estimate {e:g})")
+                splits.append((m, lo, 0.5 * (lo + hi), hi, depth + 1))
+                break
+        if not splits:
+            return totals
+        if 2 * len(splits) != rows.size:  # members only finish: a count names the set
+            active = [m for m, *_ in splits]
+            rows = param[np.repeat(active, 2), None]
+        bounds = np.array([(lo, mid, hi) for _, lo, mid, hi, _ in splits])
+        vals, errs = _gk15(lambda x: integrand(x, rows), bounds[:, :2], bounds[:, 1:])
+        for (m, lo, mid, hi, depth), (left, right), (left_err, right_err) in zip(
+                splits, vals.tolist(), errs.tolist()):
+            stacks[m] += ((lo, mid, left, left_err, depth), (mid, hi, right, right_err, depth))
 
 
 def quad_adaptive(g: Callable, a: float, b: float, tol: float = QUAD_TOL) -> float:
@@ -145,8 +163,9 @@ def quad_adaptive(g: Callable, a: float, b: float, tol: float = QUAD_TOL) -> flo
 
     Intervals are bisected until the local error estimate fits a
     width-proportional share of tol*(1 + |integral|); abscissae are strictly
-    interior, so integrable endpoint behavior is tolerated.  g is called on
-    numpy arrays of nodes of shape (P, 15), one row per range: (1, 15) for
+    interior, so integrable endpoint behavior is tolerated.  It is the
+    one-range, one-member case of _blockwise_integrals: g is called on numpy
+    arrays of nodes of shape (P, 15), one row per range: (1, 15) for
     [a, b], then (2, 15) for the two halves of each split.
 
     The rule is open: a discontinuity hiding in the outer ~1% of a
@@ -179,7 +198,11 @@ def _blockwise_integrals(integrand, edges: np.ndarray, lo: np.ndarray, hi: np.nd
     the panels.  integrand takes nodes x of shape (P, 15) with param of
     shape (P, 1) or (1, 1).  One GK15 rule runs on every panel, a chunk of
     panels per call.  A panel whose estimate fits its budget keeps the
-    rule's value; any other panel is bisected from that value and estimate.
+    rule's value; the chunk's other panels are bisected from those values
+    and estimates by _bisect, one group per exact (lo, hi) range, each panel
+    bit for bit as alone, in calls of at most 2*_PANEL_CHUNK rows.  Past the
+    subdivision limit, the error names the first group and member to reach
+    it, groups in the order of their first panels, members in panel order.
     """
     left = np.maximum(lo[:, None], np.concatenate(([-np.inf], edges)))
     right = np.minimum(hi[:, None], np.concatenate((edges, [np.inf])))
@@ -192,11 +215,14 @@ def _blockwise_integrals(integrand, edges: np.ndarray, lo: np.ndarray, hi: np.nd
         kron, err = _gk15(lambda x: integrand(x, p[:, None]), a, b)
         panels[s:s + a.size] = kron
         scale, floor = _budget(kron, tol)
-        for i in np.flatnonzero(~(err <= np.maximum(scale, floor))).tolist():
-            pi = p[i:i + 1, None]
-            panels[s + i] = _bisect(lambda x: integrand(x, pi), float(a[i]), float(b[i]),
-                                    float(kron[i]), float(err[i]), float(scale[i]),
-                                    float(floor[i]))
+        fails = np.flatnonzero(~(err <= np.maximum(scale, floor)))
+        groups: dict[tuple[float, float], list[int]] = {}
+        for i, key in zip(fails.tolist(), zip(a[fails].tolist(), b[fails].tolist())):
+            groups.setdefault(key, []).append(i)
+        for (ga, gb), ids in groups.items():
+            panels[s + np.array(ids)] = _bisect(
+                integrand, ga, gb, p[ids], kron[ids].tolist(), err[ids].tolist(),
+                scale[ids].tolist(), floor[ids].tolist())
     pieces = np.zeros(live.shape)
     pieces[live] = panels
     return pieces.sum(axis=1)

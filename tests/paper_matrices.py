@@ -7,7 +7,9 @@ versions, einsum_polynomial and the block-pair integration matrix among
 them, are the references the tests compare the fused forms against; no path
 in the package calls them.  So is the polynomial recover step's Newton
 ladder run one start at a time, single_path_newton on each rung, which the
-stacked solver.newton_solve must match path by path, bit for bit.
+stacked solver.newton_solve must match path by path, bit for bit.  The
+oracle's bisection likewise has a per-panel reference walk, per_panel_bisect,
+which each member of oracle._bisect's groups must match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dovsolver.opalg import (
     polynomial,
     product_tensor,
 )
+from dovsolver.oracle import _PANEL_CHUNK, QuadratureError, _budget, _gk15
 from dovsolver.solver import NEWTON_MAX_ITER, NEWTON_TOL, _block_solve
 
 
@@ -214,3 +217,53 @@ def per_start_ladder(system, starts: np.ndarray):
         finals.append((u_prev, total_iters, converged))
     xs, iters, converged = zip(*finals)
     return np.array(xs), np.array(iters), np.array(converged)
+
+
+def per_panel_bisect(g, a: float, b: float, whole: float, err: float, scale: float,
+                     floor: float) -> float:
+    """Integral of g over [a, b], whose GK15 value and estimate are whole and
+    err and whose budget (see _budget) is scale and floor: ranges are
+    bisected, both halves in one call of g, until each estimate fits its
+    width's share of scale, or the floor."""
+    stack = [(a, b, whole, err, 0)]
+    total = 0.0
+    while stack:
+        lo, hi, val, err, depth = stack.pop()
+        if err <= max(scale * (hi - lo) / (b - a), floor):
+            total += val
+            continue
+        if depth >= 50:
+            raise QuadratureError(
+                f"subdivision limit exceeded on [{lo}, {hi}] (error estimate {err:g})")
+        mid = 0.5 * (lo + hi)
+        vals, errs = _gk15(g, np.array([lo, mid]), np.array([mid, hi]))
+        (left, right), (left_err, right_err) = vals.tolist(), errs.tolist()
+        stack.append((lo, mid, left, left_err, depth + 1))
+        stack.append((mid, hi, right, right_err, depth + 1))
+    return total
+
+
+def per_panel_blockwise_integrals(integrand, edges: np.ndarray, lo: np.ndarray,
+                                  hi: np.ndarray, param: np.ndarray, tol: float) -> np.ndarray:
+    """oracle._blockwise_integrals with every failing panel bisected on its
+    own by per_panel_bisect, in panel order: the same first pass, panels and
+    sums."""
+    left = np.maximum(lo[:, None], np.concatenate(([-np.inf], edges)))
+    right = np.minimum(hi[:, None], np.concatenate((edges, [np.inf])))
+    live = right > left
+    lo, hi = left[live], right[live]
+    param = np.broadcast_to(param[:, None], live.shape)[live]
+    panels = np.empty(lo.size)
+    for s in range(0, lo.size, _PANEL_CHUNK):
+        a, b, p = lo[s:s + _PANEL_CHUNK], hi[s:s + _PANEL_CHUNK], param[s:s + _PANEL_CHUNK]
+        kron, err = _gk15(lambda x: integrand(x, p[:, None]), a, b)
+        panels[s:s + a.size] = kron
+        scale, floor = _budget(kron, tol)
+        for i in np.flatnonzero(~(err <= np.maximum(scale, floor))).tolist():
+            pi = p[i:i + 1, None]
+            panels[s + i] = per_panel_bisect(lambda x: integrand(x, pi), float(a[i]),
+                                             float(b[i]), float(kron[i]), float(err[i]),
+                                             float(scale[i]), float(floor[i]))
+    pieces = np.zeros(live.shape)
+    pieces[live] = panels
+    return pieces.sum(axis=1)

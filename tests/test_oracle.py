@@ -37,6 +37,7 @@ from dovsolver.solver import (
     SolveOptions,
     solve,
 )
+from paper_matrices import per_panel_bisect, per_panel_blockwise_integrals
 
 
 def test_quad_constant():
@@ -322,8 +323,9 @@ def test_residual_is_nan_where_f_is_nan():
 
 def test_failing_panels_are_bisected_from_their_first_rule(monkeypatch):
     # ln(x) is singular at t0 = 0, so every panel [0, min(t, 1/2)] fails the
-    # first pass; no panel's nodes are evaluated twice at one grid point,
-    # and every kernel evaluation after the first pass is one split's halves
+    # first pass; the 21 points t >= 1/2 share the panel [0, 1/2], and each
+    # later kernel evaluation is one step of one range's group: one split's
+    # halves for each of its k members, 2k rows, no (x, t) row twice
     p, U = _unit_problem("ln(x) + 2", "t", 2, 4)
     grid = uniform_grid(p.spec.interval, 41)
     calls = []
@@ -340,16 +342,27 @@ def test_failing_panels_are_bisected_from_their_first_rule(monkeypatch):
     assert abs(got - _per_point_residual(p, U, grid)) <= 1e-13
     # one first pass: 40 points past t0, and 20 of them past the edge 1/2
     assert calls[0][0].shape == (60, 15)
-    assert len(calls) > 1 and {x.shape for x, _ in calls[1:]} == {(2, 15)}
+    assert len(calls) > 1
+    for x, t in calls[1:]:
+        assert (t == t[:, :1]).all()
+        ts = t[:, 0]
+        # rows 2j and 2j + 1 are member j's two halves, each member once
+        assert x.shape[0] % 2 == 0 and (ts[0::2] == ts[1::2]).all()
+        assert np.unique(ts).size == ts.size // 2
+        assert (x[0::2].max(axis=1) < x[1::2].min(axis=1)).all()
+        if ts.size > 2:  # the group of [0, 1/2]
+            assert ts.min() >= 0.5 and x.max() < 0.5
+    assert max(x.shape[0] for x, _ in calls[1:]) == 2 * 21
     rows = [(x.tobytes(), t.tobytes()) for xs, ts in calls for x, t in zip(xs, ts)]
     assert len(set(rows)) == len(rows)
 
 
 def test_ex9_residual_keeps_its_gk15_calls(monkeypatch):
-    # ex9's residual at (2,8): a first pass over its 299 panels, and 164 of
-    # them bisected from their first rule, two halves per call.  The counts
-    # pin how many rules a residual runs; batching the bisection (ROADMAP
-    # item 3) will lower them on purpose, and must re-pin them
+    # ex9's residual at (2,8): a first pass over its 299 panels in two
+    # calls, and 164 of them bisected from their first rule; 100 of those
+    # are the shared block [-1, 0], two groups (79 and 21, one per call),
+    # and every step of a group is one call.  The counts pin how many rules
+    # a residual runs and how many calls they take
     problem = EXAMPLES["ex9"].problem(2, 8)
     U = solve(problem, SolveOptions(compute_residual=False)).U
     ranges = []
@@ -361,16 +374,96 @@ def test_ex9_residual_keeps_its_gk15_calls(monkeypatch):
 
     monkeypatch.setattr(oracle, "_gk15", counting)
     assert equation_residual(problem, U) == 4.603252569083949e-05
-    assert (len(ranges), sum(ranges)) == (418, 1131)
+    assert (len(ranges), sum(ranges)) == (124, 1131)
+
+
+@pytest.mark.parametrize("case", [("ex9", 2, 8), ("ex9", 8, 24), ("ex10", 2, 16),
+                                  ("ex10", 8, 24), ("ln", 2, 4)])
+def test_grouped_walk_matches_the_per_panel_walk_bit_for_bit(monkeypatch, case):
+    # every _blockwise_integrals call of the residual, ex10's composite
+    # fallback included, against the same panels bisected one at a time
+    key, N, M = case
+    if key == "ln":
+        p, U = _unit_problem("ln(x) + 2", "t", N, M)
+        run = lambda: equation_residual(p, U)  # noqa: E731
+    else:
+        p = EXAMPLES[key].problem(N, M)
+        sol = solve(p, SolveOptions(compute_residual=False))
+        run = lambda: residual_linf(p, sol)  # noqa: E731
+    grouped, bisect = oracle._blockwise_integrals, oracle._bisect
+    pairs, sizes = [], []
+
+    def both(*args):
+        got = grouped(*args)
+        pairs.append((got.tobytes(), per_panel_blockwise_integrals(*args).tobytes()))
+        return got
+
+    def sizing(integrand, a, b, param, *rest):
+        sizes.append(param.size)
+        return bisect(integrand, a, b, param, *rest)
+
+    monkeypatch.setattr(oracle, "_blockwise_integrals", both)
+    monkeypatch.setattr(oracle, "_bisect", sizing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run()
+    assert pairs and all(got == want for got, want in pairs)
+    assert max(sizes) > 1  # a range that several grid points share failed
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.integers(2, 4), M=st.integers(14, 18),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=72, max_size=72),
+       inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_grouped_walk_matches_the_per_panel_walk_on_random_grids(N, M, coeffs, inner):
+    # t*x*U(x) with U of degree >= 13 fails the Gauss estimate on most
+    # panels, and every point past an edge shares the full blocks before it
+    spec = BasisSpec(Interval(0.0, 1.0), N, M)
+    U = CoeffVector(spec, np.array(coeffs[:spec.dim]))
+    points = np.unique([1.0, *inner])
+    edges = spec.block_nodes(np.arange(1, N), -1.0)
+    args = (lambda x, t: t * x * eval_series(U, x), edges, np.zeros(points.size), points,
+            points, oracle.QUAD_TOL)
+    got = oracle._blockwise_integrals(*args)
+    assert got.tobytes() == per_panel_blockwise_integrals(*args).tobytes()
 
 
 def test_nan_integrand_raises_quadrature_error_through_the_refinement():
     # a panel whose first GK15 value is NaN fails the first test, and the
-    # scalar refinement reaches its subdivision limit
+    # refinement reaches its subdivision limit
     p, U = _unit_problem("exp(1000*x)*0 + 1", "t", 1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(QuadratureError, match="subdivision"):
             equation_residual(p, U)
+
+
+def test_a_nan_group_raises_at_its_depth_limit(monkeypatch):
+    # exp(1000 x)*0 is NaN on all of [1, 2]; the 50 points t >= 1.5 share
+    # the panel [1, 1.5], the first to fail, so its group raises after 50
+    # steps of 2*50 rows, naming the range the per-panel walk of its
+    # lowest-index panel names
+    p, U = _unit_problem("exp(1000*x)*0 + 1", "t - 1", 2, 4, interval=(1.0, 2.0))
+    grid = Grid(np.linspace(1.5, 2.0, 50))
+    sizes = []
+    gk15 = oracle._gk15
+
+    def counting(g, lo, hi):
+        sizes.append(lo.size)
+        return gk15(g, lo, hi)
+
+    monkeypatch.setattr(oracle, "_gk15", counting)
+    g = p.nonlinearity.g_from_coeffs(U)
+    integrand = lambda x: (np.exp(1000 * x) * 0 + 1) * g(x)  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="subdivision") as raised:
+            equation_residual(p, U, grid)
+        kron, err = gk15(integrand, np.array([1.0]), np.array([1.5]))
+        scale, floor = oracle._budget(kron, oracle.QUAD_TOL)
+        with pytest.raises(QuadratureError) as alone:
+            per_panel_bisect(integrand, 1.0, 1.5, float(kron[0]), float(err[0]),
+                             float(scale[0]), float(floor[0]))
+    assert str(raised.value) == str(alone.value)
+    assert sizes[1:] == [2 * 50] * 50
 
 
 def test_residual_memory_is_bounded_by_the_panel_chunk():
